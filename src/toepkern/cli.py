@@ -75,7 +75,10 @@ def _parse_ladder(text: str) -> tuple:
 
 def _run_config(args) -> RunConfig:
     try:
-        tol = ToleranceConfig(args.degree, args.grid, args.rank_tol,
+        grid = args.grid
+        if grid is None:
+            grid = DEFAULT_CONFIG.with_degree(args.degree).grid_size
+        tol = ToleranceConfig(args.degree, grid, args.rank_tol,
                               args.residual_tol)
     except ValueError as exc:
         raise CliError(2, str(exc))
@@ -521,8 +524,9 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--degree", type=int,
                         default=DEFAULT_CONFIG.trunc_degree,
                         help="working truncation degree N")
-        sp.add_argument("--grid", type=int, default=DEFAULT_CONFIG.grid_size,
-                        help="boundary sample count (power of two)")
+        sp.add_argument("--grid", type=int, default=None,
+                        help="boundary sample count (power of two; default: "
+                             "the smallest valid grid for --degree)")
         sp.add_argument("--rank-tol", type=float,
                         default=DEFAULT_CONFIG.rank_tol)
         sp.add_argument("--residual-tol", type=float,

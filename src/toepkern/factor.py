@@ -27,7 +27,6 @@ from .symbols import (
     symbol_from_samples,
     symbol_mul,
 )
-from .toeplitz import build_toeplitz, orthonormal_basis
 
 
 class PreconditionError(ValueError):
@@ -142,8 +141,7 @@ class OuterReport:
     theta0 isometrically identifies the constant coefficient subspace spanned
     by the columns; g_tilde is the reduced symbol with G = theta0 g_tilde.
     eta values are Szego geometric-mean defects 1 - |det(0)| / gm(|det|) at
-    two grid resolutions; span_defect is a direct monomial-containment
-    diagnostic on the inner half-window.
+    two grid resolutions.
     """
 
     verdict: str
@@ -152,7 +150,6 @@ class OuterReport:
     g_tilde: MatrixSymbol
     eta_coarse: float
     eta_fine: float
-    span_defect: float
 
 
 def _phase_column_gauge(mat: np.ndarray) -> np.ndarray:
@@ -183,7 +180,8 @@ def shift_span(G: MatrixSymbol, N: int,
     symbol is outer; that is decided by the ratio of |det| at 0 to its
     geometric boundary mean, measured at two resolutions so boundary zeros
     (which push the ratio below 1 at any finite grid) are recognized by their
-    vanishing defect instead of a flat one.
+    vanishing defect instead of a flat one.  N is unused: the verdict reads
+    only the grid samples of G.
     """
     if G.compress(1e-300).min_deg < 0:
         raise ValueError("shift_span needs an analytic symbol")
@@ -192,17 +190,13 @@ def shift_span(G: MatrixSymbol, N: int,
     u, s, _ = np.linalg.svd(flat, full_matrices=False)
     rank = int(np.sum(s > config.rank_tol * s[0])) if s.size and s[0] > 0 else 0
     if rank == 0:
-        return OuterReport("indeterminate", 0, np.zeros((m, 0)), G, 1.0, 1.0, 1.0)
+        return OuterReport("indeterminate", 0, np.zeros((m, 0)), G, 1.0, 1.0)
     theta0 = _phase_column_gauge(u[:, :rank])
     g_tilde = symbol_from_samples(
         np.matmul(np.conj(theta0.T)[None], sample_symbol(G, config.grid_size)),
         G.min_deg, G.max_deg)
-
-    span_defect = _monomial_span_defect(g_tilde, N, config)
-
     if rank != r:
-        return OuterReport("indeterminate", rank, theta0, g_tilde,
-                           1.0, 1.0, span_defect)
+        return OuterReport("indeterminate", rank, theta0, g_tilde, 1.0, 1.0)
     K = config.grid_size
     eta_c = _szego_eta(g_tilde, K)
     eta_f = _szego_eta(g_tilde, 2 * K)
@@ -214,41 +208,7 @@ def shift_span(G: MatrixSymbol, N: int,
         verdict = "not-outer"
     else:
         verdict = "indeterminate"
-    return OuterReport(verdict, rank, theta0, g_tilde, eta_c, eta_f, span_defect)
-
-
-def _monomial_span_defect(g_tilde: MatrixSymbol, N: int,
-                          config: ToleranceConfig) -> float:
-    """Distance of inner-window monomials from span{z^k g_l}, diagnostic only.
-
-    The ambient window extends to N + deg so that N shifts always fit, even
-    when the reduced symbol occupies the whole working band.
-    """
-    r = g_tilde.cols
-    d = max(g_tilde.max_deg, 0)
-    ambient = N + d
-    cols = []
-    rdim = g_tilde.rows
-    for k in range(N + 1):
-        for l in range(r):
-            vec = np.zeros((ambient + 1, rdim), complex)
-            for t in range(g_tilde.coeffs.shape[0]):
-                deg = g_tilde.min_deg + t + k
-                if 0 <= deg <= ambient:
-                    vec[deg] += g_tilde.coeffs[t, :, l]
-            cols.append(vec.reshape(-1))
-    basis = orthonormal_basis(np.stack(cols, axis=1), rdim, ambient,
-                              config.rank_tol)
-    q = basis.matrix()
-    worst = 0.0
-    for e in range(rdim):
-        for k in range(N // 2 + 1):
-            target = np.zeros((ambient + 1, rdim), complex)
-            target[k, e] = 1.0
-            t = target.reshape(-1)
-            resid = t - q @ (np.conj(q.T) @ t)
-            worst = max(worst, float(np.linalg.norm(resid)))
-    return worst
+    return OuterReport(verdict, rank, theta0, g_tilde, eta_c, eta_f)
 
 
 # -- spectral factorization ---------------------------------------------------------

@@ -36,11 +36,16 @@ def model_space_basis(U: MatrixSymbol, N: int,
 
     Notes
     -----
-    A polynomial f of degree <= M pairs to zero with every column U z^k e
-    of degree > M automatically, so restricting the constraints to k <= M
+    A polynomial f of degree <= W pairs to zero with every column U z^k e
+    of degree > W automatically, so restricting the constraints to k <= W
     keeps the orthogonality conditions exact and the window free of
-    truncation ghosts.  For polynomial inner U the whole model space sits
-    in degrees < deg U, so any N >= 2 deg U returns all of K_U.
+    truncation ghosts.  For inner U of full rank and degree d,
+    z^d I = U (z^d U*) with z^d U* a polynomial, so z^d H2 lies in U H2
+    and the whole model space sits in degrees < d.  The constraints are
+    therefore solved on the window W = min(N - deg U, d) and the null
+    vectors zero-padded to degree N - deg U; any N >= 2 deg U returns all
+    of K_U.  A rank-deficient U keeps the full window, since its model
+    space reaches every degree.
     """
     cert = is_inner(U, config)
     if not cert.is_inner:
@@ -50,17 +55,19 @@ def model_space_basis(U: MatrixSymbol, N: int,
     if M < 0:
         raise ValueError("N too small: need N >= deg U")
     m = U.rows
-    dim = m * (M + 1)
+    W = min(M, d) if cert.rank == m else M
+    dim = m * (W + 1)
     shifts = np.zeros((dim, dim), complex)
-    for k in range(M + 1):
+    for k in range(W + 1):
         for t in range(U.coeffs.shape[0]):
             deg = U.min_deg + t + k
-            if 0 <= deg <= M:
+            if 0 <= deg <= W:
                 shifts[deg * m:(deg + 1) * m, k * m:(k + 1) * m] = U.coeffs[t]
     constraints = shifts.conj().T
     _, s, vh = np.linalg.svd(constraints)
     rank = int(np.sum(s > config.rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    null = vh[rank:].conj().T
+    null = np.zeros((m * (M + 1), dim - rank), complex)
+    null[:dim] = vh[rank:].conj().T
     return basis_from_matrix(null, m, M)
 
 

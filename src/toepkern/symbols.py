@@ -52,6 +52,11 @@ class ToleranceConfig:
         k = self.grid_size
         if k & (k - 1) or k < 4 * (self.trunc_degree + 1):
             raise ValueError("grid_size must be a power of two >= 4*(N+1)")
+        # an empty numerical kernel on both sides would pass vacuously
+        if not 0 < self.rank_tol < 1:
+            raise ValueError("rank_tol must lie strictly between 0 and 1")
+        if not self.residual_tol > 0:
+            raise ValueError("residual_tol must be positive")
 
     def with_degree(self, n: int) -> "ToleranceConfig":
         """Config at truncation degree n with a compatible grid."""
@@ -234,6 +239,11 @@ class MatrixSymbol:
             if len(flat) != rows * cols:
                 raise ValueError("coefficient entry count disagrees with shape")
             vals = np.array([complex(re, im) for re, im in flat])
+            bad = np.flatnonzero(~np.isfinite(vals))
+            if bad.size:
+                r, c = divmod(int(bad[0]), cols)
+                raise ValueError(f"non-finite coefficient {vals[bad[0]]} at "
+                                 f"degree {lo + i}, entry ({r}, {c})")
             arr[i] = vals.reshape(rows, cols)
         return MatrixSymbol(rows, cols, lo, arr)
 
@@ -422,15 +432,16 @@ def series_inverse(a: MatrixSymbol, N: int) -> MatrixSymbol:
     if a.rows != a.cols:
         raise ValueError("series inverse needs a square symbol")
     m = a.rows
-    s0 = a.coeff(0)
-    s0_inv = np.linalg.inv(s0)
+    d = a.max_deg
+    s0_inv = np.linalg.inv(a.coeff(0))
+    band = np.array([a.coeff(j) for j in range(1, d + 1)]).reshape(d, m, m)
     out = np.zeros((N + 1, m, m), complex)
     out[0] = s0_inv
     for k in range(1, N + 1):
-        acc = np.zeros((m, m), complex)
-        for j in range(1, min(k, a.max_deg) + 1):
-            acc += a.coeff(j) @ out[k - j]
-        out[k] = -s0_inv @ acc
+        # sum_j a(j) out(k - j) over the band, against the earlier outputs
+        # in reverse order
+        j = min(k, d)
+        out[k] = -s0_inv @ np.einsum("jab,jbc->ac", band[:j], out[k - j:k][::-1])
     return MatrixSymbol(m, m, 0, out)
 
 

@@ -273,6 +273,37 @@ def test_bad_grid_exits_2(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_grid_defaults_to_smallest_valid_for_degree(capsys):
+    assert main(["verify", "pair-identity", "--degree", "128"]) == 0
+    implicit = capsys.readouterr().out
+    assert main(["verify", "pair-identity", "--degree", "128",
+                 "--grid", "1024"]) == 0
+    assert capsys.readouterr().out == implicit
+    assert main(["verify", "pair-identity", "--degree", "128",
+                 "--grid", "512"]) == 2
+    assert "grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--rank-tol", "-1"], ["--rank-tol", "1"],
+                                  ["--residual-tol", "0"]])
+def test_vacuous_tolerance_exits_2(tmp_path, capsys, flag):
+    g = dump(tmp_path, "g.json", g_poisson_double(64))
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    assert main(["classify", g, u] + flag) == 2
+    assert flag[0][2:].replace("-", "_") in capsys.readouterr().err
+
+
+def test_classify_non_finite_coefficient_exits_2(tmp_path, capsys):
+    d = g_poisson_double(64).to_json_dict()
+    d["coeffs"][3][0] = [float("nan"), 0.0]
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(d))
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    assert main(["classify", str(g), u]) == 2
+    err = capsys.readouterr().err
+    assert "bad symbol file" in err and "non-finite" in err
+
+
 def test_usage_errors_exit_2(capsys):
     assert main([]) == 2
     assert main(["frobnicate"]) == 2

@@ -107,6 +107,44 @@ class TestModelSpace:
         assert membership_defect(MatrixSymbol.monomial(d), basis) < 1e-10
 
 
+def model_space_oracle(U: MatrixSymbol, N: int) -> SubspaceBasis:
+    """K_U within degrees <= N - deg U from the SVD over the whole window."""
+    m, M = U.rows, N - U.max_deg
+    dim = m * (M + 1)
+    shifts = np.zeros((dim, dim), complex)
+    for k in range(M + 1):
+        for t in range(U.coeffs.shape[0]):
+            deg = U.min_deg + t + k
+            if 0 <= deg <= M:
+                shifts[deg * m:(deg + 1) * m, k * m:(k + 1) * m] = U.coeffs[t]
+    _, s, vh = np.linalg.svd(shifts.conj().T)
+    rank = int(np.sum(s > DEFAULT_CONFIG.rank_tol * s[0]))
+    null = vh[rank:].conj().T
+    return SubspaceBasis(m, M, tuple(HardyElement.from_vector(null[:, j], m)
+                                     for j in range(null.shape[1])))
+
+
+def span_distance(A: SubspaceBasis, B: SubspaceBasis) -> float:
+    """Sine of the largest principal angle; free of the arccos floor near 0."""
+    qa, qb = A.matrix(), B.matrix()
+    return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))
+
+
+@pytest.mark.parametrize("U", [
+    MatrixSymbol.monomial(1), MatrixSymbol.monomial(2),
+    MatrixSymbol.monomial(3), MatrixSymbol.monomial(1, m=2),
+    MatrixSymbol.diag(MatrixSymbol.monomial(1), MatrixSymbol.monomial(3)),
+    symbol_mul(MatrixSymbol.monomial(1, m=2), model_inner_det_z()),
+    MatrixSymbol.diag(MatrixSymbol.monomial(1), MatrixSymbol.scalar([0.0])),
+], ids=["z", "z2", "z3", "zI2", "diag-z-z3", "z-garcia", "rank-deficient"])
+def test_windowed_model_space_matches_full_window(U):
+    d = U.max_deg
+    for N in range(d, 4 * d + 1):
+        basis, oracle = model_space_basis(U, N), model_space_oracle(U, N)
+        assert (basis.size, basis.degree) == (oracle.size, oracle.degree)
+        assert span_distance(basis, oracle) < 1e-12
+
+
 class TestNearlyInvariant:
     def test_shifted_line_is_not(self):
         f = HardyElement(2, np.array([[0, 0], [1, 0]], complex))

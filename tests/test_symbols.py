@@ -209,6 +209,14 @@ def test_json_shape_validation():
         MatrixSymbol.from_json_dict(d)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_json_rejects_non_finite(bad):
+    d = MatrixSymbol.identity(2).to_json_dict()
+    d["coeffs"][0][2] = [0.0, bad]
+    with pytest.raises(ValueError, match=r"degree 0, entry \(1, 0\)"):
+        MatrixSymbol.from_json_dict(d)
+
+
 # -- Herglotz transform -----------------------------------------------------------
 
 def test_herglotz_of_one_plus_cos_is_one_plus_z():
@@ -284,6 +292,35 @@ def test_series_inverse():
     assert symbols_allclose(prod, MatrixSymbol.identity(1).truncate(0, 0), 1e-13)
 
 
+def series_inverse_loop_reference(a: MatrixSymbol, N: int) -> np.ndarray:
+    """The coefficient recurrence one degree and one band term at a time."""
+    s0_inv = np.linalg.inv(a.coeff(0))
+    out = np.zeros((N + 1, a.rows, a.rows), complex)
+    out[0] = s0_inv
+    for k in range(1, N + 1):
+        acc = np.zeros((a.rows, a.rows), complex)
+        for j in range(1, min(k, a.max_deg) + 1):
+            acc += a.coeff(j) @ out[k - j]
+        out[k] = -s0_inv @ acc
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("band", [0, 3, 40])
+def test_series_inverse_matches_loop_reference(m, band):
+    N = 24
+    rng = np.random.default_rng(10 * m + band)
+    c = rng.standard_normal((band + 1, m, m)) + 1j * rng.standard_normal((band + 1, m, m))
+    c *= 0.5 / (m * (1.0 + np.arange(band + 1)) ** 2)[:, None, None]
+    c[0] += np.eye(m)
+    a = MatrixSymbol(m, m, 0, c)
+    inv = series_inverse(a, N)
+    ref = series_inverse_loop_reference(a, N)
+    assert np.max(np.abs(inv.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
+    prod = symbol_mul(a, inv).truncate(0, N)
+    assert symbols_allclose(prod, MatrixSymbol.identity(m), 1e-12)
+
+
 # -- Hardy elements -------------------------------------------------------------------
 
 def test_hardy_norm_is_stacked_euclidean():
@@ -353,6 +390,12 @@ def test_matrix_pointwise_polar():
 def test_config_validation():
     with pytest.raises(ValueError):
         ToleranceConfig(trunc_degree=64, grid_size=200)
+    for bad in (-1.0, 0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="rank_tol"):
+            ToleranceConfig(rank_tol=bad)
+    for bad in (-1e-8, 0.0, float("nan")):
+        with pytest.raises(ValueError, match="residual_tol"):
+            ToleranceConfig(residual_tol=bad)
     cfg = ToleranceConfig().with_degree(16)
     assert cfg.grid_size >= 4 * 17
     assert cfg.grid_size & (cfg.grid_size - 1) == 0
