@@ -10,20 +10,9 @@ Usage: python3 scripts/residual_ladders.py [--ladder 8,16,32,64,128]
 
 import argparse
 
-import numpy as np
-
-from toepkern import MatrixSymbol, adjoint_flip, series_inverse, symbol_mul
+from toepkern import MatrixSymbol, series_inverse, symbol_mul
 from toepkern.fixtures import g_one_plus_z, g_poisson, g_poisson_double
-from toepkern.toeplitz import build_toeplitz, operator_residual
-
-
-def section_residual(G, B, n):
-    ident = MatrixSymbol.identity(B.rows)
-    S = (build_toeplitz(ident - B, n).matrix
-         @ build_toeplitz(adjoint_flip(G), n).matrix)
-    tb = build_toeplitz(B, n).matrix
-    eye = np.eye(tb.shape[0])
-    return operator_residual(S @ S.conj().T, eye - tb @ tb.conj().T, n)
+from toepkern.nearly import section_defect
 
 
 def main():
@@ -44,7 +33,7 @@ def main():
     head = "fixture".ljust(16) + "".join(f"N={n}".rjust(12) for n in ladder)
     print(head)
     for name, G, B in fixtures:
-        cells = "".join(f"{section_residual(G, B, n):12.3e}" for n in ladder)
+        cells = "".join(f"{section_defect(G, B, n):12.3e}" for n in ladder)
         print(name.ljust(16) + cells)
 
 

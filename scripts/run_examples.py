@@ -24,7 +24,9 @@ def main():
     ap.add_argument("--degree", type=int, default=64)
     args = ap.parse_args()
 
-    rc, out = run(["examples", "--degree", str(args.degree)])
+    n = args.degree
+    rc, out = run(["examples", "--degree", str(n),
+                   "--ladder", f"{n // 4},{n // 2},{n}"])
     if rc != 0:
         print("examples command failed", file=sys.stderr)
         return rc

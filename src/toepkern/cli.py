@@ -10,9 +10,9 @@ degree ladder and emits CSV.
 Exit codes: 0 on success (mathematical verdicts such as "not-kernel" are
 results, not failures), 2 on invalid input (bad files, bad flags, violated
 preconditions, unknown verify name), 3 when the classification is still
-indeterminate at the top of the ladder.  Output is deterministic: JSON is
-emitted with sorted keys and CSV floats use a fixed format, so repeat runs
-are byte-identical.
+indeterminate at the top of the ladder, including a truncation too coarse
+to decide.  Output is deterministic: JSON is emitted with sorted keys and
+CSV floats use a fixed format, so repeat runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ from .factor import PreconditionError, garcia_inner
 from .fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
                        half_signature, lin_diag_G, sqrt_diag_G,
                        twisted_contraction)
-from .hayashi import (_gk_basis, classify_kernel, construct_kernel,
-                      embed_rect, pair_from_B, pair_identity_defect,
+from .hayashi import (classify_kernel, construct_kernel, embed_rect,
+                      kernel_angle, pair_from_B, pair_identity_defect,
                       special_test)
 from .nearly import (counterexample_UBU, is_nearly_invariant,
-                     sarason_equivalence, verify_lemma31)
+                     sarason_equivalence, section_defect, verify_lemma31)
 from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                       ToleranceConfig, adjoint_flip, apply_symbol,
                       grid_points, series_inverse, symbol_mul)
 from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_basis,
-                       operator_residual, subspace_angle)
+                       subspace_angle)
 
 
 class CliError(Exception):
@@ -165,11 +165,8 @@ def cmd_construct(args, run: RunConfig) -> int:
         res = construct_kernel(G0p, U, tol.trunc_degree, tol, run.ladder)
     except (PreconditionError, ValueError) as exc:
         raise CliError(2, str(exc))
-    angles = {}
-    for n in run.ladder:
-        ker = kernel_basis(build_toeplitz(res.phi, n), tol)
-        target = _gk_basis(res.G, U, n, tol)
-        angles[str(n)] = subspace_angle(ker, target)
+    angles = {str(n): kernel_angle(res.phi, res.G, U, n, tol)
+              for n in run.ladder}
     doc = {
         "dim_F": res.F.size,
         "cross_check_angle": {"per_N": angles, "refined": res.angle_2N},
@@ -235,15 +232,6 @@ def _check_kernel_identity(run: RunConfig):
     return rows
 
 
-def _section_residual(G: MatrixSymbol, B: MatrixSymbol, n: int) -> float:
-    ident = MatrixSymbol.identity(B.rows)
-    S = (build_toeplitz(ident - B, n).matrix
-         @ build_toeplitz(adjoint_flip(G), n).matrix)
-    tb = build_toeplitz(B, n).matrix
-    eye = np.eye(tb.shape[0])
-    return operator_residual(S @ S.conj().T, eye - tb @ tb.conj().T, n)
-
-
 def _check_section_identity(run: RunConfig):
     n_top = run.ladder[-1]
     fixtures = [
@@ -255,7 +243,7 @@ def _check_section_identity(run: RunConfig):
     rows = []
     for name, G, B in fixtures:
         for n in run.ladder:
-            rows.append((name, n, _section_residual(G, B, n), 1e-6))
+            rows.append((name, n, section_defect(G, B, n), 1e-6))
     return rows
 
 

@@ -5,9 +5,8 @@ exp-of-Herglotz-of-log formula, which is pointwise exact on the sample grid
 and tolerates boundary zeros (the offset grid never lands on them). Genuinely
 matricial symbols go through Bauer's method: Cholesky of a large block
 Toeplitz moment matrix, reading the factor off the last block row. The
-exp-log formula is kept for diagonal cross-checks only, since for
-non-commuting values it does not reproduce the factor; exp_log_defect
-measures that discrepancy instead of asserting either side.
+exp-log formula is refused for non-diagonal densities, since for
+non-commuting values it does not reproduce the factor.
 """
 from __future__ import annotations
 
@@ -27,6 +26,7 @@ from .symbols import (
     symbol_from_samples,
     symbol_mul,
 )
+from .toeplitz import build_toeplitz, numerical_rank, phase_gauge
 
 
 class PreconditionError(ValueError):
@@ -152,16 +152,6 @@ class OuterReport:
     eta_fine: float
 
 
-def _phase_column_gauge(mat: np.ndarray) -> np.ndarray:
-    out = mat.copy()
-    for j in range(out.shape[1]):
-        idx = int(np.argmax(np.abs(out[:, j])))
-        peak = out[idx, j]
-        if abs(peak) > 0:
-            out[:, j] *= np.conj(peak) / abs(peak)
-    return out
-
-
 def _szego_eta(g_tilde: MatrixSymbol, K: int) -> float:
     vals = sample_symbol(g_tilde, K)
     dets = np.abs(np.linalg.det(vals))
@@ -172,7 +162,7 @@ def _szego_eta(g_tilde: MatrixSymbol, K: int) -> float:
     return max(0.0, 1.0 - at0 / gm)
 
 
-def shift_span(G: MatrixSymbol, N: int,
+def shift_span(G: MatrixSymbol,
                config: ToleranceConfig = DEFAULT_CONFIG) -> OuterReport:
     """Analyze the closed shift-invariant span of the columns of G.
 
@@ -180,18 +170,17 @@ def shift_span(G: MatrixSymbol, N: int,
     symbol is outer; that is decided by the ratio of |det| at 0 to its
     geometric boundary mean, measured at two resolutions so boundary zeros
     (which push the ratio below 1 at any finite grid) are recognized by their
-    vanishing defect instead of a flat one.  N is unused: the verdict reads
-    only the grid samples of G.
+    vanishing defect instead of a flat one.
     """
     if G.compress(1e-300).min_deg < 0:
         raise ValueError("shift_span needs an analytic symbol")
     m, r = G.rows, G.cols
     flat = np.concatenate([G.coeffs[k] for k in range(G.coeffs.shape[0])], axis=1)
     u, s, _ = np.linalg.svd(flat, full_matrices=False)
-    rank = int(np.sum(s > config.rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    rank = numerical_rank(s, config.rank_tol)
     if rank == 0:
         return OuterReport("indeterminate", 0, np.zeros((m, 0)), G, 1.0, 1.0)
-    theta0 = _phase_column_gauge(u[:, :rank])
+    theta0 = phase_gauge(u[:, :rank])
     g_tilde = symbol_from_samples(
         np.matmul(np.conj(theta0.T)[None], sample_symbol(G, config.grid_size)),
         G.min_deg, G.max_deg)
@@ -377,13 +366,9 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
         raise PreconditionError("matricial density positive on the grid", min_eig)
     m = phi.rows
     M = moment_rows if moment_rows is not None else max(4 * N, 256)
-    band = max(phi.max_deg, -phi.min_deg)
-    T = np.zeros(((M + 1) * m, (M + 1) * m), complex)
-    for d in range(-min(band, M), min(band, M) + 1):
-        c = phi.coeff(d).T
-        for j in range(max(d, 0), min(M, M + d) + 1):
-            T[j * m:(j + 1) * m, (j - d) * m:(j - d + 1) * m] = c
-    C = np.linalg.cholesky(T)
+    # block (j, k) of the moment matrix is phi_{j-k} transposed
+    phi_t = MatrixSymbol(m, m, phi.min_deg, np.transpose(phi.coeffs, (0, 2, 1)))
+    C = np.linalg.cholesky(build_toeplitz(phi_t, M).matrix)
     blocks = []
     for s in range(N + 1):
         X = C[M * m:(M + 1) * m, (M - s) * m:(M - s + 1) * m]
@@ -392,32 +377,6 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     W, _ = scipy.linalg.polar(A.coeff(0))
     gauged = np.matmul(np.conj(W.T)[None], A.coeffs)
     return MatrixSymbol(m, m, 0, gauged)
-
-
-def exp_log_defect(phi: MatrixSymbol, N: int,
-                   config: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Reconstruction error of the matrix exp-log formula on a density.
-
-    Builds exp(Herglotz(log phi)/2) samplewise with principal matrix logs and
-    reports max ||A^H A - phi|| over the grid. Zero (to tolerance) exactly
-    when the samples commute; a diagnostic for the matricial case.
-    """
-    K = max(config.grid_size, _pow2_at_least(4 * (N + 1)))
-    vals = sample_symbol(phi, K)
-    w, v = np.linalg.eigh(vals)
-    if np.min(w) <= 0:
-        raise PreconditionError("density positive on the grid", float(np.min(w)))
-    logs = np.einsum("kij,kj,klj->kil", v, np.log(w), np.conj(v))
-    m = phi.rows
-    lsym = symbol_from_samples(logs, -(K // 2), K // 2 - 1)
-    h = np.zeros((K // 2, m, m), complex)
-    h[0] = lsym.coeff(0) / 2.0
-    for k in range(1, K // 2):
-        h[k] = lsym.coeff(k)
-    hvals = sample_symbol(MatrixSymbol(m, m, 0, h), K)
-    avals = np.array([scipy.linalg.expm(x) for x in hvals])
-    rec = np.matmul(np.conj(np.transpose(avals, (0, 2, 1))), avals)
-    return float(np.max(np.abs(rec - vals)))
 
 
 # -- division by inner functions ------------------------------------------------------

@@ -20,7 +20,8 @@ from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                       hardy_inner, herglotz_taylor, sample_symbol,
                       series_inverse, symbol_from_samples, symbol_mul)
 from .toeplitz import (KERNEL_GAP_FACTOR, SubspaceBasis, build_toeplitz,
-                       kernel_basis, orthonormal_basis, subspace_angle)
+                       kernel_basis, orthonormal_basis, phase_gauge,
+                       subspace_angle)
 from .factor import (OuterReport, PreconditionError, bauer_factorize,
                      divide_inner, is_inner, shift_span)
 from .nearly import model_space_basis, sarason_B
@@ -80,10 +81,7 @@ def pair_from_B(B: MatrixSymbol, N: int | None = None,
     a0 = np.linalg.eigvalsh((A.coeff(0) + A.coeff(0).conj().T) / 2)
     if a0.min() <= 0:
         raise PreconditionError("A(0) positive definite", float(a0.min()))
-    try:
-        gap, verdict = special_test(B, A, N, config)
-    except (PreconditionError, np.linalg.LinAlgError):
-        gap, verdict = float("nan"), "indeterminate"
+    gap, verdict = _special_or_undecided(B, A, N, config)
     return Pair(B, A, gap, verdict)
 
 
@@ -112,15 +110,7 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
 
     inv = series_inverse(MatrixSymbol.identity(r) - B0, 2 * N)
     g0p = symbol_mul(inv, A_prime)
-
-    def gram_to(depth: int) -> np.ndarray:
-        acc = np.zeros((r, r), complex)
-        for d in range(0, min(depth, g0p.max_deg) + 1):
-            c = g0p.coeff(d)
-            acc += c.conj().T @ c
-        return acc
-
-    gram_lo, gram_hi = gram_to(N), gram_to(2 * N)
+    gram_lo, gram_hi = _gram(g0p, N), _gram(g0p, 2 * N)
     drift = float(np.linalg.norm(gram_hi - gram_lo, 2))
     gap = float(np.linalg.norm(herm - gram_hi, 2))
     if drift > max(100 * config.residual_tol, 1e-3 * np.linalg.norm(gram_hi, 2)):
@@ -130,6 +120,24 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
     if gap >= RIGIDITY_FLOOR:
         return gap, "not-special"
     return gap, "indeterminate"
+
+
+def _special_or_undecided(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int,
+                          config: ToleranceConfig) -> tuple[float, str]:
+    """special_test with a failed precondition read as undecided at this N."""
+    try:
+        return special_test(B0, A_prime, N, config)
+    except (PreconditionError, np.linalg.LinAlgError):
+        return float("nan"), "indeterminate"
+
+
+def _gram(g: MatrixSymbol, depth: int) -> np.ndarray:
+    """Column Gram sum_{d <= depth} g_d^H g_d of an analytic symbol."""
+    acc = np.zeros((g.cols, g.cols), complex)
+    for d in range(0, min(depth, g.max_deg) + 1):
+        c = g.coeff(d)
+        acc += c.conj().T @ c
+    return acc
 
 
 # -- rigidity -----------------------------------------------------------------------
@@ -155,7 +163,7 @@ class RigidityReport:
 def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
                   config: ToleranceConfig = DEFAULT_CONFIG) -> RigidityReport:
     """Three-valued rigidity verdict for the square of an outer F."""
-    span = shift_span(F, config.trunc_degree, config)
+    span = shift_span(F, config)
     if span.verdict != "outer":
         raise PreconditionError("F outer", span.eta_fine)
     K = config.grid_size
@@ -180,9 +188,8 @@ def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
                 v = vh[-1].conj()
                 resid = float(np.linalg.norm(T.matrix @ v))
                 if resid <= 10 * config.rank_tol:
-                    peak = v[np.argmax(np.abs(v))]
-                    v = v * (np.conj(peak) / abs(peak))
-                    witness = HardyElement.from_vector(v, F.rows)
+                    witness = HardyElement.from_vector(
+                        phase_gauge(v[:, None])[:, 0], F.rows)
                     witness_residual = resid
     if witness is not None:
         verdict = "non-rigid"
@@ -197,11 +204,7 @@ def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
 # -- the Toeplitz symbol ------------------------------------------------------------
 
 def _unitary_completion(theta0: np.ndarray) -> np.ndarray:
-    comp = scipy.linalg.null_space(theta0.conj().T)
-    for j in range(comp.shape[1]):
-        peak = comp[np.argmax(np.abs(comp[:, j])), j]
-        if abs(peak) > 0:
-            comp[:, j] *= np.conj(peak) / abs(peak)
+    comp = phase_gauge(scipy.linalg.null_space(theta0.conj().T))
     return np.hstack([theta0, comp])
 
 
@@ -292,14 +295,11 @@ def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
     return orthonormal_basis(cols, G.rows, M, config.rank_tol)
 
 
-def _cross_check(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol,
-                 N: int, config: ToleranceConfig) -> float:
-    worst = 0.0
-    for M in (N, 2 * N):
-        ker = kernel_basis(build_toeplitz(phi, M), config)
-        target = _gk_basis(G, U, M, config)
-        worst = max(worst, subspace_angle(ker, target))
-    return worst
+def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
+                 config: ToleranceConfig = DEFAULT_CONFIG) -> float:
+    """Largest principal angle between ker T_phi and G K_U at degree M."""
+    return subspace_angle(kernel_basis(build_toeplitz(phi, M), config),
+                          _gk_basis(G, U, M, config))
 
 
 def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
@@ -312,7 +312,8 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     of G0' = (I - B0)^{-1} A'.  The constructed symbol and the subspace
     angle between its Toeplitz kernel and G K_U are reported whenever the
     samples allow, whatever the verdicts.  Indeterminate sub-verdicts
-    propagate; they are never resolved by majority.
+    propagate; they are never resolved by majority.  A specialness test
+    whose precondition fails at this truncation reads as indeterminate.
     """
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
@@ -338,11 +339,8 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
         B0 = div.quotient
         eye = MatrixSymbol.identity(m)
         A_prime = symbol_mul(eye - symbol_mul(B0, U), G)
-        gap, special_verdict = special_test(B0, A_prime, N, config)
-        if config.g0prime_contracted:
-            g0p = symbol_mul(eye - B0, A_prime)
-        else:
-            g0p = symbol_mul(series_inverse(eye - B0, N), A_prime).truncate(0, N)
+        gap, special_verdict = _special_or_undecided(B0, A_prime, N, config)
+        g0p = symbol_mul(series_inverse(eye - B0, N), A_prime).truncate(0, N)
         rig = rigidity_test(g0p, ladder, config)
         rig_verdict, sigmas = rig.verdict, rig.sigma_ladder
 
@@ -350,7 +348,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     angle = float("nan")
     try:
         phi = toeplitz_symbol(G, U, None, config)
-        angle = _cross_check(phi, G, U, N, config)
+        angle = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
     except PreconditionError:
         pass
 
@@ -428,19 +426,12 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     B = symbol_mul(U, B0)
     g_raw = symbol_mul(series_inverse(eye - symbol_mul(B0, U), N),
                        A_prime).truncate(0, N)
-    gram = np.zeros((r, r), complex)
-    for d in range(0, g_raw.max_deg + 1):
-        c = g_raw.coeff(d)
-        gram += c.conj().T @ c
-    scale = _inv_sqrt_hermitian(gram)
+    scale = _inv_sqrt_hermitian(_gram(g_raw, N))
     G = symbol_mul(g_raw, MatrixSymbol.constant(scale))
 
     phi = toeplitz_symbol(G, U, None, config)
     F = _gk_basis(G, U, N, config)
-    angles = []
-    for M in (N, 2 * N):
-        ker = kernel_basis(build_toeplitz(phi, M), config)
-        angles.append(subspace_angle(ker, _gk_basis(G, U, M, config)))
+    angles = [kernel_angle(phi, G, U, M, config) for M in (N, 2 * N)]
     return ConstructionResult(G, F, phi, scale,
                               Pair(B0, A_prime, gap, verdict), B,
                               angles[0], angles[1], rig)
@@ -472,7 +463,7 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     m, r = G.rows, G.cols
     if r >= m:
         raise ValueError("square input: use classify_kernel")
-    span = shift_span(G, N, config)
+    span = shift_span(G, config)
     if span.verdict != "outer":
         raise PreconditionError("G outer", span.eta_fine)
     if span.rank != r or U.rows != r:
@@ -483,11 +474,7 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     phi = toeplitz_symbol(G, U, span, config)
     theta = _unitary_completion(span.theta0)
 
-    worst = 0.0
-    for M in (N, 2 * N):
-        ker = kernel_basis(build_toeplitz(phi, M), config)
-        target = _gk_basis(G, U, M, config)
-        worst = max(worst, subspace_angle(ker, target))
+    worst = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
     return EmbedResult(theta, phi, classification, worst)
 
 

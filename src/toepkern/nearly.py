@@ -17,7 +17,8 @@ from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       hardy_inner, herglotz_taylor, riesz_project,
                       sample_symbol, symbol_mul)
-from .toeplitz import SubspaceBasis, basis_from_matrix, build_toeplitz
+from .toeplitz import (SubspaceBasis, basis_from_matrix, build_toeplitz,
+                       numerical_rank, operator_residual, phase_gauge)
 from .factor import PreconditionError, divide_inner, garcia_inner, is_inner
 
 
@@ -57,15 +58,9 @@ def model_space_basis(U: MatrixSymbol, N: int,
     m = U.rows
     W = min(M, d) if cert.rank == m else M
     dim = m * (W + 1)
-    shifts = np.zeros((dim, dim), complex)
-    for k in range(W + 1):
-        for t in range(U.coeffs.shape[0]):
-            deg = U.min_deg + t + k
-            if 0 <= deg <= W:
-                shifts[deg * m:(deg + 1) * m, k * m:(k + 1) * m] = U.coeffs[t]
-    constraints = shifts.conj().T
-    _, s, vh = np.linalg.svd(constraints)
-    rank = int(np.sum(s > config.rank_tol * s[0])) if s.size and s[0] > 0 else 0
+    # rows of the adjoint section are the pairings with the columns U z^k e
+    _, s, vh = np.linalg.svd(build_toeplitz(U, W).adjoint_matrix)
+    rank = numerical_rank(s, config.rank_tol)
     null = np.zeros((m * (M + 1), dim - rank), complex)
     null[:dim] = vh[rank:].conj().T
     return basis_from_matrix(null, m, M)
@@ -85,8 +80,7 @@ def is_nearly_invariant(F: SubspaceBasis,
     q, _ = np.linalg.qr(mat)
     evals = np.stack([e.coeffs[0] for e in F.elements], axis=1)
     _, s, vh = np.linalg.svd(evals)
-    rank = int(np.sum(s > config.rank_tol * s[0])) if s.size and s[0] > 0 else 0
-    null = vh[rank:].conj().T
+    null = vh[numerical_rank(s, config.rank_tol):].conj().T
     for j in range(null.shape[1]):
         f = HardyElement.from_vector(mat @ null[:, j], F.dim)
         shifted = f.backward_shift().to_vector(F.degree)
@@ -113,14 +107,9 @@ def extract_W(F: SubspaceBasis,
     _, s, vh = np.linalg.svd(evals)
     if s.size == 0 or s[0] <= config.rank_tol:
         raise ValueError("every element of F vanishes at 0: W is trivial")
-    r = int(np.sum(s > config.rank_tol * s[0]))
-    w_cols = mat @ vh[:r].conj().T
-    coeffs = np.zeros((F.degree + 1, F.dim, r), complex)
-    for j in range(r):
-        col = w_cols[:, j]
-        peak = col[np.argmax(np.abs(col))]
-        col = col * (np.conj(peak) / abs(peak))
-        coeffs[:, :, j] = col.reshape(F.degree + 1, F.dim)
+    r = numerical_rank(s, config.rank_tol)
+    w_cols = phase_gauge(mat @ vh[:r].conj().T)
+    coeffs = w_cols.reshape(F.degree + 1, F.dim, r)
     return MatrixSymbol(F.dim, r, 0, coeffs).compress(1e-14), r
 
 
@@ -159,6 +148,10 @@ def sarason_B(G: MatrixSymbol, N: int,
         F = Herglotz transform of G*G with F(0) = I, and B = cayley(F),
         an r x r contraction with B(0) = 0.
     """
+    # unit-norm columns bound every entry by 1; checked before G*G can overflow
+    peak = float(np.max(np.abs(G.coeffs)))
+    if peak > 1 + 10 * config.residual_tol:
+        raise PreconditionError("columns of G orthonormal in H2", peak - 1.0)
     density = symbol_mul(adjoint_flip(G), G)
     gram_dev = float(np.linalg.norm(density.coeff(0) - np.eye(G.cols), 2))
     if gram_dev > 10 * config.residual_tol:
@@ -295,39 +288,28 @@ def sarason_equivalence(G: MatrixSymbol, U: MatrixSymbol, N: int,
     return SarasonReport(iso, div, ann, verdict)
 
 
-@dataclass(frozen=True)
-class DbrContext:
-    """The division operator T_{I-B} T_{G*} at a fixed truncation degree."""
-
-    B: MatrixSymbol
-    G: MatrixSymbol
-    degree: int
-    section: np.ndarray = field(repr=False)
-
-    @staticmethod
-    def build(G: MatrixSymbol, B: MatrixSymbol, degree: int) -> "DbrContext":
-        left = build_toeplitz(MatrixSymbol.identity(B.rows) - B, degree).matrix
-        right = build_toeplitz(adjoint_flip(G), degree).matrix
-        return DbrContext(B, G, degree, left @ right)
-
-    def divide(self, f: HardyElement) -> HardyElement:
-        step = apply_symbol(adjoint_flip(self.G), f, self.degree)
-        out = apply_symbol(MatrixSymbol.identity(self.B.rows) - self.B,
-                           step, self.degree)
-        return out
+def section_defect(G: MatrixSymbol, B: MatrixSymbol, n: int) -> float:
+    """Theorem 3.4 on degree-n sections: S S* against I - T_B T_B* with
+    S = T_{I-B} T_{G*}, read on the inner half-window (operator_residual)."""
+    ident = MatrixSymbol.identity(B.rows)
+    S = (build_toeplitz(ident - B, n).matrix
+         @ build_toeplitz(adjoint_flip(G), n).matrix)
+    tb = build_toeplitz(B, n).matrix
+    eye = np.eye(tb.shape[0])
+    return operator_residual(S @ S.conj().T, eye - tb @ tb.conj().T, n)
 
 
 def divide_by_G(f: HardyElement, G: MatrixSymbol, B: MatrixSymbol,
                 config: ToleranceConfig = DEFAULT_CONFIG) -> HardyElement:
     """Division inside F = G K_U: the h with G h = f, computed as T_{I-B} T_{G*} f.
 
-    Raises when the reconstruction residual ||p_+(G h) - f|| shows f is
-    outside the expected range at this truncation.
+    T_{G*} f is formed to degree 2N and h = p_+((I - B) T_{G*} f) is kept
+    to degree N.  Raises when the reconstruction residual ||p_+(G h) - f||
+    shows f is outside the expected range at this truncation.
     """
     N = config.trunc_degree
-    ctx = DbrContext.build(G, B, 2 * N)
-    h = ctx.divide(f)
-    h = HardyElement(h.dim, h.coeffs[:N + 1])
+    step = apply_symbol(adjoint_flip(G), f, 2 * N)
+    h = apply_symbol(MatrixSymbol.identity(B.rows) - B, step, N)
     back = apply_symbol(G, h, max(f.degree, N))
     resid = float(np.linalg.norm(back.to_vector(max(f.degree, N))
                                  - f.to_vector(max(f.degree, N))))

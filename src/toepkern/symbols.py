@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.linalg
 
 
 def _pow2_at_least(n: int) -> int:
@@ -35,16 +34,12 @@ class ToleranceConfig:
         Relative singular-value cutoff for numerical kernels.
     residual_tol : float
         Absolute tolerance for identity residuals.
-    g0prime_contracted : bool
-        Alternative orientation (I - B0) A' for the reduced outer function in
-        the classification pipeline; the default multiplies by the inverse.
     """
 
     trunc_degree: int = 64
     grid_size: int = 512
     rank_tol: float = 1e-8
     residual_tol: float = 1e-8
-    g0prime_contracted: bool = False
 
     def __post_init__(self) -> None:
         if self.trunc_degree < 1:
@@ -61,8 +56,7 @@ class ToleranceConfig:
     def with_degree(self, n: int) -> "ToleranceConfig":
         """Config at truncation degree n with a compatible grid."""
         k = max(_pow2_at_least(4 * (n + 1)), 8)
-        return ToleranceConfig(n, k, self.rank_tol, self.residual_tol,
-                               self.g0prime_contracted)
+        return ToleranceConfig(n, k, self.rank_tol, self.residual_tol)
 
 
 DEFAULT_CONFIG = ToleranceConfig()
@@ -395,24 +389,6 @@ def _check_hermitian_band(density: MatrixSymbol, tol: float) -> None:
         raise ValueError("density is not Hermitian-valued on the circle")
 
 
-def herglotz(density: MatrixSymbol, z: complex,
-             config: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Herglotz integral F(z) of a Hermitian density, |z| < 1.
-
-    F(z) = c_0 + 2 sum_{k>=1} c_k z^k with c_k the analytic-side Fourier
-    coefficients of the density.
-    """
-    if abs(z) >= 1:
-        raise ValueError("Herglotz transform is defined inside the disc")
-    _check_hermitian_band(density, 1e-10)
-    acc = np.array(density.coeff(0), complex)
-    zk = 1.0 + 0j
-    for k in range(1, density.max_deg + 1):
-        zk *= z
-        acc = acc + 2.0 * zk * density.coeff(k)
-    return acc
-
-
 def herglotz_taylor(density: MatrixSymbol, N: int,
                     config: ToleranceConfig = DEFAULT_CONFIG) -> MatrixSymbol:
     """Degree-N Taylor truncation of the Herglotz transform."""
@@ -458,39 +434,3 @@ def cayley(F: MatrixSymbol) -> MatrixSymbol:
     inv = series_inverse(F + eye, N)
     return symbol_mul(inv, F - eye).truncate(0, N)
 
-
-# -- pointwise matrix functions on the grid -----------------------------------
-
-def matrix_pointwise(a: MatrixSymbol, kind: str, K: int,
-                     tol: float = 1e-10):
-    """Samplewise principal-branch matrix functions on the K-point grid.
-
-    kind in {'sqrt_psd', 'log_pd', 'exp', 'polar'}; sqrt/log demand Hermitian
-    (semi)definite samples, polar demands nonsingular samples and returns the
-    pair (unitary, hermitian) with sample = unitary @ hermitian.
-    """
-    vals = sample_symbol(a, K)
-    if kind in ("sqrt_psd", "log_pd"):
-        herm_dev = np.max(np.abs(vals - np.conj(np.transpose(vals, (0, 2, 1)))))
-        if herm_dev > 1e-8 * (1 + np.max(np.abs(vals))):
-            raise ValueError("samples are not Hermitian")
-        w, v = np.linalg.eigh(vals)
-        if kind == "sqrt_psd":
-            if np.min(w) < -tol * max(1.0, float(np.max(np.abs(w)))):
-                raise ValueError("indefinite sample in sqrt_psd")
-            w = np.sqrt(np.clip(w, 0.0, None))
-        else:
-            if np.min(w) <= 0:
-                raise ValueError("non-positive sample in log_pd")
-            w = np.log(w)
-        return np.einsum("kij,kj,klj->kil", v, w, np.conj(v))
-    if kind == "exp":
-        return np.array([scipy.linalg.expm(s) for s in vals])
-    if kind == "polar":
-        u, s, vh = np.linalg.svd(vals)
-        if np.min(s) <= tol * np.max(s):
-            raise ValueError("singular sample in polar decomposition")
-        unitary = u @ vh
-        herm = np.einsum("kji,kj,kjl->kil", np.conj(vh), s, vh)
-        return unitary, herm
-    raise ValueError(f"unknown pointwise kind: {kind}")

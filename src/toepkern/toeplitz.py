@@ -78,27 +78,30 @@ class SubspaceBasis:
         q = self.matrix()
         return np.conj(q.T) @ q
 
-    def at_degree(self, degree: int) -> "SubspaceBasis":
-        """Re-express with a different coefficient window (pad or truncate)."""
-        els = tuple(HardyElement.from_vector(e.to_vector(degree), self.dim)
-                    for e in self.elements)
-        return SubspaceBasis(self.dim, degree, els, self.indeterminate, self.gap)
+
+def phase_gauge(cols: np.ndarray) -> np.ndarray:
+    """Deterministic column phases: each column's largest-modulus entry
+    becomes real positive; a zero column is left alone."""
+    out = np.array(cols, dtype=complex)
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        peak = col[np.argmax(np.abs(col))]
+        if abs(peak) > 0:
+            out[:, j] = col * (np.conj(peak) / abs(peak))
+    return out
 
 
-def _phase_gauge(vec: np.ndarray) -> np.ndarray:
-    """Deterministic phase: the largest-modulus entry is real positive."""
-    idx = int(np.argmax(np.abs(vec)))
-    peak = vec[idx]
-    if abs(peak) == 0.0:
-        return vec
-    return vec * (np.conj(peak) / abs(peak))
+def numerical_rank(s: np.ndarray, rank_tol: float) -> int:
+    """Count of singular values above rank_tol * s[0]; 0 for empty or zero s."""
+    return int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
 
 
 def basis_from_matrix(cols: np.ndarray, dim: int, degree: int,
                       indeterminate: bool = False,
                       gap: float = float("inf")) -> SubspaceBasis:
-    els = tuple(HardyElement.from_vector(_phase_gauge(cols[:, j]), dim)
-                for j in range(cols.shape[1]))
+    gauged = phase_gauge(cols)
+    els = tuple(HardyElement.from_vector(gauged[:, j], dim)
+                for j in range(gauged.shape[1]))
     return SubspaceBasis(dim, degree, els, indeterminate, gap)
 
 
@@ -108,8 +111,7 @@ def orthonormal_basis(cols: np.ndarray, dim: int, degree: int,
     if cols.shape[1] == 0:
         return SubspaceBasis(dim, degree, ())
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    keep = int(np.sum(s > rank_tol * s[0])) if s[0] > 0 else 0
-    return basis_from_matrix(u[:, :keep], dim, degree)
+    return basis_from_matrix(u[:, :numerical_rank(s, rank_tol)], dim, degree)
 
 
 def kernel_basis(T: BlockToeplitz,
@@ -126,12 +128,9 @@ def kernel_basis(T: BlockToeplitz,
     n = T.matrix.shape[1]
     if s.shape[0] < n:
         s = np.concatenate([s, np.zeros(n - s.shape[0])])
-    smax = s[0]
-    below = s <= config.rank_tol * smax
-    d = int(np.sum(below))
-    if d == 0:
+    cut = numerical_rank(s, config.rank_tol)
+    if cut == n:
         return SubspaceBasis(q, N, ())
-    cut = n - d
     if cut == 0:
         gap = float("inf")
         indet = False
@@ -145,7 +144,11 @@ def kernel_basis(T: BlockToeplitz,
 
 
 def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
-    """Largest principal angle between the spans; pi/2 on dimension mismatch."""
+    """Largest principal angle between the spans; pi/2 on dimension mismatch.
+
+    Angles below pi/4 are read from the sine, ||Q_B - Q_A Q_A^H Q_B||, since
+    the arccos of a cosine near 1 cannot resolve angles below ~1e-8.
+    """
     if A.dim != B.dim or A.degree != B.degree:
         raise ValueError("bases live on different ambient spaces")
     if A.size != B.size:
@@ -153,9 +156,12 @@ def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
     if A.size == 0:
         return 0.0
     qa, qb = A.matrix(), B.matrix()
-    s = np.linalg.svd(np.conj(qa.T) @ qb, compute_uv=False)
-    smin = float(np.clip(np.min(s), -1.0, 1.0))
-    return float(np.arccos(min(smin, 1.0)))
+    cross = np.conj(qa.T) @ qb
+    smin = float(np.min(np.linalg.svd(cross, compute_uv=False)))
+    if smin >= np.sqrt(0.5):
+        sine = float(np.linalg.norm(qb - qa @ cross, 2))
+        return float(np.arcsin(min(sine, 1.0)))
+    return float(np.arccos(smin))
 
 
 def operator_residual(lhs, rhs, N: int) -> float:

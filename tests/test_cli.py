@@ -190,6 +190,29 @@ def test_indeterminate_final_exits_3(tmp_path, capsys, monkeypatch):
     assert doc["cross_check_angle"] is None
 
 
+def test_classify_coarse_truncation_exits_3(tmp_path, capsys):
+    # at degree 32 the truncated G breaks the pair identity behind the
+    # specialness test; at degree 48 the same input decides
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    g = dump(tmp_path, "g32.json", g_poisson_double(32))
+    assert main(["classify", g, u, "--degree", "32",
+                 "--ladder", "8,16,32"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["final"] == "indeterminate"
+    assert doc["special"]["verdict"] == "indeterminate"
+    g = dump(tmp_path, "g48.json", g_poisson_double(48))
+    assert main(["classify", g, u, "--degree", "48",
+                 "--ladder", "8,16,32"]) == 0
+    assert json.loads(capsys.readouterr().out)["final"] == "is-kernel"
+
+
+def test_examples_coarse_degree_reports_indeterminate(capsys):
+    assert main(["examples", "--degree", "32", "--ladder", "8,16,32"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    flagship = [e for e in entries if e["name"] == "poisson-flagship"]
+    assert flagship[0]["final"] == "indeterminate"
+
+
 def test_construct_writes_artifacts(tmp_path, capsys):
     seed = dump(tmp_path, "seed.json", g_poisson(64))
     u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
@@ -302,6 +325,17 @@ def test_classify_non_finite_coefficient_exits_2(tmp_path, capsys):
     assert main(["classify", str(g), u]) == 2
     err = capsys.readouterr().err
     assert "bad symbol file" in err and "non-finite" in err
+
+
+def test_classify_huge_coefficient_exits_2(tmp_path, capsys):
+    # rejected by the coefficient bound before G*G can overflow
+    d = g_poisson_double(64).to_json_dict()
+    d["coeffs"][3][0] = [1e200, 0.0]
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(d))
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    assert main(["classify", str(g), u]) == 2
+    assert "columns of G orthonormal in H2" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -22,7 +22,6 @@ from toepkern.factor import (
     PreconditionError,
     bauer_factorize,
     divide_inner,
-    exp_log_defect,
     garcia_inner,
     is_inner,
     outer_exp_log,
@@ -135,14 +134,14 @@ def test_garcia_rejects_outside_model_space():
 # -- outer detection ----------------------------------------------------------------
 
 def test_sqrt_diag_outer_with_identity_carrier():
-    rep = shift_span(sqrt_diag_G(48), 48, CFG)
+    rep = shift_span(sqrt_diag_G(48), CFG)
     assert rep.verdict == "outer"
     assert rep.rank == 2
     assert np.allclose(np.abs(rep.theta0), np.eye(2), atol=1e-12)
 
 
 def test_monomial_not_outer():
-    rep = shift_span(MatrixSymbol.monomial(1), 16, CFG)
+    rep = shift_span(MatrixSymbol.monomial(1), CFG)
     assert rep.verdict == "not-outer"
 
 
@@ -152,14 +151,14 @@ def test_blaschke_factor_not_outer():
     coeffs = np.zeros(N + 1)
     coeffs[0] = -0.5
     coeffs[1:] = 0.75 * 0.5 ** np.arange(N)
-    rep = shift_span(MatrixSymbol.scalar(coeffs), N, CFG)
+    rep = shift_span(MatrixSymbol.scalar(coeffs), CFG)
     assert rep.verdict == "not-outer"
     assert abs(rep.eta_fine - 0.5) < 1e-3
 
 
 def test_column_symbol_outer_reduced_to_one():
     G = MatrixSymbol(2, 1, 0, np.array([[[1.0], [0.0]]], dtype=complex))
-    rep = shift_span(G, 8, CFG)
+    rep = shift_span(G, CFG)
     assert rep.verdict == "outer"
     assert rep.rank == 1
     assert np.allclose(rep.theta0, [[1.0], [0.0]])
@@ -168,14 +167,14 @@ def test_column_symbol_outer_reduced_to_one():
 
 
 def test_poisson_symbol_outer():
-    rep = shift_span(g_poisson(64), 64, CFG)
+    rep = shift_span(g_poisson(64), CFG)
     assert rep.verdict == "outer"
     assert rep.eta_fine <= 1e-12
 
 
 def test_one_plus_z_outer_despite_boundary_zero():
     g = g_one_plus_z()
-    rep = shift_span(g, 32, CFG)
+    rep = shift_span(g, CFG)
     assert rep.verdict == "outer"
     # boundary zero shows up as a vanishing, halving eta rather than a flat one
     assert rep.eta_coarse > 1e-6
@@ -186,7 +185,7 @@ def test_one_plus_z_outer_despite_boundary_zero():
 @settings(max_examples=10, deadline=None)
 def test_shifted_outer_loses_verdict(k):
     g = symbol_mul(MatrixSymbol.monomial(k), g_poisson(32))
-    rep = shift_span(g, 40, CFG)
+    rep = shift_span(g, CFG)
     assert rep.verdict == "not-outer"
 
 
@@ -213,7 +212,7 @@ def test_offcircle_roots_give_outer_factor():
     A = bauer_factorize(band, 8, CFG)
     assert np.max(np.abs(A.coeffs[:2, 0, 0] - np.array([2.0, -1.0]))) < 1e-10
     assert np.max(np.abs(A.coeffs[2:, 0, 0])) < 1e-10
-    assert shift_span(A, 24, CFG).verdict == "outer"
+    assert shift_span(A, CFG).verdict == "outer"
 
 
 def test_truncated_rational_band_recovers_outer_factor():
@@ -222,7 +221,7 @@ def test_truncated_rational_band_recovers_outer_factor():
     band = MatrixSymbol.scalar(np.convolve(g, g[::-1]), min_deg=-64)
     A = bauer_factorize(band, 64, CFG)
     assert np.max(np.abs(A.coeffs[:, 0, 0] - g)) < 1e-10
-    assert shift_span(A, 64, CFG).verdict == "outer"
+    assert shift_span(A, CFG).verdict == "outer"
 
 
 def test_one_plus_cos_boundary_modulus():
@@ -270,7 +269,7 @@ def test_bauer_matricial_reconstruction():
 
 def test_bauer_factor_is_outer():
     A = bauer_factorize(_noncommuting_density(), 24, CFG)
-    assert shift_span(A, 24, CFG).verdict == "outer"
+    assert shift_span(A, CFG).verdict == "outer"
 
 
 def test_bauer_gauge_stable_across_moment_sizes():
@@ -284,13 +283,6 @@ def test_bauer_rejects_indefinite():
     phi = MatrixSymbol.constant(np.diag([1.0, -1.0]))
     with pytest.raises(PreconditionError):
         bauer_factorize(phi, 8, CFG)
-
-
-def test_exp_log_defect_separates_commuting_from_not():
-    assert exp_log_defect(_noncommuting_density(), 24, CFG) > 1e-3
-    g = g_poisson(16)
-    diag = symbol_mul(adjoint_flip(g), g)
-    assert exp_log_defect(diag, 24, CFG) < 1e-10
 
 
 # -- division by inner functions -----------------------------------------------------------

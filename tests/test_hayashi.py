@@ -132,7 +132,7 @@ class TestPairCompletion:
         pair = pair_from_B(sarason_B_closed_form(N))
         _, a_exact = quotient_pair()
         assert (pair.A - a_exact).norm_l2() < 1e-10
-        assert shift_span(pair.A, N, CFG).verdict == "outer"
+        assert shift_span(pair.A, CFG).verdict == "outer"
         assert pair.special == "special"
         assert pair.mass_gap < 1e-10
 
@@ -263,7 +263,7 @@ class TestBoundarySymbol:
             toeplitz_symbol(column_G(), MatrixSymbol.monomial(2), config=CFG)
 
     def test_rectangular_with_report(self):
-        span = shift_span(column_G(), N, CFG)
+        span = shift_span(column_G(), CFG)
         phi = toeplitz_symbol(column_G(), MatrixSymbol.monomial(2), span, CFG)
         want_arr = np.zeros((3, 2, 2), complex)
         want_arr[0, 0, 0] = 1.0
@@ -354,11 +354,6 @@ class TestClassification:
             classify_kernel(g_poisson_double(N), g_one_plus_z(), N, CFG)
         with pytest.raises(PreconditionError):
             classify_kernel(g_poisson_double(N), MatrixSymbol.identity(1), N, CFG)
-
-    def test_contracted_orientation_flag(self):
-        cfg = ToleranceConfig(g0prime_contracted=True)
-        rep = classify_kernel(g_poisson_double(N), MatrixSymbol.monomial(1), N, cfg)
-        assert rep.final == "is-kernel"
 
     def test_positive_fixture_confirmed_at_both_depths(self):
         # cross_check_angle is the worst of the N and 2N agreement angles

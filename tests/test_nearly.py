@@ -16,7 +16,7 @@ from toepkern.toeplitz import SubspaceBasis, subspace_angle
 from toepkern.factor import PreconditionError
 from toepkern.fixtures import (g_one_plus_z, g_poisson, model_inner_det_z,
                                sarason_B_closed_form, sqrt_diag_G)
-from toepkern.nearly import (DbrContext, HerglotzData, counterexample_UBU,
+from toepkern.nearly import (HerglotzData, counterexample_UBU,
                              dbr_kernel, divide_by_G, extract_W,
                              is_nearly_invariant, isometry_defect,
                              model_space_basis, sarason_B,
@@ -427,12 +427,6 @@ class TestDivision:
         h = divide_by_G(f, g, B)
         assert np.linalg.norm(h.to_vector(1) - k.to_vector(1)) < 1e-10
         assert abs(h.norm() - f.norm()) < 1e-8
-
-    def test_context_section_shape(self):
-        g = g_one_plus_z()
-        _, B = sarason_B(g, 16)
-        ctx = DbrContext.build(g, B, 8)
-        assert ctx.section.shape == (9, 9)
 
 
 class TestCounterexample:

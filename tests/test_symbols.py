@@ -21,9 +21,7 @@ from toepkern import (
     cayley,
     grid_points,
     hardy_inner,
-    herglotz,
     herglotz_taylor,
-    matrix_pointwise,
     riesz_project,
     sample_symbol,
     series_inverse,
@@ -233,7 +231,7 @@ def test_herglotz_matches_quadrature_oracle(z):
     a = MatrixSymbol(2, 2, 0, np.array([[[1, 0.5], [0, 1]],
                                         [[0.25, -0.5j], [0.5, 0]]], dtype=complex))
     density = symbol_mul(adjoint_flip(a), a)
-    got = herglotz(density, z)
+    got = herglotz_taylor(density, density.max_deg).eval_at(z)
     want = herglotz_quadrature_oracle(density, z)
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -244,7 +242,7 @@ def test_herglotz_matches_quadrature_oracle(z):
 @settings(max_examples=40, deadline=None)
 def test_herglotz_real_part_psd(a, z):
     density = symbol_mul(adjoint_flip(a), a)
-    F = herglotz(density, z)
+    F = herglotz_taylor(density, density.max_deg).eval_at(z)
     re = (F + np.conj(F.T)) / 2
     assert np.min(np.linalg.eigvalsh(re)) > -1e-9 * (1 + a.norm_l2() ** 2)
 
@@ -354,35 +352,6 @@ def test_apply_symbol_truncates_analytic_part():
     out = apply_symbol(phi, f, 4)
     # p_+((zbar + 1) z) = 1 + z
     assert np.allclose(out.coeffs[:, 0], [1.0, 1.0, 0.0, 0.0, 0.0])
-
-
-# -- pointwise matrix functions ----------------------------------------------------------
-
-def test_matrix_pointwise_sqrt_and_log():
-    a = MatrixSymbol(2, 2, -1, np.array([[[0.2, 0.1], [0.0, 0.1]],
-                                         [[2.0, 0.0], [0.0, 3.0]],
-                                         [[0.2, 0.0], [0.1, 0.1]]], dtype=complex))
-    density = (a + adjoint_flip(a)).scale(0.5)
-    K = 32
-    vals = sample_symbol(density, K)
-    root = matrix_pointwise(density, "sqrt_psd", K)
-    assert np.max(np.abs(np.matmul(root, root) - vals)) < 1e-10
-    logs = matrix_pointwise(density, "log_pd", K)
-    w, v = np.linalg.eigh(logs)
-    back = np.einsum("kij,kj,klj->kil", v, np.exp(w), np.conj(v))
-    assert np.max(np.abs(back - vals)) < 1e-9
-
-
-def test_matrix_pointwise_polar():
-    a = MatrixSymbol(2, 2, 0, np.array([[[2.0, 1.0], [0.0, 1.0]],
-                                        [[0.5, 0.0], [0.25, -0.5]]], dtype=complex))
-    K = 32
-    unitary, herm = matrix_pointwise(a, "polar", K)
-    vals = sample_symbol(a, K)
-    assert np.max(np.abs(np.matmul(unitary, herm) - vals)) < 1e-12
-    eye = np.eye(2)
-    dev = np.matmul(np.conj(np.transpose(unitary, (0, 2, 1))), unitary) - eye
-    assert np.max(np.abs(dev)) < 1e-12
 
 
 # -- config ------------------------------------------------------------------------------

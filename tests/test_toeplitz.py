@@ -174,6 +174,30 @@ def test_angle_same_span_different_frames():
     assert subspace_angle(a, b) < 1e-7
 
 
+def test_angle_rotated_frames_read_roundoff():
+    # the arccos of the smallest cosine read up to ~4e-8 here
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        m = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+        q, _ = np.linalg.qr(m)
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                              + 1j * rng.standard_normal((3, 3)))
+        a = basis_from_matrix(q, 3, 3)
+        b = basis_from_matrix(q @ rot, 3, 3)
+        assert subspace_angle(a, b) < 1e-14
+
+
+@pytest.mark.parametrize("theta", [1e-6, 1e-3, 0.5, 1.2])
+def test_angle_known_single_vector_angles(theta):
+    rng = np.random.default_rng(3)
+    frame, _ = np.linalg.qr(rng.standard_normal((8, 2))
+                            + 1j * rng.standard_normal((8, 2)))
+    a = basis_from_matrix(frame[:, :1], 2, 3)
+    b = basis_from_matrix(frame @ np.array([[np.cos(theta)], [np.sin(theta)]]),
+                          2, 3)
+    assert abs(subspace_angle(a, b) - theta) < 1e-14
+
+
 def test_angle_dimension_mismatch_is_right_angle():
     a = basis_from_matrix(np.eye(3, 2, dtype=complex), 1, 2)
     b = basis_from_matrix(np.eye(3, 1, dtype=complex), 1, 2)
