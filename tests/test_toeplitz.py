@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from toepkern import HardyElement, MatrixSymbol, ToleranceConfig, apply_symbol
 from toepkern.toeplitz import (
+    KERNEL_GAP_FACTOR,
     BlockToeplitz,
     SubspaceBasis,
     basis_from_matrix,
     build_toeplitz,
     kernel_basis,
+    numerical_rank,
     operator_residual,
     orthonormal_basis,
     subspace_angle,
@@ -52,6 +54,32 @@ def test_toeplitz_blocks_constant_on_diagonals():
         for k in range(5):
             blk = T.matrix[j * p:(j + 1) * p, k * q:(k + 1) * q]
             assert np.array_equal(blk, phi.coeff(j - k))
+
+
+def loop_fill(phi, N):
+    """Reference block-by-block fill: block (j, k) is the coefficient at j - k."""
+    p, q = phi.rows, phi.cols
+    mat = np.zeros(((N + 1) * p, (N + 1) * q), complex)
+    for d in range(max(phi.min_deg, -N), min(phi.max_deg, N) + 1):
+        for j in range(max(d, 0), min(N, N + d) + 1):
+            mat[j * p:(j + 1) * p, (j - d) * q:(j - d + 1) * q] = phi.coeff(d)
+    return mat
+
+
+@pytest.mark.parametrize("p,q,lo,hi,N", [
+    (1, 1, -3, 2, 6),
+    (2, 2, -9, 9, 4),     # band wider than N on both sides
+    (2, 3, -7, 1, 3),     # wider than N below, p != q
+    (3, 1, 0, 11, 5),     # wider than N above, p != q
+    (1, 2, 4, 6, 2),      # band entirely beyond N
+    (2, 1, -2, -2, 0),
+])
+def test_build_toeplitz_matches_loop_fill(p, q, lo, hi, N):
+    rng = np.random.default_rng(p * 100 + q * 10 + N)
+    coeffs = (rng.standard_normal((hi - lo + 1, p, q))
+              + 1j * rng.standard_normal((hi - lo + 1, p, q)))
+    phi = MatrixSymbol(p, q, lo, coeffs)
+    assert np.array_equal(build_toeplitz(phi, N).matrix, loop_fill(phi, N))
 
 
 @st.composite
@@ -142,6 +170,89 @@ def test_kernel_basis_orthonormal():
     basis = kernel_basis(build_toeplitz(MatrixSymbol.monomial(-3), 6), CFG)
     dev = basis.gram() - np.eye(basis.size)
     assert np.max(np.abs(dev)) < 1e-12
+
+
+# -- kernels of sections that split into pieces ---------------------------------
+
+def dense_kernel(T, config):
+    """Oracle: the kernel rule on one dense SVD of the whole section.
+
+    Returns the zero-padded singular values, the cut and the null vectors."""
+    _, s, vh = np.linalg.svd(T.matrix)
+    n = T.matrix.shape[1]
+    s = np.concatenate([s, np.zeros(n - s.size)])
+    cut = numerical_rank(s, config.rank_tol)
+    return s, cut, np.conj(vh[cut:].T)
+
+
+def _band(rng, shape, lo, hi):
+    n = hi - lo + 1
+    return rng.standard_normal((n,) + shape) + 1j * rng.standard_normal((n,) + shape)
+
+
+@st.composite
+def lacunary_symbols(draw):
+    # z^r psi(z^g): the section splits by residue mod g
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    g, r = draw(st.integers(2, 4)), draw(st.integers(-5, 5))
+    lo, hi = draw(st.integers(-2, 0)), draw(st.integers(0, 2))
+    psi = _band(rng, (1, 1), lo, hi)
+    coeffs = np.zeros((g * (hi - lo) + 1, 1, 1), complex)
+    coeffs[::g] = psi
+    return MatrixSymbol(1, 1, r + g * lo, coeffs), CFG
+
+
+@st.composite
+def diagonal_symbols(draw):
+    # channels 1e6 apart in scale; rank_tol 1e-4 puts the small channels
+    # wholly below the section's cut, which a per-piece cut would not
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    chans = []
+    for k in range(draw(st.integers(2, 3))):
+        lo, hi = draw(st.integers(-2, 0)), draw(st.integers(0, 2))
+        c = _band(rng, (1, 1), lo, hi)
+        c[-lo] += 4 * np.sum(np.abs(c))  # dominant constant: no near-kernel
+        chans.append(MatrixSymbol(1, 1, lo, c * 1e-6 ** (k % 2)))
+    tol = draw(st.sampled_from([1e-8, 1e-4]))
+    return MatrixSymbol.diag(*chans), ToleranceConfig(rank_tol=tol)
+
+
+@st.composite
+def rectangular_symbols(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, q = draw(st.sampled_from([(1, 2), (2, 3), (2, 1), (3, 1), (1, 3)]))
+    lo, hi = draw(st.integers(-2, 0)), draw(st.integers(0, 2))
+    return MatrixSymbol(p, q, lo, _band(rng, (p, q), lo, hi)), CFG
+
+
+@st.composite
+def zero_symbols(draw):
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    return MatrixSymbol.zero(p, q), CFG
+
+
+@given(st.one_of(lacunary_symbols(), diagonal_symbols(), rectangular_symbols(),
+                 zero_symbols()),
+       st.integers(0, 12))
+@settings(max_examples=200, deadline=None)
+def test_split_kernel_matches_dense_svd(case, N):
+    phi, config = case
+    T = build_toeplitz(phi, N)
+    basis = kernel_basis(T, config)
+    s, cut, null = dense_kernel(T, config)
+    n = s.size
+    assert basis.size == n - cut
+    gap = float("inf")
+    if 0 < cut < n and s[cut] > 0:
+        gap = s[cut - 1] / s[cut]
+    assert basis.indeterminate == (0 < cut < n and gap < KERNEL_GAP_FACTOR)
+    if basis.size:
+        q = basis.matrix()
+        assert np.linalg.norm(null - q @ (np.conj(q.T) @ null), 2) < 1e-12
+    if 0 < cut < n and s[cut] > 1e-12 * s[0]:
+        # each oracle value carries an absolute error of order n eps s[0]
+        rel = 1e-10 + 10 * n * np.finfo(float).eps * s[0] / s[cut]
+        assert basis.gap == pytest.approx(gap, rel=rel)
 
 
 # -- principal angles ---------------------------------------------------------------
