@@ -4,7 +4,9 @@ Outer factorization runs two routes. Diagonal symbols go through the scalar
 exp-of-Herglotz-of-log formula, which is pointwise exact on the sample grid
 and tolerates boundary zeros (the offset grid never lands on them). Genuinely
 matricial symbols go through Bauer's method: Cholesky of a large block
-Toeplitz moment matrix, reading the factor off the last block row. The
+Toeplitz moment matrix, reading the factor off the last block row. A density
+of degree d makes that matrix banded, and its Cholesky factor keeps the band,
+so only the band is stored and factored (LAPACK banded Cholesky). The
 exp-log formula is refused for non-diagonal densities, since for
 non-commuting values it does not reproduce the factor.
 """
@@ -26,7 +28,7 @@ from .symbols import (
     symbol_from_samples,
     symbol_mul,
 )
-from .toeplitz import build_toeplitz, numerical_rank, phase_gauge
+from .toeplitz import numerical_rank, phase_gauge
 
 
 class PreconditionError(ValueError):
@@ -325,19 +327,45 @@ def outer_exp_log(phi: MatrixSymbol, N: int,
     return MatrixSymbol(m, m, 0, out)
 
 
+def _moment_band(phi: MatrixSymbol, M: int) -> np.ndarray:
+    """Lower band storage of Bauer's moment matrix with M + 1 block rows.
+
+    Block (j, k) of the moment matrix is phi_{j-k} transposed, so entry
+    (j m + a, k m + b) is phi_{j-k}[b, a], and it vanishes for j - k > d =
+    deg phi: the lower bandwidth is (d + 1) m - 1.  Row r of the result is
+    the r-th subdiagonal, ab[r, c] = T[c + r, c], zero past the last row.
+    """
+    m = phi.rows
+    n = (M + 1) * m
+    d = phi.max_deg
+    # degrees 0..d, then a zero block for the entries outside the band
+    low = np.concatenate([phi.coeffs[-phi.min_deg:], np.zeros((1, m, m))])
+    c = np.arange(n)
+    i = c + np.arange(min((d + 1) * m, n))[:, None]
+    deg = np.where(i < n, np.minimum(i // m - c // m, d + 1), d + 1)
+    return low[deg, c % m, i % m]
+
+
 def bauer_factorize(phi: MatrixSymbol, N: int,
                     config: ToleranceConfig = DEFAULT_CONFIG,
                     moment_rows: int | None = None) -> MatrixSymbol:
     """Outer spectral factor A with A(xi)^H A(xi) = phi(xi), deg A <= N.
 
-    Diagonal densities use the exp-log route (exact, boundary-zero safe).
-    Matricial densities use Bauer's method: Cholesky of the moment block
-    Toeplitz matrix with M block rows, reading A off the last row, which
-    converges geometrically for densities bounded away from zero. Gauge: A(0)
-    is Hermitian positive definite.
+    Diagonal densities use Fejer-Riesz roots, or the exp-log route when the
+    roots fail (exact, boundary-zero safe).  Matricial densities use Bauer's
+    method: Cholesky of the moment block Toeplitz matrix with M + 1 block
+    rows (M = moment_rows, default max(4N, 256), at least N), reading A off
+    the last block row, which converges geometrically for densities bounded
+    away from zero.  For phi of degree d the moment matrix and its factor
+    vanish more than (d + 1) m - 1 places below the diagonal, so only that
+    band is filled and factored: O(M ((d + 1) m)^2) work and O(M (d + 1) m^2)
+    memory.  Gauge: A(0) is Hermitian positive definite.
     """
     if phi.rows != phi.cols:
         raise ValueError("density must be square")
+    if moment_rows is not None and moment_rows < N:
+        raise ValueError(f"moment_rows = {moment_rows} is below N = {N}: the "
+                         f"factor's last block row has only moment_rows + 1 blocks")
     herm_dev = (phi - adjoint_flip(phi)).norm_l2()
     if herm_dev > 1e-8 * max(1.0, phi.norm_l2()):
         raise PreconditionError("density Hermitian on the circle", float(herm_dev))
@@ -366,14 +394,16 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
         raise PreconditionError("matricial density positive on the grid", min_eig)
     m = phi.rows
     M = moment_rows if moment_rows is not None else max(4 * N, 256)
-    # block (j, k) of the moment matrix is phi_{j-k} transposed
-    phi_t = MatrixSymbol(m, m, phi.min_deg, np.transpose(phi.coeffs, (0, 2, 1)))
-    C = np.linalg.cholesky(build_toeplitz(phi_t, M).matrix)
-    blocks = []
-    for s in range(N + 1):
-        X = C[M * m:(M + 1) * m, (M - s) * m:(M - s + 1) * m]
-        blocks.append(X.T.copy())
-    A = MatrixSymbol(m, m, 0, np.array(blocks))
+    ab = _moment_band(phi, M)
+    kd = ab.shape[0] - 1
+    L = scipy.linalg.cholesky_banded(ab, lower=True)
+    # A_s is block (M, M - s) of the factor, transposed; entry (a, b) of that
+    # block sits s m + a - b below the diagonal, zero outside the band
+    s = np.arange(N + 1)[:, None, None]
+    a, b = np.arange(m)[:, None], np.arange(m)
+    r = s * m + a - b
+    X = np.where((r >= 0) & (r <= kd), L[np.clip(r, 0, kd), (M - s) * m + b], 0)
+    A = MatrixSymbol(m, m, 0, np.transpose(X, (0, 2, 1)))
     W, _ = scipy.linalg.polar(A.coeff(0))
     gauged = np.matmul(np.conj(W.T)[None], A.coeffs)
     return MatrixSymbol(m, m, 0, gauged)

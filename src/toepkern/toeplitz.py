@@ -29,8 +29,14 @@ class BlockToeplitz:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.matrix, dtype=complex).copy()
-        arr.setflags(write=False)
+        # a read-only complex array that owns its data (as build_toeplitz
+        # hands over) is kept; anything else is copied, so the caller's
+        # array cannot change the section
+        arr = self.matrix
+        if not (isinstance(arr, np.ndarray) and arr.dtype == complex
+                and arr.base is None and not arr.flags.writeable):
+            arr = np.array(arr, dtype=complex)
+            arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
     @property
@@ -51,6 +57,7 @@ def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
     for d in range(max(phi.min_deg, -N), min(phi.max_deg, N) + 1):
         j = np.arange(max(d, 0), min(N, N + d) + 1)
         blocks[j, :, j - d, :] = phi.coeff(d)
+    mat.setflags(write=False)
     return BlockToeplitz(phi, N, mat)
 
 

@@ -3,8 +3,11 @@
 Oracles: binomial/geometric series expansions (fixtures module), quadrature
 boundary moduli, and exact rational long division for quotients.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +30,7 @@ from toepkern.factor import (
     outer_exp_log,
     shift_span,
 )
+from toepkern.cli import _pair_fixtures
 from toepkern.fixtures import (
     conjugation_inner,
     g_one_plus_z,
@@ -37,6 +41,7 @@ from toepkern.fixtures import (
     sarason_B_closed_form,
     sqrt_diag_G,
 )
+from toepkern.toeplitz import build_toeplitz
 
 CFG = ToleranceConfig()
 
@@ -277,6 +282,78 @@ def test_bauer_gauge_stable_across_moment_sizes():
     A1 = bauer_factorize(phi, 24, CFG, moment_rows=256)
     A2 = bauer_factorize(phi, 24, CFG, moment_rows=384)
     assert (A1 - A2).norm_l2() <= 1e-6
+
+
+def dense_bauer(phi, N, M):
+    """Reference route: dense Cholesky of the whole moment block Toeplitz
+    matrix (block (j, k) = phi_{j-k} transposed), A_s read off block
+    (M, M - s) of the factor, gauged so that A(0) is Hermitian positive."""
+    m = phi.rows
+    phi_t = MatrixSymbol(m, m, phi.min_deg, np.transpose(phi.coeffs, (0, 2, 1)))
+    C = np.linalg.cholesky(build_toeplitz(phi_t, M).matrix)
+    blocks = np.array([C[M * m:(M + 1) * m, (M - s) * m:(M - s + 1) * m].T
+                       for s in range(N + 1)])
+    W, _ = scipy.linalg.polar(blocks[0])
+    return np.matmul(np.conj(W.T)[None], blocks)
+
+
+def _twisted_density():
+    B = dict(_pair_fixtures())["twisted"]
+    return MatrixSymbol.identity(2) - symbol_mul(adjoint_flip(B), B)
+
+
+@st.composite
+def matricial_density_case(draw):
+    """phi = A*A for a random m x m polynomial A of degree `band` whose
+    constant term dominates, so A(xi) is invertible and phi > 0; moment
+    rows M on both sides of the band, N <= M."""
+    m = draw(st.sampled_from([2, 3]))
+    band = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    coeffs = (rng.standard_normal((band + 1, m, m))
+              + 1j * rng.standard_normal((band + 1, m, m)))
+    coeffs[0] += (1.0 + np.sum(np.linalg.norm(coeffs[1:], 2, axis=(1, 2)))) * np.eye(m)
+    A = MatrixSymbol(m, m, 0, coeffs)
+    M = draw(st.integers(0, 4 * band))
+    N = draw(st.integers(0, M))
+    return symbol_mul(adjoint_flip(A), A), N, M
+
+
+@settings(max_examples=150, deadline=None)
+@given(matricial_density_case())
+def test_banded_bauer_matches_dense_cholesky(case):
+    phi, N, M = case
+    want = dense_bauer(phi, N, M)
+    got = bauer_factorize(phi, N, CFG, moment_rows=M).coeffs
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("N", [16, 64, 512])
+def test_banded_bauer_matches_dense_cholesky_twisted(N):
+    # default moment rows max(4N, 256): up to 2049 block rows
+    dens = _twisted_density()
+    want = dense_bauer(dens, N, max(4 * N, 256))
+    got = bauer_factorize(dens, N, CFG.with_degree(N)).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("M", [0, 2, 4, 7])
+def test_bauer_rejects_moment_rows_below_degree(M):
+    with pytest.raises(ValueError, match=f"moment_rows = {M} is below N = 8"):
+        bauer_factorize(_twisted_density(), 8, CFG, moment_rows=M)
+
+
+def test_bauer_memory_stays_in_the_band():
+    # twisted density, N = 512, 2049 block rows: the dense moment matrix
+    # alone is 268 MB and its Cholesky peaked at 538 MB
+    tracemalloc.start()
+    try:
+        bauer_factorize(_twisted_density(), 512, CFG.with_degree(512))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_bauer_rejects_indefinite():

@@ -1,4 +1,6 @@
 """Toeplitz-section tests: structure, kernels, angles, residual windows."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -80,6 +82,32 @@ def test_build_toeplitz_matches_loop_fill(p, q, lo, hi, N):
               + 1j * rng.standard_normal((hi - lo + 1, p, q)))
     phi = MatrixSymbol(p, q, lo, coeffs)
     assert np.array_equal(build_toeplitz(phi, N).matrix, loop_fill(phi, N))
+
+
+def test_build_toeplitz_allocates_its_section_once():
+    # a 1025 x 1025 complex section is 16.8 MB; a second copy would double it
+    phi = MatrixSymbol.scalar(np.arange(1, 9) * 0.1, min_deg=-3)
+    tracemalloc.start()
+    try:
+        T = build_toeplitz(phi, 1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * T.matrix.nbytes
+    assert not T.matrix.flags.writeable
+
+
+@pytest.mark.parametrize("read_only_view", [False, True])
+def test_section_does_not_share_caller_array(read_only_view):
+    phi = MatrixSymbol.scalar([0.5, 1.0, 0.25], min_deg=-1)
+    mine = loop_fill(phi, 3)
+    given_arr = mine.view() if read_only_view else mine
+    if read_only_view:
+        given_arr.setflags(write=False)
+    T = BlockToeplitz(phi, 3, given_arr)
+    mine[:] = 7.0
+    assert np.array_equal(T.matrix, loop_fill(phi, 3))
+    assert not T.matrix.flags.writeable
 
 
 @st.composite
