@@ -22,8 +22,8 @@ from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
 from .toeplitz import (KERNEL_GAP_FACTOR, SubspaceBasis, build_toeplitz,
                        kernel_basis, orthonormal_basis, phase_gauge,
                        subspace_angle)
-from .factor import (OuterReport, PreconditionError, bauer_factorize,
-                     divide_inner, is_inner, shift_span)
+from .factor import (PreconditionError, bauer_factorize, divide_inner,
+                     is_inner, shift_span)
 from .nearly import model_space_basis, sarason_B
 
 DEFAULT_LADDER = (16, 32, 64)
@@ -81,8 +81,17 @@ def pair_from_B(B: MatrixSymbol, N: int | None = None,
     a0 = np.linalg.eigvalsh((A.coeff(0) + A.coeff(0).conj().T) / 2)
     if a0.min() <= 0:
         raise PreconditionError("A(0) positive definite", float(a0.min()))
-    gap, verdict = _special_or_undecided(B, A, N, config)
+    gap, verdict = _special_or_undecided(special_test, B, A, N, config)
     return Pair(B, A, gap, verdict)
+
+
+def _g0_prime(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int) -> MatrixSymbol:
+    """G0' = (I - B0)^{-1} A' to degree 2N, the depth the mass-gap Gram reads."""
+    cond = float(np.linalg.cond(np.eye(B0.rows) - B0.coeff(0)))
+    if cond > 1e12:
+        raise PreconditionError("I - B0(0) invertible", cond)
+    inv = series_inverse(MatrixSymbol.identity(B0.rows) - B0, 2 * N)
+    return symbol_mul(inv, A_prime)
 
 
 def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
@@ -97,19 +106,19 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
     (divergence cannot be ruled out at this N).
     """
     N = config.trunc_degree if N is None else N
-    r = B0.rows
+    return _mass_gap(B0, A_prime, _g0_prime(B0, A_prime, N), N, config)
+
+
+def _mass_gap(B0: MatrixSymbol, A_prime: MatrixSymbol, g0p: MatrixSymbol,
+              N: int, config: ToleranceConfig) -> tuple[float, str]:
+    """special_test on a G0' already built by _g0_prime."""
     ident = pair_identity_defect(B0, A_prime, config)
     if ident > 100 * config.residual_tol:
         raise PreconditionError("pair boundary identity A*A + B*B = I", ident)
+    eye = np.eye(B0.rows)
     b00 = B0.coeff(0)
-    eye = np.eye(r)
-    if np.linalg.cond(eye - b00) > 1e12:
-        raise PreconditionError("I - B0(0) invertible", float(np.linalg.cond(eye - b00)))
     X = (eye + b00) @ np.linalg.inv(eye - b00)
     herm = (X + X.conj().T) / 2
-
-    inv = series_inverse(MatrixSymbol.identity(r) - B0, 2 * N)
-    g0p = symbol_mul(inv, A_prime)
     gram_lo, gram_hi = _gram(g0p, N), _gram(g0p, 2 * N)
     drift = float(np.linalg.norm(gram_hi - gram_lo, 2))
     gap = float(np.linalg.norm(herm - gram_hi, 2))
@@ -122,11 +131,10 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
     return gap, "indeterminate"
 
 
-def _special_or_undecided(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int,
-                          config: ToleranceConfig) -> tuple[float, str]:
-    """special_test with a failed precondition read as undecided at this N."""
+def _special_or_undecided(test, *args) -> tuple[float, str]:
+    """special_test or _mass_gap, a failed precondition read as undecided."""
     try:
-        return special_test(B0, A_prime, N, config)
+        return test(*args)
     except (PreconditionError, np.linalg.LinAlgError):
         return float("nan"), "indeterminate"
 
@@ -166,13 +174,7 @@ def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
     span = shift_span(F, config)
     if span.verdict != "outer":
         raise PreconditionError("F outer", span.eta_fine)
-    K = config.grid_size
-    sf = sample_symbol(F, K)
-    smin_f = float(np.min(np.linalg.svd(sf, compute_uv=False)))
-    if smin_f < 1e-12:
-        raise PreconditionError("F invertible on grid samples", smin_f)
-    phi_samples = np.einsum("kji,kjl->kil", sf.conj(), np.linalg.inv(sf))
-    phi = symbol_from_samples(phi_samples, -(K // 2), K // 2 - 1).compress(1e-13)
+    phi = toeplitz_symbol(F, MatrixSymbol.identity(F.rows), config)
 
     sigmas = []
     witness = None
@@ -203,43 +205,23 @@ def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
 
 # -- the Toeplitz symbol ------------------------------------------------------------
 
-def _unitary_completion(theta0: np.ndarray) -> np.ndarray:
-    comp = phase_gauge(scipy.linalg.null_space(theta0.conj().T))
-    return np.hstack([theta0, comp])
-
-
 def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
-                    theta: OuterReport | None = None,
                     config: ToleranceConfig = DEFAULT_CONFIG) -> MatrixSymbol:
-    """Boundary symbol whose Toeplitz kernel is G K_U.
+    """Boundary symbol G* U* G^{-1} whose Toeplitz kernel is G K_U.
 
-    Square G: samples of G* U* G^{-1}.  Rectangular G (r < m, theta from
-    shift_span required): the span is rotated flat by Theta = [Theta0,
-    completion], the reduced r x r symbol is built from G~ = Theta0^H G,
-    and the m x m result is Theta (G~* U* G~^{-1} (+) I_{m-r}) Theta*.
+    G must be square (a rectangular G goes through embed_rect); the symbol
+    is formed on the boundary samples and read back as Fourier coefficients.
     """
+    if G.rows != G.cols:
+        raise ValueError("rectangular G: use embed_rect")
     K = config.grid_size
-    m = G.rows
-    su = sample_symbol(U, K)
-    rect = theta is not None and theta.rank < m
-    if rect:
-        gt = symbol_mul(MatrixSymbol.constant(theta.theta0.conj().T), G)
-    else:
-        if G.rows != G.cols:
-            raise ValueError("rectangular G requires a shift_span report")
-        gt = G
-    sg = sample_symbol(gt, K)
+    sg = sample_symbol(G, K)
     smin = float(np.min(np.linalg.svd(sg, compute_uv=False)))
     if smin < 1e-12:
-        raise PreconditionError("G~ invertible on grid samples", smin)
+        raise PreconditionError("G invertible on grid samples", smin)
     core = np.einsum("kji,kjl->kil", sg.conj(),
-                     np.einsum("kji,kjl->kil", su.conj(), np.linalg.inv(sg)))
-    if rect:
-        full = _unitary_completion(theta.theta0)
-        r = theta.rank
-        padded = np.tile(np.eye(m, dtype=complex), (K, 1, 1))
-        padded[:, :r, :r] = core
-        core = np.einsum("ij,kjl,ml->kim", full, padded, full.conj())
+                     np.einsum("kji,kjl->kil", sample_symbol(U, K).conj(),
+                               np.linalg.inv(sg)))
     if not np.all(np.isfinite(core)):
         raise PreconditionError("bounded boundary samples", float("inf"))
     return symbol_from_samples(core, -(K // 2), K // 2 - 1).compress(1e-13)
@@ -302,6 +284,15 @@ def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
                           _gk_basis(G, U, M, config))
 
 
+def _require_inner_U(U: MatrixSymbol, config: ToleranceConfig) -> None:
+    """U inner of full rank with U(0) = 0, as classify and construct need."""
+    cert = is_inner(U, config)
+    if not cert.is_inner or cert.rank != U.rows:
+        raise PreconditionError("U inner of full rank", cert.deviation)
+    if np.linalg.norm(U.coeff(0)) > 1e-10:
+        raise PreconditionError("U(0) = 0", float(np.linalg.norm(U.coeff(0))))
+
+
 def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
                     config: ToleranceConfig = DEFAULT_CONFIG,
                     ladder=DEFAULT_LADDER) -> ClassificationReport:
@@ -309,20 +300,18 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
 
     Pipeline: B from the Sarason construction; division B = U B0;
     specialness of (B0, A') with A' = (I - B0 U) G; rigidity of the square
-    of G0' = (I - B0)^{-1} A'.  The constructed symbol and the subspace
-    angle between its Toeplitz kernel and G K_U are reported whenever the
-    samples allow, whatever the verdicts.  Indeterminate sub-verdicts
-    propagate; they are never resolved by majority.  A specialness test
-    whose precondition fails at this truncation reads as indeterminate.
+    of G0' = (I - B0)^{-1} A', formed once to depth 2N for the specialness
+    Gram and read to degree N by the rigidity ladder (a singular I - B0(0),
+    for which G0' does not exist, raises).  The constructed symbol and the
+    subspace angle between its Toeplitz kernel and G K_U are reported
+    whenever the samples allow, whatever the verdicts.  Indeterminate
+    sub-verdicts propagate; they are never resolved by majority.  A
+    specialness test whose precondition fails at this truncation reads as
+    indeterminate.
     """
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
-    m = G.rows
-    cert = is_inner(U, config)
-    if not cert.is_inner or cert.rank != U.rows:
-        raise PreconditionError("U inner of full rank", cert.deviation)
-    if np.linalg.norm(U.coeff(0)) > 1e-10:
-        raise PreconditionError("U(0) = 0", float(np.linalg.norm(U.coeff(0))))
+    _require_inner_U(U, config)
 
     _, B = sarason_B(G, N, config)
     div = divide_inner(B, U, config)
@@ -337,17 +326,17 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     rig_verdict, sigmas = "skipped", ()
     if div.divisible:
         B0 = div.quotient
-        eye = MatrixSymbol.identity(m)
-        A_prime = symbol_mul(eye - symbol_mul(B0, U), G)
-        gap, special_verdict = _special_or_undecided(B0, A_prime, N, config)
-        g0p = symbol_mul(series_inverse(eye - B0, N), A_prime).truncate(0, N)
-        rig = rigidity_test(g0p, ladder, config)
+        A_prime = symbol_mul(MatrixSymbol.identity(G.rows) - symbol_mul(B0, U), G)
+        g0p = _g0_prime(B0, A_prime, N)
+        gap, special_verdict = _special_or_undecided(_mass_gap, B0, A_prime,
+                                                     g0p, N, config)
+        rig = rigidity_test(g0p.truncate(0, N), ladder, config)
         rig_verdict, sigmas = rig.verdict, rig.sigma_ladder
 
     phi = None
     angle = float("nan")
     try:
-        phi = toeplitz_symbol(G, U, None, config)
+        phi = toeplitz_symbol(G, U, config)
         angle = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
     except PreconditionError:
         pass
@@ -407,14 +396,10 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     if rig.verdict != "rigid":
         raise PreconditionError("G0' square rigid", rig.sigma_ladder[-1]
                                 if rig.sigma_ladder else float("nan"))
-    cert = is_inner(U, config)
-    if not cert.is_inner or cert.rank != U.rows:
-        raise PreconditionError("U inner of full rank", cert.deviation)
-    if np.linalg.norm(U.coeff(0)) > 1e-10:
-        raise PreconditionError("U(0) = 0", float(np.linalg.norm(U.coeff(0))))
+    _require_inner_U(U, config)
 
     density = symbol_mul(adjoint_flip(G0p), G0p)
-    F0 = herglotz_taylor(density, N, config)
+    F0 = herglotz_taylor(density, N)
     B0 = cayley(F0)
     eye = MatrixSymbol.identity(r)
     complement = eye - symbol_mul(adjoint_flip(B0), B0)
@@ -429,7 +414,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     scale = _inv_sqrt_hermitian(_gram(g_raw, N))
     G = symbol_mul(g_raw, MatrixSymbol.constant(scale))
 
-    phi = toeplitz_symbol(G, U, None, config)
+    phi = toeplitz_symbol(G, U, config)
     F = _gk_basis(G, U, N, config)
     angles = [kernel_angle(phi, G, U, M, config) for M in (N, 2 * N)]
     return ConstructionResult(G, F, phi, scale,
@@ -455,10 +440,12 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     """Classify a rectangular G (r < m) and return the full-size symbol.
 
     The shift span of G is rotated onto the first r coordinates by a
-    constant unitary Theta, the reduced r x r problem goes through
-    classify_kernel, and the returned symbol acts as the reduced symbol on
-    the span and as the identity on its complement.  The kernel of the
-    ambient symbol is cross-checked against G K_U directly.
+    constant unitary Theta = [Theta0, completion], and the reduced r x r
+    problem G~ = Theta0^H G goes through classify_kernel.  The returned
+    symbol is Theta (phi~ (+) I_{m-r}) Theta^H, built from the reduced
+    symbol phi~ that classify_kernel returned: it acts as phi~ on the span
+    and as the identity on its complement.  The kernel of the ambient
+    symbol is cross-checked against G K_U directly.
     """
     m, r = G.rows, G.cols
     if r >= m:
@@ -469,13 +456,21 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     if span.rank != r or U.rows != r:
         raise PreconditionError("shift span dimension equals r", float(span.rank))
 
-    gt = symbol_mul(MatrixSymbol.constant(span.theta0.conj().T), G).compress(1e-14)
+    t0 = span.theta0
+    gt = symbol_mul(MatrixSymbol.constant(t0.conj().T), G).compress(1e-14)
     classification = classify_kernel(gt, U, N, config, ladder)
-    phi = toeplitz_symbol(G, U, span, config)
-    theta = _unitary_completion(span.theta0)
+    reduced = classification.symbol
+    if reduced is None:
+        raise PreconditionError("reduced symbol from bounded G~ samples",
+                                float("nan"))
+    comp = phase_gauge(scipy.linalg.null_space(t0.conj().T))
+    # Theta (phi~ (+) I) Theta^H = Theta0 phi~ Theta0^H + comp comp^H
+    rotated = np.einsum("ij,kjl,ml->kim", t0, reduced.coeffs, t0.conj())
+    phi = (MatrixSymbol(m, m, reduced.min_deg, rotated)
+           + MatrixSymbol.constant(comp @ comp.conj().T)).compress(1e-13)
 
     worst = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
-    return EmbedResult(theta, phi, classification, worst)
+    return EmbedResult(np.hstack([t0, comp]), phi, classification, worst)
 
 
 # -- the H(B) inner product ---------------------------------------------------------

@@ -9,7 +9,7 @@ on K_U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       hardy_inner, herglotz_taylor, riesz_project,
                       sample_symbol, symbol_mul)
-from .toeplitz import (SubspaceBasis, basis_from_matrix, build_toeplitz,
+from .toeplitz import (SubspaceBasis, build_toeplitz, kernel_basis,
                        numerical_rank, operator_residual, phase_gauge)
 from .factor import PreconditionError, divide_inner, garcia_inner, is_inner
 
@@ -43,9 +43,11 @@ def model_space_basis(U: MatrixSymbol, N: int,
     truncation ghosts.  For inner U of full rank and degree d,
     z^d I = U (z^d U*) with z^d U* a polynomial, so z^d H2 lies in U H2
     and the whole model space sits in degrees < d.  The constraints are
-    therefore solved on the window W = min(N - deg U, d) and the null
-    vectors zero-padded to degree N - deg U; any N >= 2 deg U returns all
-    of K_U.  A rank-deficient U keeps the full window, since its model
+    therefore solved on the window W = min(N - deg U, d): they are the rows
+    of the section of T_{U*} at degree W, whose null space kernel_basis
+    returns (with its gap and indeterminate flag), and the basis is read at
+    degree N - deg U, its elements zero beyond W; any N >= 2 deg U returns
+    all of K_U.  A rank-deficient U keeps the full window, since its model
     space reaches every degree.
     """
     cert = is_inner(U, config)
@@ -55,15 +57,10 @@ def model_space_basis(U: MatrixSymbol, N: int,
     M = N - d
     if M < 0:
         raise ValueError("N too small: need N >= deg U")
-    m = U.rows
-    W = min(M, d) if cert.rank == m else M
-    dim = m * (W + 1)
-    # rows of the adjoint section are the pairings with the columns U z^k e
-    _, s, vh = np.linalg.svd(build_toeplitz(U, W).adjoint_matrix)
-    rank = numerical_rank(s, config.rank_tol)
-    null = np.zeros((m * (M + 1), dim - rank), complex)
-    null[:dim] = vh[rank:].conj().T
-    return basis_from_matrix(null, m, M)
+    W = min(M, d) if cert.rank == U.rows else M
+    # the rows of the section of T_{U*} are the pairings with the columns U z^k e
+    return replace(kernel_basis(build_toeplitz(adjoint_flip(U), W), config),
+                   degree=M)
 
 
 def is_nearly_invariant(F: SubspaceBasis,
@@ -156,7 +153,7 @@ def sarason_B(G: MatrixSymbol, N: int,
     gram_dev = float(np.linalg.norm(density.coeff(0) - np.eye(G.cols), 2))
     if gram_dev > 10 * config.residual_tol:
         raise PreconditionError("columns of G orthonormal in H2", gram_dev)
-    F = herglotz_taylor(density, N, config)
+    F = herglotz_taylor(density, N)
     f0 = F.coeff(0)
     V = (f0 - f0.conj().T) / 2j
     dev = float(np.linalg.norm(f0 - 1j * V - np.eye(G.cols), 2))

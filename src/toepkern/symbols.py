@@ -389,8 +389,7 @@ def _check_hermitian_band(density: MatrixSymbol, tol: float) -> None:
         raise ValueError("density is not Hermitian-valued on the circle")
 
 
-def herglotz_taylor(density: MatrixSymbol, N: int,
-                    config: ToleranceConfig = DEFAULT_CONFIG) -> MatrixSymbol:
+def herglotz_taylor(density: MatrixSymbol, N: int) -> MatrixSymbol:
     """Degree-N Taylor truncation of the Herglotz transform."""
     _check_hermitian_band(density, 1e-10)
     m = density.rows

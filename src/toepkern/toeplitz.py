@@ -39,10 +39,6 @@ class BlockToeplitz:
             arr.setflags(write=False)
         object.__setattr__(self, "matrix", arr)
 
-    @property
-    def adjoint_matrix(self) -> np.ndarray:
-        return np.conj(self.matrix.T)
-
     def apply(self, f: HardyElement) -> HardyElement:
         vec = f.to_vector(self.domain_degree)
         out = self.matrix @ vec

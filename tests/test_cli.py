@@ -81,6 +81,23 @@ def test_verify_outer_image_all_pass(capsys):
     assert all(ok for *_, ok in rows_of(capsys.readouterr().out))
 
 
+def test_verify_outer_image_below_degree_5(capsys):
+    # the test polynomial is cut to degree min(5, N); N >= 5 rows keep it
+    assert main(["verify", "prop52", "--degree", "8", "--ladder", "4,6"]) == 0
+    low = rows_of(capsys.readouterr().out)
+    assert [n for _, n, *_ in low] == [4, 6] * 3
+    assert all(ok for *_, ok in low)
+    assert main(["verify", "prop52", "--degree", "8", "--ladder", "6,8"]) == 0
+    high = rows_of(capsys.readouterr().out)
+    assert [r for r in low if r[1] == 6] == [r for r in high if r[1] == 6]
+
+
+def test_verify_failed_precondition_exits_2(capsys):
+    # U = z^2 needs N >= 2
+    assert main(["verify", "thm35", "--degree", "4", "--ladder", "0,2"]) == 2
+    assert "N too small" in capsys.readouterr().err
+
+
 def test_verify_unknown_name_exits_2(capsys):
     assert main(["verify", "nope"]) == 2
     err = capsys.readouterr().err
@@ -213,6 +230,16 @@ def test_examples_coarse_degree_reports_indeterminate(capsys):
     assert flagship[0]["final"] == "indeterminate"
 
 
+def test_examples_below_degree_24_exit_0(capsys):
+    # the truncated g_poisson_double is not orthonormal enough to classify
+    assert main(["examples", "--degree", "16", "--ladder", "4,8,16"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    flagship = [e for e in entries if e["name"] == "poisson-flagship"][0]
+    assert flagship["final"] == "indeterminate"
+    assert flagship["pass"] is False
+    assert flagship["mass_gap"] is None
+
+
 def test_construct_writes_artifacts(tmp_path, capsys):
     seed = dump(tmp_path, "seed.json", g_poisson(64))
     u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
@@ -281,6 +308,15 @@ def test_bad_ladder_exits_2(capsys):
     assert main(["verify", "pair-identity", "--ladder", "32"]) == 2
     assert main(["verify", "pair-identity", "--ladder", "a,b"]) == 2
     assert "ladder" in capsys.readouterr().err
+
+
+def test_negative_ladder_exits_2(tmp_path, capsys):
+    g = dump(tmp_path, "g.json", g_poisson_double(64))
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    assert main(["classify", g, u, "--ladder=-1,64"]) == 2
+    assert "non-negative" in capsys.readouterr().err
+    assert main(["verify", "lemma31", "--degree", "4", "--ladder=-2,1"]) == 2
+    assert "non-negative" in capsys.readouterr().err
 
 
 def test_ladder_above_degree_exits_2(tmp_path, capsys):

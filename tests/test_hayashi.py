@@ -37,6 +37,7 @@ from toepkern.fixtures import (
 )
 from toepkern.hayashi import (
     Pair,
+    _g0_prime,
     classify_kernel,
     construct_kernel,
     embed_rect,
@@ -191,6 +192,12 @@ class TestSpecialness:
             special_test(MatrixSymbol.scalar([0, 0.5]),
                          MatrixSymbol.identity(1), N, CFG)
 
+    def test_singular_I_minus_B0_precondition(self):
+        # B0 = 1, A' = 0 satisfies the pair identity; G0' cannot be formed
+        with pytest.raises(PreconditionError, match="I - B0"):
+            special_test(MatrixSymbol.identity(1), MatrixSymbol.zero(1, 1),
+                         N, CFG)
+
 
 # -- rigidity -----------------------------------------------------------------------
 
@@ -263,8 +270,8 @@ class TestBoundarySymbol:
             toeplitz_symbol(column_G(), MatrixSymbol.monomial(2), config=CFG)
 
     def test_rectangular_with_report(self):
-        span = shift_span(column_G(), CFG)
-        phi = toeplitz_symbol(column_G(), MatrixSymbol.monomial(2), span, CFG)
+        # a rectangular G gets its ambient symbol from embed_rect
+        phi = embed_rect(column_G(), MatrixSymbol.monomial(2), N, CFG).phi
         want_arr = np.zeros((3, 2, 2), complex)
         want_arr[0, 0, 0] = 1.0
         want_arr[2, 1, 1] = 1.0
@@ -438,6 +445,16 @@ class TestRebuiltPairs:
         assert (rebuilt.A
                 - MatrixSymbol.constant(np.array([[ROOT3 / 2]]))).norm_l2() < 1e-8
 
+    def test_g0_prime_prefix_is_the_degree_N_build(self):
+        # the rigidity ladder reads degrees <= N of the depth-2N G0'
+        b0 = MatrixSymbol.scalar([0.0, 0.5, 0.25])
+        a = MatrixSymbol.scalar([0.6, -0.2, 0.1])
+        deep = _g0_prime(b0, a, N).truncate(0, N)
+        eye = MatrixSymbol.identity(1)
+        direct = symbol_mul(series_inverse(eye - b0, N), a).truncate(0, N)
+        assert deep.min_deg == direct.min_deg
+        assert np.array_equal(deep.coeffs, direct.coeffs)
+
     def test_matrix_rebuild_stays_special(self):
         rebuilt = pair_from_B(symbol_mul(matrix_inner(), half_signature()))
         assert rebuilt.special == "special"
@@ -482,6 +499,20 @@ class TestEmbedding:
         assert emb.ambient_angle < 1e-5
         ker = kernel_basis(build_toeplitz(emb.phi, N), CFG)
         assert ker.size == 1
+
+    def test_rotated_column_symbol(self):
+        # G = Q (1, 0)^T: the ambient symbol is Q diag(zbar^2, 1) Q^H
+        c, s = np.cos(0.7), np.sin(0.7) * np.exp(0.3j)
+        Q = np.array([[c, -np.conj(s)], [s, c]])
+        G = symbol_mul(MatrixSymbol.constant(Q), column_G())
+        emb = embed_rect(G, MatrixSymbol.monomial(2), N, CFG)
+        assert emb.classification.final == "is-kernel"
+        assert emb.ambient_angle < 1e-8
+        want = np.zeros((3, 2, 2), complex)
+        want[0] = Q @ np.diag([1.0, 0.0]) @ Q.conj().T
+        want[2] = Q @ np.diag([0.0, 1.0]) @ Q.conj().T
+        assert (emb.phi.truncate(-6, 6)
+                - MatrixSymbol(2, 2, -2, want)).norm_l2() < 1e-10
 
     def test_square_rejected(self):
         with pytest.raises(ValueError):
