@@ -20,8 +20,8 @@ from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                       hardy_inner, herglotz_taylor, sample_symbol,
                       series_inverse, symbol_from_samples, symbol_mul)
 from .toeplitz import (KERNEL_GAP_FACTOR, SubspaceBasis, build_toeplitz,
-                       kernel_basis, orthonormal_basis, phase_gauge,
-                       subspace_angle)
+                       numerical_rank, orthonormal_basis, phase_gauge,
+                       singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
 from .nearly import model_space_basis, sarason_B
@@ -211,6 +211,11 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
 
     G must be square (a rectangular G goes through embed_rect); the symbol
     is formed on the boundary samples and read back as Fourier coefficients.
+    Every coefficient entry of modulus below 1e-13 is roundoff dust and is
+    set to zero before the band is compressed at the same tolerance: dust
+    in an interior degree would couple pieces of a section that the exact
+    symbol splits (kernel_basis, singular_values), and it moves T by at
+    most about band * 1e-13 in norm.
     """
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
@@ -224,7 +229,9 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
                                np.linalg.inv(sg)))
     if not np.all(np.isfinite(core)):
         raise PreconditionError("bounded boundary samples", float("inf"))
-    return symbol_from_samples(core, -(K // 2), K // 2 - 1).compress(1e-13)
+    phi = symbol_from_samples(core, -(K // 2), K // 2 - 1)
+    coeffs = np.where(np.abs(phi.coeffs) < 1e-13, 0, phi.coeffs)
+    return MatrixSymbol(phi.rows, phi.cols, phi.min_deg, coeffs).compress(1e-13)
 
 
 # -- classification -----------------------------------------------------------------
@@ -279,9 +286,27 @@ def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
 
 def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Largest principal angle between ker T_phi and G K_U at degree M."""
-    return subspace_angle(kernel_basis(build_toeplitz(phi, M), config),
-                          _gk_basis(G, U, M, config))
+    """Upper bound on the largest principal angle between ker T_phi and G K_U.
+
+    At degree M, with Q an orthonormal basis of G K_U of size k and s the
+    singular values of the section (values only, no vectors): pi/2 when the
+    numerical kernel (the values below the rank cut) does not have
+    dimension k, 0 when k = 0, and otherwise Wedin's sin-theta bound
+    arcsin(min(1, ||T_phi Q||_2 / s[cut - 1])).  For a unit x in span Q,
+    ||T x|| >= s[cut - 1] times the part of x outside the numerical kernel,
+    so the value is never below the principal angle, up to roundoff.
+    T_phi Q is formed from the symbol, O(M * band * k).
+    """
+    q = _gk_basis(G, U, M, config)
+    s = singular_values(build_toeplitz(phi, M))
+    cut = numerical_rank(s, config.rank_tol)
+    if s.size - cut != q.size:
+        return float(np.pi / 2)
+    if q.size == 0:
+        return 0.0
+    tq = np.stack([apply_symbol(phi, e, M).to_vector(M) for e in q.elements],
+                  axis=1)
+    return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
 
 
 def _require_inner_U(U: MatrixSymbol, config: ToleranceConfig) -> None:
@@ -303,11 +328,11 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     of G0' = (I - B0)^{-1} A', formed once to depth 2N for the specialness
     Gram and read to degree N by the rigidity ladder (a singular I - B0(0),
     for which G0' does not exist, raises).  The constructed symbol and the
-    subspace angle between its Toeplitz kernel and G K_U are reported
-    whenever the samples allow, whatever the verdicts.  Indeterminate
-    sub-verdicts propagate; they are never resolved by majority.  A
-    specialness test whose precondition fails at this truncation reads as
-    indeterminate.
+    bound on the subspace angle between its Toeplitz kernel and G K_U
+    (kernel_angle) are reported whenever the samples allow, whatever the
+    verdicts.  Indeterminate sub-verdicts propagate; they are never
+    resolved by majority.  A specialness test whose precondition fails at
+    this truncation reads as indeterminate.
     """
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
@@ -387,7 +412,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     I - B0*B0 (the recovered pair must be special), B = U B0, and
     G = (I - B0 U)^{-1} A' rescaled on the right so its column Gram is the
     identity.  Returns G, the orthonormalized F = {p_+(G k)}, the symbol,
-    and the kernel agreement angles at N and 2N.
+    and the bounds on the kernel agreement angles at N and 2N.
     """
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")

@@ -3,7 +3,9 @@
 Sections are dense matrices.  `kernel_basis` splits a section that is an
 exact direct sum (a diagonal or lacunary symbol) into its independent
 pieces and takes one dense SVD per piece; a section that does not split is
-one piece and gets one dense SVD.
+one piece and gets one dense SVD.  `singular_values` makes the same split
+and asks each piece for its singular values only, for callers that need no
+vectors.
 """
 from __future__ import annotations
 
@@ -145,6 +147,52 @@ def _pieces(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             label = jumped
 
 
+def _split_svd(A: np.ndarray, compute_uv: bool) -> tuple[np.ndarray, list]:
+    """SVDs of the connected pieces of A, one stacked call per piece shape.
+
+    Returns each piece's singular values zero-padded to its column count,
+    concatenated group by group (one value per column of A, as a dense SVD
+    of A would give), and per group the pair (vh, cols): the pieces' right
+    singular vectors (None without compute_uv) and the column indices of A
+    that each piece covers.  A piece with no rows is a zero column.
+    """
+    row_lab, col_lab = _pieces(A)
+    row_order = np.argsort(row_lab, kind="stable")
+    col_order = np.argsort(col_lab, kind="stable")
+    sorted_rows = row_lab[row_order]
+    labels, col_start, n_cols = np.unique(col_lab[col_order], return_index=True,
+                                          return_counts=True)
+    row_start = np.searchsorted(sorted_rows, labels, "left")
+    n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
+    values, groups = [], []
+    for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
+        sel = np.flatnonzero((n_rows == a) & (n_cols == b))
+        rows = row_order[row_start[sel, None] + np.arange(a)]
+        cols = col_order[col_start[sel, None] + np.arange(b)]
+        whole = (a, b) == A.shape  # the section does not split: no copy
+        stack = A[None] if whole else A[rows[:, :, None], cols[:, None, :]]
+        if compute_uv:
+            _, s, vh = np.linalg.svd(stack)
+        else:
+            s, vh = np.linalg.svd(stack, compute_uv=False), None
+        padded = np.zeros((sel.size, b))
+        padded[:, :s.shape[1]] = s
+        values.append(padded.ravel())
+        groups.append((vh, cols))
+    return np.concatenate(values), groups
+
+
+def singular_values(T: BlockToeplitz) -> np.ndarray:
+    """Singular values of the section, one per column, in descending order.
+
+    The same piece split as kernel_basis, with values only: no singular
+    vectors are formed.  A section with more columns than rows gets zeros
+    for the columns beyond its rank, as kernel_basis counts them.
+    """
+    values, _ = _split_svd(T.matrix, compute_uv=False)
+    return np.sort(values)[::-1]
+
+
 def kernel_basis(T: BlockToeplitz,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space of the section.
@@ -160,30 +208,9 @@ def kernel_basis(T: BlockToeplitz,
     sets `indeterminate` (finite sections of infinite operators can show
     spurious near-kernels); both are reported only, no verdict reads them.
     """
-    A = T.matrix
-    n = A.shape[1]
-    row_lab, col_lab = _pieces(A)
-    row_order = np.argsort(row_lab, kind="stable")
-    col_order = np.argsort(col_lab, kind="stable")
-    sorted_rows = row_lab[row_order]
-    labels, col_start, n_cols = np.unique(col_lab[col_order], return_index=True,
-                                          return_counts=True)
-    row_start = np.searchsorted(sorted_rows, labels, "left")
-    n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
-    # one stacked SVD per piece shape; a piece with no rows is a zero column
-    groups = []
-    for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
-        sel = np.flatnonzero((n_rows == a) & (n_cols == b))
-        rows = row_order[row_start[sel, None] + np.arange(a)]
-        cols = col_order[col_start[sel, None] + np.arange(b)]
-        whole = (a, b) == A.shape  # the section does not split: no copy
-        _, s, vh = np.linalg.svd(A[None] if whole
-                                 else A[rows[:, :, None], cols[:, None, :]])
-        padded = np.zeros((sel.size, b))
-        padded[:, :s.shape[1]] = s
-        groups.append((padded.ravel(), vh, cols))
-    sizes = [v.size for v, _, _ in groups]
-    values = np.concatenate([v for v, _, _ in groups])
+    n = T.matrix.shape[1]
+    values, groups = _split_svd(T.matrix, compute_uv=True)
+    sizes = [cols.size for _, cols in groups]
     group_of = np.repeat(np.arange(len(groups)), sizes)
     offset = np.cumsum([0] + sizes)
     order = np.argsort(-values, kind="stable")
@@ -201,7 +228,7 @@ def kernel_basis(T: BlockToeplitz,
         indet = gap < KERNEL_GAP_FACTOR
     null = order[cut:]
     vecs = np.zeros((n, null.size), complex)
-    for g, (_, vh, cols) in enumerate(groups):
+    for g, (vh, cols) in enumerate(groups):
         pos = np.flatnonzero(group_of[null] == g)
         piece, j = np.divmod(null[pos] - offset[g], cols.shape[1])
         vecs[cols[piece], pos[:, None]] = np.conj(vh[piece, j])

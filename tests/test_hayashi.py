@@ -38,17 +38,19 @@ from toepkern.fixtures import (
 from toepkern.hayashi import (
     Pair,
     _g0_prime,
+    _gk_basis,
     classify_kernel,
     construct_kernel,
     embed_rect,
     hb_inner,
+    kernel_angle,
     pair_from_B,
     pair_identity_defect,
     rigidity_test,
     special_test,
     toeplitz_symbol,
 )
-from toepkern.toeplitz import build_toeplitz, kernel_basis
+from toepkern.toeplitz import _pieces, build_toeplitz, kernel_basis, subspace_angle
 
 CFG = ToleranceConfig()
 N = 64
@@ -434,6 +436,69 @@ class TestRecipe:
         with pytest.raises(PreconditionError):
             construct_kernel(MatrixSymbol.identity(1), MatrixSymbol.identity(1),
                              32, CFG)
+
+
+def matrix_seed():
+    C = np.diag([0.5, -0.5])
+    return MatrixSymbol.constant(
+        np.linalg.inv(np.eye(2) - C) @ np.diag(np.sqrt(1 - np.diag(C) ** 2)))
+
+
+@lru_cache(maxsize=None)
+def cross_check_case(name, n):
+    """(phi, G, U, config) of a constructed kernel at degree n."""
+    config = ToleranceConfig().with_degree(n)
+    if name == "flagship":
+        seed, U = g_poisson(n), MatrixSymbol.monomial(1)
+    else:
+        seed, U = matrix_seed(), matrix_inner()
+    res = construct_kernel(seed, U, n, config)
+    return res.phi, res.G, U, config
+
+
+def oracle_angle(phi, G, U, M, config):
+    """The exact principal angle: full kernel vectors of the section."""
+    return subspace_angle(kernel_basis(build_toeplitz(phi, M), config),
+                          _gk_basis(G, U, M, config))
+
+
+class TestCrossCheck:
+    @pytest.mark.parametrize("name", ["flagship", "matrix-recipe"])
+    @pytest.mark.parametrize("n", [32, 64, 128])
+    @pytest.mark.parametrize("frac", [0.25, 0.5, 1, 2])
+    def test_bound_never_below_the_angle(self, name, n, frac):
+        phi, G, U, config = cross_check_case(name, n)
+        M = int(n * frac)
+        bound = kernel_angle(phi, G, U, M, config)
+        assert 0 <= bound <= np.pi / 2
+        angle = oracle_angle(phi, G, U, M, config)
+        assert angle <= bound * (1 + 1e-10) + 1e-13
+        if angle > 1e-8:  # a resolved angle: the bound is tight on these
+            assert bound <= angle * (1 + 1e-6)
+
+    def test_dimension_mismatch_reads_right_angle(self):
+        G, U = lin_diag_G(), MatrixSymbol.monomial(1, m=2)
+        phi = toeplitz_symbol(G, U, config=CFG)
+        for M in (N, 2 * N):
+            assert kernel_angle(phi, G, U, M, CFG) == np.pi / 2
+            assert oracle_angle(phi, G, U, M, CFG) == np.pi / 2
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_construct_symbol_carries_no_dust(self, n):
+        # the recipe's symbol keeps exactly the degrees of the classified
+        # one, so its sections split into the same two halves
+        config = ToleranceConfig().with_degree(n)
+        U = MatrixSymbol.monomial(1)
+        built = construct_kernel(g_poisson(n), U, n, config).phi
+        classified = classify_kernel(g_poisson_double(n), U, n, config).symbol
+
+        def degrees(phi):
+            live = np.any(phi.coeffs != 0, axis=(1, 2))
+            return set((phi.min_deg + np.flatnonzero(live)).tolist())
+
+        assert degrees(built) == degrees(classified)
+        labels = np.concatenate(_pieces(build_toeplitz(built, 2 * n).matrix))
+        assert np.unique(labels).size == 2
 
 
 class TestRebuiltPairs:

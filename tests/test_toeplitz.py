@@ -17,6 +17,7 @@ from toepkern.toeplitz import (
     numerical_rank,
     operator_residual,
     orthonormal_basis,
+    singular_values,
     subspace_angle,
 )
 
@@ -277,10 +278,14 @@ def test_split_kernel_matches_dense_svd(case, N):
     if basis.size:
         q = basis.matrix()
         assert np.linalg.norm(null - q @ (np.conj(q.T) @ null), 2) < 1e-12
+    # each oracle value carries an absolute error of order n eps s[0]
+    err = 10 * n * np.finfo(float).eps * s[0]
     if 0 < cut < n and s[cut] > 1e-12 * s[0]:
-        # each oracle value carries an absolute error of order n eps s[0]
-        rel = 1e-10 + 10 * n * np.finfo(float).eps * s[0] / s[cut]
+        rel = 1e-10 + err / s[cut]
         assert basis.gap == pytest.approx(gap, rel=rel)
+    values = singular_values(T)
+    assert values.shape == (n,) and np.all(np.diff(values) <= 0)
+    assert np.allclose(values, s, rtol=1e-10, atol=err)
 
 
 # -- principal angles ---------------------------------------------------------------
