@@ -24,9 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .factor import PreconditionError, garcia_inner
+from .factor import PreconditionError
 from .fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
-                       half_signature, lin_diag_G, sqrt_diag_G,
+                       half_signature, lin_diag_G, matrix_recipe, sqrt_diag_G,
                        twisted_contraction)
 from .hayashi import (classify_kernel, construct_kernel, embed_rect,
                       kernel_angle, pair_from_B, pair_identity_defect,
@@ -164,10 +164,10 @@ def cmd_construct(args, run: RunConfig) -> int:
     tol = run.tolerance
     try:
         res = construct_kernel(G0p, U, tol.trunc_degree, tol, run.ladder)
+        angles = {str(n): kernel_angle(res.phi, res.G, U, n, tol)
+                  for n in run.ladder}
     except (PreconditionError, ValueError) as exc:
         raise CliError(2, str(exc))
-    angles = {str(n): kernel_angle(res.phi, res.G, U, n, tol)
-              for n in run.ladder}
     doc = {
         "dim_F": res.F.size,
         "cross_check_angle": {"per_N": angles, "refined": res.angle_2N},
@@ -292,15 +292,11 @@ def _check_pair_identity(run: RunConfig):
 
 
 def _check_rebuilt_pair(run: RunConfig):
-    core = garcia_inner(MatrixSymbol.monomial(1),
-                        MatrixSymbol.scalar([0.5, 0.5]),
-                        MatrixSymbol.scalar([0.5, -0.5]))
     fixtures = [
         ("scalar-shift", MatrixSymbol.monomial(1),
          MatrixSymbol.scalar([0.0, 0.5]),
          MatrixSymbol.constant([[np.sqrt(3) / 2]])),
-        ("garcia-signature", symbol_mul(MatrixSymbol.monomial(1, 2), core),
-         half_signature(),
+        ("garcia-signature", matrix_recipe()[1], half_signature(),
          MatrixSymbol.constant(np.sqrt(3) / 2 * np.eye(2))),
     ]
     rows = []
@@ -477,14 +473,7 @@ def _entry_flagship(run: RunConfig) -> dict:
 
 
 def _entry_matrix_recipe(run: RunConfig) -> dict:
-    C = np.diag([0.5, -0.5])
-    scale = np.linalg.inv(np.eye(2) - C) @ np.diag(
-        np.sqrt(1.0 - np.diag(C) ** 2))
-    seed = MatrixSymbol.constant(scale)
-    core = garcia_inner(MatrixSymbol.monomial(1),
-                        MatrixSymbol.scalar([0.5, 0.5]),
-                        MatrixSymbol.scalar([0.5, -0.5]))
-    U = symbol_mul(MatrixSymbol.monomial(1, 2), core)
+    seed, U = matrix_recipe()
     res = construct_kernel(seed, U, run.tolerance.trunc_degree, run.tolerance,
                            run.ladder)
     angle = max(res.angle_N, res.angle_2N)
@@ -494,14 +483,17 @@ def _entry_matrix_recipe(run: RunConfig) -> dict:
 
 
 def cmd_examples(args, run: RunConfig) -> int:
-    entries = [
-        _entry_halfpower(run),
-        _entry_linear_diagonal(run),
-        _entry_column_embedding(run),
-        _entry_twisted(run),
-        _entry_flagship(run),
-        _entry_matrix_recipe(run),
-    ]
+    try:
+        entries = [
+            _entry_halfpower(run),
+            _entry_linear_diagonal(run),
+            _entry_column_embedding(run),
+            _entry_twisted(run),
+            _entry_flagship(run),
+            _entry_matrix_recipe(run),
+        ]
+    except (PreconditionError, ValueError) as exc:
+        raise CliError(2, str(exc))
     doc = {"degree": run.tolerance.trunc_degree, "entries": entries}
     _emit(_render_json(doc, run.compact), run.out)
     return 0

@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import binom
 
+from .factor import garcia_inner
 from .symbols import MatrixSymbol, adjoint_flip, riesz_project, symbol_mul
 
 
@@ -100,6 +101,23 @@ def rank2_partial_isometry() -> MatrixSymbol:
         [tf(b), zero, tf(a)],
         [zero, zero, zero],
     ])
+
+
+def matrix_recipe() -> tuple[MatrixSymbol, MatrixSymbol]:
+    """Seed and inner U of the matricial recipe, with dim G K_U = 3.
+
+    The constant seed (I - C)^{-1} diag(sqrt(1 - c_k^2)) for C =
+    diag(1/2, -1/2) recovers the pair (B, A) = (C, (sqrt3/2) I);
+    U = z garcia_inner(z, (1+z)/2, (1-z)/2) has determinant z^3 up to a
+    unimodular constant.
+    """
+    C = np.diag([0.5, -0.5])
+    seed = MatrixSymbol.constant(
+        np.linalg.inv(np.eye(2) - C) @ np.diag(np.sqrt(1.0 - np.diag(C) ** 2)))
+    core = garcia_inner(MatrixSymbol.monomial(1),
+                        MatrixSymbol.scalar([0.5, 0.5]),
+                        MatrixSymbol.scalar([0.5, -0.5]))
+    return seed, symbol_mul(MatrixSymbol.monomial(1, 2), core)
 
 
 def half_signature() -> MatrixSymbol:

@@ -214,8 +214,8 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
     Every coefficient entry of modulus below 1e-13 is roundoff dust and is
     set to zero before the band is compressed at the same tolerance: dust
     in an interior degree would couple pieces of a section that the exact
-    symbol splits (kernel_basis, singular_values), and it moves T by at
-    most about band * 1e-13 in norm.
+    symbol splits (singular_values), and it moves T by at most about
+    band * 1e-13 in norm.
     """
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")

@@ -1,11 +1,10 @@
 """Finite sections of block Toeplitz operators, numerical kernels, residuals.
 
-Sections are dense matrices.  `kernel_basis` splits a section that is an
-exact direct sum (a diagonal or lacunary symbol) into its independent
-pieces and takes one dense SVD per piece; a section that does not split is
-one piece and gets one dense SVD.  `singular_values` makes the same split
-and asks each piece for its singular values only, for callers that need no
-vectors.
+Sections are dense matrices.  `kernel_basis` takes one dense SVD of the
+section.  `singular_values`, for callers that need no vectors, splits a
+section that is an exact direct sum (a diagonal or lacunary symbol) into
+its independent pieces and asks each piece for its singular values only; a
+section that does not split is one piece.
 """
 from __future__ import annotations
 
@@ -147,15 +146,18 @@ def _pieces(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             label = jumped
 
 
-def _split_svd(A: np.ndarray, compute_uv: bool) -> tuple[np.ndarray, list]:
-    """SVDs of the connected pieces of A, one stacked call per piece shape.
+def singular_values(T: BlockToeplitz) -> np.ndarray:
+    """Singular values of the section, one per column, in descending order.
 
-    Returns each piece's singular values zero-padded to its column count,
-    concatenated group by group (one value per column of A, as a dense SVD
-    of A would give), and per group the pair (vh, cols): the pieces' right
-    singular vectors (None without compute_uv) and the column indices of A
-    that each piece covers.  A piece with no rows is a zero column.
+    The section is split into the connected pieces of its row/column
+    coupling (row i and column k joined when the entry is nonzero); a direct
+    sum's singular values are the union of its pieces', so each piece gets
+    its own values-only SVD, pieces of one shape in one stacked call.  Each
+    piece's values are zero-padded to its column count (a piece with no
+    rows is a zero column), so a section with more columns than rows gets
+    zeros for the columns beyond its rank, as kernel_basis counts them.
     """
+    A = T.matrix
     row_lab, col_lab = _pieces(A)
     row_order = np.argsort(row_lab, kind="stable")
     col_order = np.argsort(col_lab, kind="stable")
@@ -164,76 +166,42 @@ def _split_svd(A: np.ndarray, compute_uv: bool) -> tuple[np.ndarray, list]:
                                           return_counts=True)
     row_start = np.searchsorted(sorted_rows, labels, "left")
     n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
-    values, groups = [], []
+    values = []
     for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
         sel = np.flatnonzero((n_rows == a) & (n_cols == b))
         rows = row_order[row_start[sel, None] + np.arange(a)]
         cols = col_order[col_start[sel, None] + np.arange(b)]
         whole = (a, b) == A.shape  # the section does not split: no copy
         stack = A[None] if whole else A[rows[:, :, None], cols[:, None, :]]
-        if compute_uv:
-            _, s, vh = np.linalg.svd(stack)
-        else:
-            s, vh = np.linalg.svd(stack, compute_uv=False), None
+        s = np.linalg.svd(stack, compute_uv=False)
         padded = np.zeros((sel.size, b))
         padded[:, :s.shape[1]] = s
         values.append(padded.ravel())
-        groups.append((vh, cols))
-    return np.concatenate(values), groups
-
-
-def singular_values(T: BlockToeplitz) -> np.ndarray:
-    """Singular values of the section, one per column, in descending order.
-
-    The same piece split as kernel_basis, with values only: no singular
-    vectors are formed.  A section with more columns than rows gets zeros
-    for the columns beyond its rank, as kernel_basis counts them.
-    """
-    values, _ = _split_svd(T.matrix, compute_uv=False)
-    return np.sort(values)[::-1]
+    return np.sort(np.concatenate(values))[::-1]
 
 
 def kernel_basis(T: BlockToeplitz,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space of the section.
 
-    The section is split into the connected pieces of its row/column
-    coupling (row i and column k joined when the entry is nonzero); a direct
-    sum's SVD is the union of its pieces' SVDs, so each piece gets its own
-    dense SVD, pieces of one shape in one stacked call.  Each piece's values
-    are zero-padded to its column count, so the merged list has one value
-    per column, as a dense SVD of the whole section would.  The rank cut is
-    rank_tol times the largest value of the whole section.  The ratio of the
-    values either side of the cut is returned as `gap`, and a gap below 1e3
-    sets `indeterminate` (finite sections of infinite operators can show
-    spurious near-kernels); both are reported only, no verdict reads them.
+    One dense SVD with the full right factor, so a section with more columns
+    than rows keeps the null vectors beyond its rank.  The values are
+    zero-padded to one per column and cut at rank_tol times the largest.
+    The ratio of the values either side of the cut is returned as `gap`,
+    and a gap below 1e3 sets `indeterminate` (finite sections of infinite
+    operators can show spurious near-kernels); both are reported only, no
+    verdict reads them.
     """
     n = T.matrix.shape[1]
-    values, groups = _split_svd(T.matrix, compute_uv=True)
-    sizes = [cols.size for _, cols in groups]
-    group_of = np.repeat(np.arange(len(groups)), sizes)
-    offset = np.cumsum([0] + sizes)
-    order = np.argsort(-values, kind="stable")
-    s = values[order]
+    _, sv, vh = np.linalg.svd(T.matrix)
+    s = np.pad(sv, (0, n - sv.size))
     cut = numerical_rank(s, config.rank_tol)
     if cut == n:
         return SubspaceBasis(T.symbol.cols, T.domain_degree, ())
-    if cut == 0:
-        gap = float("inf")
-        indet = False
-    else:
-        sigma_above = s[cut - 1]
-        sigma_below = s[cut]
-        gap = float("inf") if sigma_below == 0 else float(sigma_above / sigma_below)
-        indet = gap < KERNEL_GAP_FACTOR
-    null = order[cut:]
-    vecs = np.zeros((n, null.size), complex)
-    for g, (vh, cols) in enumerate(groups):
-        pos = np.flatnonzero(group_of[null] == g)
-        piece, j = np.divmod(null[pos] - offset[g], cols.shape[1])
-        vecs[cols[piece], pos[:, None]] = np.conj(vh[piece, j])
-    return basis_from_matrix(vecs, T.symbol.cols, T.domain_degree,
-                             indeterminate=indet, gap=gap)
+    below = s[cut]
+    gap = float("inf") if cut == 0 or below == 0 else float(s[cut - 1] / below)
+    return basis_from_matrix(vh[cut:].conj().T, T.symbol.cols, T.domain_degree,
+                             indeterminate=gap < KERNEL_GAP_FACTOR, gap=gap)
 
 
 def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:

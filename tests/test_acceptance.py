@@ -8,10 +8,11 @@ import numpy as np
 
 from toepkern import (HardyElement, MatrixSymbol, ToleranceConfig,
                       adjoint_flip, series_inverse, symbol_mul)
-from toepkern.factor import bauer_factorize, garcia_inner
+from toepkern.factor import bauer_factorize
 from toepkern.fixtures import (column_G, g_one_plus_z, g_poisson,
                                g_poisson_double, half_signature, lin_diag_G,
-                               sarason_B_closed_form, twisted_contraction)
+                               matrix_recipe, sarason_B_closed_form,
+                               twisted_contraction)
 from toepkern.hayashi import (DEFAULT_LADDER, classify_kernel,
                               construct_kernel, embed_rect, pair_from_B,
                               pair_identity_defect, rigidity_test,
@@ -156,13 +157,7 @@ def test_10_flat_outer_passes_equivalence_but_fails_specialness():
 
 
 def test_11_matrix_recipe_dimension_matches_kernel():
-    C = np.diag([0.5, -0.5])
-    scale = np.linalg.inv(np.eye(2) - C) @ np.diag(np.sqrt(1.0 - np.diag(C) ** 2))
-    seed = MatrixSymbol.constant(scale)
-    core = garcia_inner(MatrixSymbol.monomial(1),
-                        MatrixSymbol.scalar([0.5, 0.5]),
-                        MatrixSymbol.scalar([0.5, -0.5]))
-    U = symbol_mul(MatrixSymbol.monomial(1, 2), core)
+    seed, U = matrix_recipe()
     res = construct_kernel(seed, U, N, CFG)
     assert res.F.size == 3
     ker = kernel_basis(build_toeplitz(res.phi, N), CFG)
@@ -201,9 +196,6 @@ def test_13_pair_identities_gauge_stability_and_rebuilt_gaps():
     gap, _ = special_test(symbol_mul(u, MatrixSymbol.scalar([0.0, 0.5])),
                           MatrixSymbol.constant([[ROOT3 / 2.0]]), N, CFG)
     assert gap <= 1e-7
-    core = garcia_inner(u, MatrixSymbol.scalar([0.5, 0.5]),
-                        MatrixSymbol.scalar([0.5, -0.5]))
-    gap, _ = special_test(symbol_mul(symbol_mul(MatrixSymbol.monomial(1, 2),
-                                                core), half_signature()),
+    gap, _ = special_test(symbol_mul(matrix_recipe()[1], half_signature()),
                           MatrixSymbol.constant(ROOT3 / 2.0 * np.eye(2)), N, CFG)
     assert gap <= 1e-7

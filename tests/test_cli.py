@@ -11,7 +11,8 @@ import pytest
 
 from toepkern import MatrixSymbol
 from toepkern.cli import main
-from toepkern.fixtures import column_G, g_poisson, g_poisson_double, lin_diag_G
+from toepkern.fixtures import (column_G, g_poisson, g_poisson_double, lin_diag_G,
+                               matrix_recipe)
 from toepkern.hayashi import ClassificationReport
 
 
@@ -238,6 +239,21 @@ def test_examples_below_degree_24_exit_0(capsys):
     assert flagship["final"] == "indeterminate"
     assert flagship["pass"] is False
     assert flagship["mass_gap"] is None
+
+
+COARSE_RUNS = ([("examples", d, f"0,{d}") for d in range(1, 9)]
+               + [("construct", 8, ladder) for ladder in ("0,8", "1,8", "2,8")])
+
+
+@pytest.mark.parametrize("command,degree,ladder", COARSE_RUNS)
+def test_coarse_degree_never_exits_1(tmp_path, capsys, command, degree, ladder):
+    # a truncation too coarse for the input is refused (2) or left
+    # undecided (3), never reported as a tool failure (1)
+    argv = [command, "--degree", str(degree), "--ladder", ladder]
+    if command == "construct":
+        seed, U = matrix_recipe()
+        argv += [dump(tmp_path, "seed.json", seed), dump(tmp_path, "u.json", U)]
+    assert main(argv) in (0, 2, 3)
 
 
 def test_construct_writes_artifacts(tmp_path, capsys):

@@ -23,7 +23,7 @@ from toepkern import (
     symbol_from_samples,
     symbol_mul,
 )
-from toepkern.factor import PreconditionError, garcia_inner, shift_span
+from toepkern.factor import PreconditionError, shift_span
 from toepkern.fixtures import (
     column_G,
     g_one_plus_z,
@@ -31,6 +31,7 @@ from toepkern.fixtures import (
     g_poisson_double,
     half_signature,
     lin_diag_G,
+    matrix_recipe,
     phi_poisson_double,
     sarason_B_closed_form,
     twisted_contraction,
@@ -81,14 +82,6 @@ def quotient_pair():
     inv = series_inverse(MatrixSymbol.scalar([2.0, 1.0]), N)
     a = symbol_mul(MatrixSymbol.scalar([np.sqrt(2), np.sqrt(2)]), inv)
     return inv, a
-
-
-def matrix_inner():
-    """z * [2x2 inner with determinant z], det of the product is z^3."""
-    theta = MatrixSymbol.monomial(1)
-    one = MatrixSymbol.identity(1)
-    core = garcia_inner(theta, (one + theta).scale(0.5), (one - theta).scale(0.5))
-    return symbol_mul(MatrixSymbol.monomial(1, m=2), core)
 
 
 def contracted_lambda(G, B, f, depth):
@@ -412,12 +405,11 @@ class TestRecipe:
         assert np.linalg.norm(column_gram(res.G) - np.eye(1)) < 1e-10
 
     def test_matrix_seed_three_dimensional(self):
-        C = np.diag([0.5, -0.5])
-        seed = MatrixSymbol.constant(
-            np.linalg.inv(np.eye(2) - C) @ np.diag(np.sqrt(1 - np.diag(C) ** 2)))
-        res = construct_kernel(seed, matrix_inner(), N, CFG)
+        seed, U = matrix_recipe()
+        res = construct_kernel(seed, U, N, CFG)
         assert res.F.size == 3
-        assert (res.pair.B - MatrixSymbol.constant(C)).norm_l2() < 1e-12
+        assert (res.pair.B - MatrixSymbol.constant(np.diag([0.5, -0.5]))
+                ).norm_l2() < 1e-12
         assert (res.pair.A
                 - MatrixSymbol.constant(ROOT3 / 2 * np.eye(2))).norm_l2() < 1e-12
         assert res.angle_N < 1e-5 and res.angle_2N < 1e-5
@@ -438,12 +430,6 @@ class TestRecipe:
                              32, CFG)
 
 
-def matrix_seed():
-    C = np.diag([0.5, -0.5])
-    return MatrixSymbol.constant(
-        np.linalg.inv(np.eye(2) - C) @ np.diag(np.sqrt(1 - np.diag(C) ** 2)))
-
-
 @lru_cache(maxsize=None)
 def cross_check_case(name, n):
     """(phi, G, U, config) of a constructed kernel at degree n."""
@@ -451,7 +437,7 @@ def cross_check_case(name, n):
     if name == "flagship":
         seed, U = g_poisson(n), MatrixSymbol.monomial(1)
     else:
-        seed, U = matrix_seed(), matrix_inner()
+        seed, U = matrix_recipe()
     res = construct_kernel(seed, U, n, config)
     return res.phi, res.G, U, config
 
@@ -521,10 +507,11 @@ class TestRebuiltPairs:
         assert np.array_equal(deep.coeffs, direct.coeffs)
 
     def test_matrix_rebuild_stays_special(self):
-        rebuilt = pair_from_B(symbol_mul(matrix_inner(), half_signature()))
+        B = symbol_mul(matrix_recipe()[1], half_signature())
+        rebuilt = pair_from_B(B)
         assert rebuilt.special == "special"
         assert rebuilt.mass_gap < 1e-7
-        gap, verdict = special_test(symbol_mul(matrix_inner(), half_signature()),
+        gap, verdict = special_test(B,
                                     MatrixSymbol.constant(ROOT3 / 2 * np.eye(2)),
                                     N, CFG)
         assert verdict == "special" and gap < 1e-7

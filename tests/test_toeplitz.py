@@ -171,6 +171,15 @@ def test_identity_has_empty_kernel():
     assert not basis.indeterminate
 
 
+def test_small_gap_at_cut_is_indeterminate():
+    # 1e-7 stays above the 1e-8 cut and 1e-9 falls below it: gap 100 < 1e3
+    T = build_toeplitz(MatrixSymbol.constant(np.diag([1.0, 1e-7, 1e-9])), 2)
+    basis = kernel_basis(T, CFG)
+    assert basis.size == 3
+    assert basis.gap == pytest.approx(100.0)
+    assert basis.indeterminate
+
+
 @given(st.integers(1, 3), st.integers(1, 3))
 @settings(max_examples=20, deadline=None)
 def test_kernel_dimension_of_coanalytic_monomial(j, q):
@@ -201,7 +210,7 @@ def test_kernel_basis_orthonormal():
     assert np.max(np.abs(dev)) < 1e-12
 
 
-# -- kernels of sections that split into pieces ---------------------------------
+# -- sections that split into pieces ---------------------------------------------
 
 def dense_kernel(T, config):
     """Oracle: the kernel rule on one dense SVD of the whole section.
