@@ -28,9 +28,9 @@ from .factor import PreconditionError
 from .fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
                        half_signature, lin_diag_G, matrix_recipe, sqrt_diag_G,
                        twisted_contraction)
-from .hayashi import (classify_kernel, construct_kernel, embed_rect,
-                      kernel_angle, pair_from_B, pair_identity_defect,
-                      special_test)
+from .hayashi import (DEFAULT_LADDER, classify_kernel, construct_kernel,
+                      embed_rect, kernel_angle, pair_from_B,
+                      pair_identity_defect, special_test)
 from .nearly import (counterexample_UBU, is_nearly_invariant,
                      sarason_equivalence, section_defect, verify_lemma31)
 from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
@@ -521,7 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_CONFIG.rank_tol)
         sp.add_argument("--residual-tol", type=float,
                         default=DEFAULT_CONFIG.residual_tol)
-        sp.add_argument("--ladder", type=str, default="16,32,64",
+        sp.add_argument("--ladder", type=str,
+                        default=",".join(map(str, DEFAULT_LADDER)),
                         help="comma-separated increasing degrees")
         sp.add_argument("--out", type=str, default=None,
                         help="write output to this path (construct: prefix)")

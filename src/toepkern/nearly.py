@@ -45,10 +45,9 @@ def model_space_basis(U: MatrixSymbol, N: int,
     and the whole model space sits in degrees < d.  The constraints are
     therefore solved on the window W = min(N - deg U, d): they are the rows
     of the section of T_{U*} at degree W, whose null space kernel_basis
-    returns (with its gap and indeterminate flag), and the basis is read at
-    degree N - deg U, its elements zero beyond W; any N >= 2 deg U returns
-    all of K_U.  A rank-deficient U keeps the full window, since its model
-    space reaches every degree.
+    returns, and the basis is read at degree N - deg U, its elements zero
+    beyond W; any N >= 2 deg U returns all of K_U.  A rank-deficient U
+    keeps the full window, since its model space reaches every degree.
     """
     cert = is_inner(U, config)
     if not cert.is_inner:

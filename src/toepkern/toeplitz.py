@@ -1,14 +1,17 @@
 """Finite sections of block Toeplitz operators, numerical kernels, residuals.
 
-Sections are dense matrices.  `kernel_basis` takes one dense SVD of the
-section.  `singular_values`, for callers that need no vectors, splits a
-section that is an exact direct sum (a diagonal or lacunary symbol) into
-its independent pieces and asks each piece for its singular values only; a
-section that does not split is one piece.
+A section is its symbol and its degree; the dense matrix is filled on first
+use.  `kernel_basis` takes one dense SVD of the section.  `singular_values`,
+for callers that need no vectors, reads from the symbol's nonzero pattern
+whether the section is an exact direct sum (a diagonal or lacunary symbol),
+gathers each independent piece's entries straight from the coefficients and
+asks each piece for its singular values only; only a section that does not
+split is filled, as one piece.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,24 +24,25 @@ KERNEL_GAP_FACTOR = 1e3
 class BlockToeplitz:
     """Finite section of T_phi = p_+(phi .) on degrees 0..N.
 
-    matrix has shape (p(N+1), q(N+1)) with block (j, k) equal to the
-    symbol coefficient at degree j - k.
+    Only the symbol and the degree are stored.  matrix, filled on first
+    read and read-only, has shape (p(N+1), q(N+1)) with block (j, k) equal
+    to the symbol coefficient at degree j - k.
     """
 
     symbol: MatrixSymbol
     domain_degree: int
-    matrix: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        # a read-only complex array that owns its data (as build_toeplitz
-        # hands over) is kept; anything else is copied, so the caller's
-        # array cannot change the section
-        arr = self.matrix
-        if not (isinstance(arr, np.ndarray) and arr.dtype == complex
-                and arr.base is None and not arr.flags.writeable):
-            arr = np.array(arr, dtype=complex)
-            arr.setflags(write=False)
-        object.__setattr__(self, "matrix", arr)
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        phi, N = self.symbol, self.domain_degree
+        p, q = phi.rows, phi.cols
+        mat = np.zeros(((N + 1) * p, (N + 1) * q), complex)
+        blocks = mat.reshape(N + 1, p, N + 1, q)
+        for d in range(max(phi.min_deg, -N), min(phi.max_deg, N) + 1):
+            j = np.arange(max(d, 0), min(N, N + d) + 1)
+            blocks[j, :, j - d, :] = phi.coeff(d)
+        mat.setflags(write=False)
+        return mat
 
     def apply(self, f: HardyElement) -> HardyElement:
         vec = f.to_vector(self.domain_degree)
@@ -48,14 +52,7 @@ class BlockToeplitz:
 
 def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
     """Finite section of the block Toeplitz operator with symbol phi."""
-    p, q = phi.rows, phi.cols
-    mat = np.zeros(((N + 1) * p, (N + 1) * q), complex)
-    blocks = mat.reshape(N + 1, p, N + 1, q)
-    for d in range(max(phi.min_deg, -N), min(phi.max_deg, N) + 1):
-        j = np.arange(max(d, 0), min(N, N + d) + 1)
-        blocks[j, :, j - d, :] = phi.coeff(d)
-    mat.setflags(write=False)
-    return BlockToeplitz(phi, N, mat)
+    return BlockToeplitz(phi, N)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,8 +62,6 @@ class SubspaceBasis:
     dim: int
     degree: int
     elements: tuple
-    indeterminate: bool = False
-    gap: float = float("inf")
 
     @property
     def size(self) -> int:
@@ -101,13 +96,11 @@ def numerical_rank(s: np.ndarray, rank_tol: float) -> int:
     return int(np.sum(s > rank_tol * s[0])) if s.size and s[0] > 0 else 0
 
 
-def basis_from_matrix(cols: np.ndarray, dim: int, degree: int,
-                      indeterminate: bool = False,
-                      gap: float = float("inf")) -> SubspaceBasis:
+def basis_from_matrix(cols: np.ndarray, dim: int, degree: int) -> SubspaceBasis:
     gauged = phase_gauge(cols)
     els = tuple(HardyElement.from_vector(gauged[:, j], dim)
                 for j in range(gauged.shape[1]))
-    return SubspaceBasis(dim, degree, els, indeterminate, gap)
+    return SubspaceBasis(dim, degree, els)
 
 
 def orthonormal_basis(cols: np.ndarray, dim: int, degree: int,
@@ -119,19 +112,27 @@ def orthonormal_basis(cols: np.ndarray, dim: int, degree: int,
     return basis_from_matrix(u[:, :numerical_rank(s, rank_tol)], dim, degree)
 
 
-def _pieces(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Connected-component labels of the rows and columns of A.
+def _pieces(T: BlockToeplitz) -> tuple[np.ndarray, np.ndarray]:
+    """Connected-component labels of the rows and columns of the section.
 
-    Row i and column k are joined when A[i, k] != 0.  Each round hooks the
+    Row i and column k are joined when entry (i, k) is nonzero, read from
+    the symbol: a nonzero entry (a, b) of the coefficient at degree d joins
+    row j p + a to column (j - d) q + b for every block row j whose column
+    block lies in the section, O(N nnz) edges.  Each round hooks the
     larger root of every edge whose ends disagree onto the smaller one, then
     jumps pointers (label = label[label]) until every label is a root.
     Labels only decrease and every round merges at least two components, so
     the loop ends when each component carries its smallest node index.
     """
-    r, n = A.shape
-    ii, kk = np.nonzero(A)
-    kk = kk + r
-    label = np.arange(r + n)
+    phi, N = T.symbol, T.domain_degree
+    r = phi.rows * (N + 1)
+    deg, a, b = np.nonzero(phi.coeffs)
+    j = np.arange(N + 1)
+    k = j - (deg[:, None] + phi.min_deg)  # column block of row block j
+    live = (k >= 0) & (k <= N)
+    ii = (j * phi.rows + a[:, None])[live]
+    kk = (k * phi.cols + b[:, None])[live] + r
+    label = np.arange(r + phi.cols * (N + 1))
     while True:
         lu, lv = label[ii], label[kk]
         apart = lu != lv
@@ -150,15 +151,18 @@ def singular_values(T: BlockToeplitz) -> np.ndarray:
     """Singular values of the section, one per column, in descending order.
 
     The section is split into the connected pieces of its row/column
-    coupling (row i and column k joined when the entry is nonzero); a direct
-    sum's singular values are the union of its pieces', so each piece gets
-    its own values-only SVD, pieces of one shape in one stacked call.  Each
+    coupling (_pieces); a direct sum's singular values are the union of its
+    pieces', so each piece gets its own values-only SVD, pieces of one shape
+    in one stacked call.  A piece's entries are gathered from the symbol,
+    entry (i, c) being the coefficient at degree i//p - c//q, entry
+    (i%p, c%q); only a section that does not split reads T.matrix.  Each
     piece's values are zero-padded to its column count (a piece with no
     rows is a zero column), so a section with more columns than rows gets
     zeros for the columns beyond its rank, as kernel_basis counts them.
     """
-    A = T.matrix
-    row_lab, col_lab = _pieces(A)
+    phi, N = T.symbol, T.domain_degree
+    p, q = phi.rows, phi.cols
+    row_lab, col_lab = _pieces(T)
     row_order = np.argsort(row_lab, kind="stable")
     col_order = np.argsort(col_lab, kind="stable")
     sorted_rows = row_lab[row_order]
@@ -166,13 +170,18 @@ def singular_values(T: BlockToeplitz) -> np.ndarray:
                                           return_counts=True)
     row_start = np.searchsorted(sorted_rows, labels, "left")
     n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
+    near = phi.truncate(-N, N)  # coefficients on degrees -N..N, zero-filled
+    band = np.zeros((2 * N + 1, p, q), complex)
+    band[near.min_deg + N:near.max_deg + N + 1] = near.coeffs
     values = []
     for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
         sel = np.flatnonzero((n_rows == a) & (n_cols == b))
-        rows = row_order[row_start[sel, None] + np.arange(a)]
-        cols = col_order[col_start[sel, None] + np.arange(b)]
-        whole = (a, b) == A.shape  # the section does not split: no copy
-        stack = A[None] if whole else A[rows[:, :, None], cols[:, None, :]]
+        rows = row_order[row_start[sel, None] + np.arange(a)][:, :, None]
+        cols = col_order[col_start[sel, None] + np.arange(b)][:, None, :]
+        if (a, b) == (row_lab.size, col_lab.size):  # the section does not split
+            stack = T.matrix[None]
+        else:
+            stack = band[rows // p - cols // q + N, rows % p, cols % q]
         s = np.linalg.svd(stack, compute_uv=False)
         padded = np.zeros((sel.size, b))
         padded[:, :s.shape[1]] = s
@@ -184,24 +193,14 @@ def kernel_basis(T: BlockToeplitz,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
     """Orthonormal basis of the numerical null space of the section.
 
-    One dense SVD with the full right factor, so a section with more columns
-    than rows keeps the null vectors beyond its rank.  The values are
-    zero-padded to one per column and cut at rank_tol times the largest.
-    The ratio of the values either side of the cut is returned as `gap`,
-    and a gap below 1e3 sets `indeterminate` (finite sections of infinite
-    operators can show spurious near-kernels); both are reported only, no
-    verdict reads them.
+    One dense SVD with the full right factor; the basis is the right
+    singular vectors past the rank cut (the values above rank_tol times the
+    largest), so a section with more columns than rows keeps the null
+    vectors beyond its rank.
     """
-    n = T.matrix.shape[1]
-    _, sv, vh = np.linalg.svd(T.matrix)
-    s = np.pad(sv, (0, n - sv.size))
+    _, s, vh = np.linalg.svd(T.matrix)
     cut = numerical_rank(s, config.rank_tol)
-    if cut == n:
-        return SubspaceBasis(T.symbol.cols, T.domain_degree, ())
-    below = s[cut]
-    gap = float("inf") if cut == 0 or below == 0 else float(s[cut - 1] / below)
-    return basis_from_matrix(vh[cut:].conj().T, T.symbol.cols, T.domain_degree,
-                             indeterminate=gap < KERNEL_GAP_FACTOR, gap=gap)
+    return basis_from_matrix(vh[cut:].conj().T, T.symbol.cols, T.domain_degree)
 
 
 def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:

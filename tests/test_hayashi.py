@@ -483,7 +483,7 @@ class TestCrossCheck:
             return set((phi.min_deg + np.flatnonzero(live)).tolist())
 
         assert degrees(built) == degrees(classified)
-        labels = np.concatenate(_pieces(build_toeplitz(built, 2 * n).matrix))
+        labels = np.concatenate(_pieces(build_toeplitz(built, 2 * n)))
         assert np.unique(labels).size == 2
 
 
