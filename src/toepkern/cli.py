@@ -33,9 +33,8 @@ from .hayashi import (DEFAULT_LADDER, classify_kernel, construct_kernel,
                       pair_identity_defect, special_test)
 from .nearly import (counterexample_UBU, is_nearly_invariant,
                      sarason_equivalence, section_defect, verify_lemma31)
-from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
-                      ToleranceConfig, adjoint_flip, apply_symbol,
-                      grid_points, series_inverse, symbol_mul)
+from .symbols import (DEFAULT_CONFIG, MatrixSymbol, ToleranceConfig,
+                      adjoint_flip, grid_points, series_inverse, symbol_mul)
 from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_basis,
                        subspace_angle)
 
@@ -185,8 +184,8 @@ def cmd_construct(args, run: RunConfig) -> int:
         basis_doc = {
             "dim": res.F.dim,
             "degree": res.F.degree,
-            "elements": [[[float(v.real), float(v.imag)] for v in
-                          el.coeffs.reshape(-1)] for el in res.F.elements],
+            "elements": [[[float(v.real), float(v.imag)] for v in col]
+                         for col in res.F.matrix.T],
         }
         with open(run.out + ".basis.json", "w") as fh:
             fh.write(json.dumps(basis_doc, sort_keys=True, indent=2) + "\n")
@@ -326,15 +325,15 @@ def _check_outer_image(run: RunConfig):
             ta = build_toeplitz(adjoint_flip(pair.A), n).matrix
             tb = build_toeplitz(adjoint_flip(pair.B), n).matrix
             rng = np.random.default_rng(5)
-            worst = 0.0
-            for _ in range(8):
-                c = rng.standard_normal((6, m)) + 1j * rng.standard_normal((6, m))
-                # a test polynomial of degree min(5, n) in degrees <= n
-                p = HardyElement(m, np.vstack([c, np.zeros((n, m))])[:n + 1])
-                h = apply_symbol(pair.A, p, n)
-                rhs = tb @ h.to_vector(n)
-                sol = np.linalg.lstsq(ta, rhs, rcond=None)[0]
-                worst = max(worst, float(np.linalg.norm(ta @ sol - rhs)))
+            # eight test polynomials of degree min(5, n), as the columns of
+            # an m x 8 symbol
+            c = np.stack([rng.standard_normal((6, m))
+                          + 1j * rng.standard_normal((6, m)) for _ in range(8)],
+                         axis=2)
+            h = symbol_mul(pair.A, MatrixSymbol(m, 8, 0, c[:n + 1])).window(0, n)
+            rhs = tb @ h.reshape(-1, 8)
+            sol = np.linalg.lstsq(ta, rhs, rcond=None)[0]
+            worst = float(np.max(np.linalg.norm(ta @ sol - rhs, axis=0)))
             rows.append((name, n, worst, 1e-8))
     return rows
 
@@ -405,11 +404,7 @@ def _entry_halfpower(run: RunConfig) -> dict:
     coarse = _halfpower_containment(K)
     fine = _halfpower_containment(2 * K)
     n = run.tolerance.trunc_degree
-    b = sqrt_diag_G(n)
-    cols = np.stack([
-        HardyElement(2, b.coeffs[:, :, j]).to_vector(n) for j in range(2)],
-        axis=1)
-    basis = basis_from_matrix(cols, 2, n)
+    basis = basis_from_matrix(sqrt_diag_G(n).window(0, n).reshape(-1, 2), 2, n)
     nearly = is_nearly_invariant(basis, run.tolerance)
     ok = bool(nearly) and coarse <= 1e-4 and fine <= coarse
     return {"name": "halfpower-diagonal", "nearly_invariant": bool(nearly),

@@ -247,7 +247,7 @@ def _fejer_riesz_scalar(entry: MatrixSymbol, N: int) -> np.ndarray | None:
     d = max(band.max_deg, -band.min_deg)
     if band.max_deg != -band.min_deg and d > 0:
         return None
-    c = np.array([band.coeff(k)[0, 0] for k in range(-d, d + 1)])
+    c = band.window(-d, d)[:, 0, 0]
     if d == 0:
         val = c[0].real
         if val <= 0:
@@ -339,7 +339,7 @@ def _moment_band(phi: MatrixSymbol, M: int) -> np.ndarray:
     n = (M + 1) * m
     d = phi.max_deg
     # degrees 0..d, then a zero block for the entries outside the band
-    low = np.concatenate([phi.coeffs[-phi.min_deg:], np.zeros((1, m, m))])
+    low = phi.window(0, d + 1)
     c = np.arange(n)
     i = c + np.arange(min((d + 1) * m, n))[:, None]
     deg = np.where(i < n, np.minimum(i // m - c // m, d + 1), d + 1)

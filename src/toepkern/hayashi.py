@@ -16,10 +16,10 @@ import numpy as np
 import scipy.linalg
 
 from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
-                      ToleranceConfig, adjoint_flip, apply_symbol, cayley,
-                      hardy_inner, herglotz_taylor, sample_symbol,
-                      series_inverse, symbol_from_samples, symbol_mul)
-from .toeplitz import (KERNEL_GAP_FACTOR, SubspaceBasis, build_toeplitz,
+                      ToleranceConfig, adjoint_flip, cayley, hardy_inner,
+                      herglotz_taylor, sample_symbol, series_inverse,
+                      symbol_from_samples, symbol_mul)
+from .toeplitz import (SubspaceBasis, apply_to_basis, build_toeplitz,
                        numerical_rank, orthonormal_basis, phase_gauge,
                        singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
@@ -29,6 +29,7 @@ from .nearly import model_space_basis, sarason_B
 DEFAULT_LADDER = (16, 32, 64)
 RIGIDITY_FLOOR = 1e-4
 ANGLE_TOL = 1e-5
+KERNEL_GAP_FACTOR = 1e3
 
 
 # -- pairs --------------------------------------------------------------------------
@@ -140,12 +141,12 @@ def _special_or_undecided(test, *args) -> tuple[float, str]:
 
 
 def _gram(g: MatrixSymbol, depth: int) -> np.ndarray:
-    """Column Gram sum_{d <= depth} g_d^H g_d of an analytic symbol."""
-    acc = np.zeros((g.cols, g.cols), complex)
-    for d in range(0, min(depth, g.max_deg) + 1):
-        c = g.coeff(d)
-        acc += c.conj().T @ c
-    return acc
+    """Column Gram sum_{d <= depth} g_d^H g_d of an analytic symbol.
+
+    The per-degree products are added in degree order (np.cumsum): a
+    pairwise sum rounds differently and would move the recipe's scale."""
+    c = g.window(0, depth)
+    return np.cumsum(np.matmul(c.conj().transpose(0, 2, 1), c), axis=0)[-1]
 
 
 # -- rigidity -----------------------------------------------------------------------
@@ -276,12 +277,8 @@ class ClassificationReport:
 
 def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
               config: ToleranceConfig) -> SubspaceBasis:
-    ku = model_space_basis(U, M, config)
-    if ku.size == 0:
-        return SubspaceBasis(G.rows, M, ())
-    images = [apply_symbol(G, k, M) for k in ku.elements]
-    cols = np.stack([f.to_vector(M) for f in images], axis=1)
-    return orthonormal_basis(cols, G.rows, M, config.rank_tol)
+    images = apply_to_basis(G, model_space_basis(U, M, config), M)
+    return orthonormal_basis(images, G.rows, M, config.rank_tol)
 
 
 def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
@@ -304,8 +301,7 @@ def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
         return float(np.pi / 2)
     if q.size == 0:
         return 0.0
-    tq = np.stack([apply_symbol(phi, e, M).to_vector(M) for e in q.elements],
-                  axis=1)
+    tq = apply_to_basis(phi, q, M)
     return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
 
 

@@ -9,7 +9,7 @@ on K_U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -17,8 +17,9 @@ from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       hardy_inner, herglotz_taylor, riesz_project,
                       sample_symbol, symbol_mul)
-from .toeplitz import (SubspaceBasis, build_toeplitz, kernel_basis,
-                       numerical_rank, operator_residual, phase_gauge)
+from .toeplitz import (SubspaceBasis, apply_to_basis, build_toeplitz,
+                       kernel_basis, numerical_rank, operator_residual,
+                       orthonormal_basis, phase_gauge)
 from .factor import PreconditionError, divide_inner, garcia_inner, is_inner
 
 
@@ -45,9 +46,10 @@ def model_space_basis(U: MatrixSymbol, N: int,
     and the whole model space sits in degrees < d.  The constraints are
     therefore solved on the window W = min(N - deg U, d): they are the rows
     of the section of T_{U*} at degree W, whose null space kernel_basis
-    returns, and the basis is read at degree N - deg U, its elements zero
-    beyond W; any N >= 2 deg U returns all of K_U.  A rank-deficient U
-    keeps the full window, since its model space reaches every degree.
+    returns, and the basis is read at degree N - deg U, its columns
+    zero-padded beyond W; any N >= 2 deg U returns all of K_U.  A
+    rank-deficient U keeps the full window, since its model space reaches
+    every degree.
     """
     cert = is_inner(U, config)
     if not cert.is_inner:
@@ -58,32 +60,29 @@ def model_space_basis(U: MatrixSymbol, N: int,
         raise ValueError("N too small: need N >= deg U")
     W = min(M, d) if cert.rank == U.rows else M
     # the rows of the section of T_{U*} are the pairings with the columns U z^k e
-    return replace(kernel_basis(build_toeplitz(adjoint_flip(U), W), config),
-                   degree=M)
+    ker = kernel_basis(build_toeplitz(adjoint_flip(U), W), config)
+    padded = np.pad(ker.matrix, ((0, U.rows * (M - W)), (0, 0)))
+    return SubspaceBasis(U.rows, M, padded)
 
 
 def is_nearly_invariant(F: SubspaceBasis,
                         config: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """True iff S* maps {f in span F : f(0) = 0} back into span F.
 
-    The zero-at-origin slice is the null space of the evaluation-at-0 map
-    on the span; each null direction is backward-shifted and tested for
-    containment within rank_tol.
+    The columns of F may be any spanning set: they are orthonormalized with
+    the shared rank cut (orthonormal_basis) first.  The zero-at-origin slice
+    is the null space of the evaluation-at-0 map on that basis; each null
+    direction is backward-shifted and tested for containment within
+    rank_tol.
     """
-    if F.size == 0:
-        return True
-    mat = F.matrix()
-    q, _ = np.linalg.qr(mat)
-    evals = np.stack([e.coeffs[0] for e in F.elements], axis=1)
-    _, s, vh = np.linalg.svd(evals)
-    null = vh[numerical_rank(s, config.rank_tol):].conj().T
-    for j in range(null.shape[1]):
-        f = HardyElement.from_vector(mat @ null[:, j], F.dim)
-        shifted = f.backward_shift().to_vector(F.degree)
-        resid = shifted - q @ (np.conj(q.T) @ shifted)
-        if np.linalg.norm(resid) > 10 * config.rank_tol * max(1.0, np.linalg.norm(shifted)):
-            return False
-    return True
+    q = orthonormal_basis(F.matrix, F.dim, F.degree, config.rank_tol).matrix
+    _, s, vh = np.linalg.svd(q[:F.dim])
+    vanishing = q @ vh[numerical_rank(s, config.rank_tol):].conj().T
+    shifted = np.zeros_like(vanishing)  # S* f = (f - f(0)) / z
+    shifted[:-F.dim] = vanishing[F.dim:]
+    resid = np.linalg.norm(shifted - q @ (np.conj(q.T) @ shifted), axis=0)
+    bound = 10 * config.rank_tol * np.maximum(1.0, np.linalg.norm(shifted, axis=0))
+    return bool(np.all(resid <= bound))
 
 
 def extract_W(F: SubspaceBasis,
@@ -91,20 +90,18 @@ def extract_W(F: SubspaceBasis,
     """Isometric-multiplier columns: orthonormal basis of F cap (F cap zH2)^perp.
 
     Returns the columns assembled as an analytic m x r symbol G together
-    with r.  Each column has unit H2 norm.
+    with r.  Each column has unit H2 norm.  The columns of F may be any
+    spanning set: they are orthonormalized with the shared rank cut
+    (orthonormal_basis) before the values at 0 are read.
     """
-    if F.size == 0:
+    q = orthonormal_basis(F.matrix, F.dim, F.degree, config.rank_tol).matrix
+    if q.shape[1] == 0:
         raise ValueError("F is trivial")
-    mat = F.matrix()
-    gram = np.conj(mat.T) @ mat
-    if np.linalg.norm(gram - np.eye(F.size)) > 1e-8:
-        mat, _ = np.linalg.qr(mat)
-    evals = np.stack([e.coeffs[0] for e in F.elements], axis=1)
-    _, s, vh = np.linalg.svd(evals)
-    if s.size == 0 or s[0] <= config.rank_tol:
+    _, s, vh = np.linalg.svd(q[:F.dim])
+    if s[0] <= config.rank_tol:
         raise ValueError("every element of F vanishes at 0: W is trivial")
     r = numerical_rank(s, config.rank_tol)
-    w_cols = phase_gauge(mat @ vh[:r].conj().T)
+    w_cols = phase_gauge(q @ vh[:r].conj().T)
     coeffs = w_cols.reshape(F.degree + 1, F.dim, r)
     return MatrixSymbol(F.dim, r, 0, coeffs).compress(1e-14), r
 
@@ -170,13 +167,8 @@ def dbr_kernel(B: MatrixSymbol, lam: complex, u: np.ndarray,
     N = config.trunc_degree
     m = B.rows
     u = np.asarray(u, complex).reshape(m)
-    core = np.zeros((N + 1, m), complex)
-    core[0] = u
-    w = B.eval_at(lam).conj().T @ u
-    for t in range(B.coeffs.shape[0]):
-        d = B.min_deg + t
-        if 0 <= d <= N:
-            core[d] -= B.coeffs[t] @ w
+    core = -(B.window(0, N) @ (B.eval_at(lam).conj().T @ u))
+    core[0] += u
     szego = np.power(np.conj(complex(lam)), np.arange(N + 1))
     out = np.stack([np.convolve(core[:, c], szego)[:N + 1] for c in range(m)],
                    axis=1)
@@ -229,10 +221,8 @@ def isometry_defect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     basis = model_space_basis(U, N, config)
     if basis.size == 0:
         return 0.0
-    deg = max(G.max_deg, 0) + basis.degree
-    images = [apply_symbol(G, f, deg) for f in basis.elements]
-    gram = np.array([[hardy_inner(fj, fi) for fj in images] for fi in images])
-    return float(np.linalg.norm(gram - np.eye(basis.size), 2))
+    images = apply_to_basis(G, basis, max(G.max_deg, 0) + basis.degree)
+    return float(np.linalg.norm(images.conj().T @ images - np.eye(basis.size), 2))
 
 
 @dataclass(frozen=True)
@@ -268,10 +258,8 @@ def sarason_equivalence(G: MatrixSymbol, U: MatrixSymbol, N: int,
     iso = isometry_defect(G, U, N, config)
     div = divide_inner(B, U, config).defect
     basis = model_space_basis(U, N, config)
-    bstar = adjoint_flip(B)
-    ann = 0.0
-    for f in basis.elements:
-        ann = max(ann, apply_symbol(bstar, f, f.degree).norm())
+    images = apply_to_basis(adjoint_flip(B), basis, basis.degree)
+    ann = float(np.linalg.norm(images, axis=0).max(initial=0.0))
     lo = 10 * config.residual_tol
     hi = 1000 * config.residual_tol
     vals = (iso, div, ann)

@@ -2,10 +2,11 @@
 
 Everything downstream (Toeplitz sections, factorizations, classification)
 manipulates two carriers: MatrixSymbol, a matrix Laurent polynomial with
-coefficients on a finite degree band, and HardyElement, an analytic vector
-polynomial. Boundary sampling uses the offset grid xi_j = exp(2 pi i (j+1/2)/K)
-so that real-axis zeros of the standard fixtures (1 +- z) never coincide with a
-sample point.
+coefficients on a finite degree band, and HardyElement, one analytic vector
+polynomial.  MatrixSymbol.window(lo, hi) reads the coefficients on any
+degree range, zero-filled outside the band.  Boundary sampling uses the
+offset grid xi_j = exp(2 pi i (j+1/2)/K) so that real-axis zeros of the
+standard fixtures (1 +- z) never coincide with a sample point.
 """
 from __future__ import annotations
 
@@ -125,8 +126,7 @@ class MatrixSymbol:
             for j, s in enumerate(row):
                 if s.rows != 1 or s.cols != 1:
                     raise ValueError("from_blocks takes scalar symbols")
-                out[s.min_deg - lo:s.min_deg - lo + s.coeffs.shape[0], i, j] = \
-                    s.coeffs[:, 0, 0]
+                out[:, i, j] = s.window(lo, hi)[:, 0, 0]
         return MatrixSymbol(p, q, lo, out)
 
     @staticmethod
@@ -139,8 +139,7 @@ class MatrixSymbol:
         for i, e in enumerate(entries):
             if e.rows != 1 or e.cols != 1:
                 raise ValueError("diag takes scalar symbols")
-            out[e.min_deg - lo:e.min_deg - lo + e.coeffs.shape[0], i, i] = \
-                e.coeffs[:, 0, 0]
+            out[:, i, i] = e.window(lo, hi)[:, 0, 0]
         return MatrixSymbol(m, m, lo, out)
 
     # -- basic queries -----------------------------------------------------
@@ -153,6 +152,15 @@ class MatrixSymbol:
             return self.coeffs[k - self.min_deg]
         return np.zeros((self.rows, self.cols), complex)
 
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """Coefficients on degrees lo..hi, zero outside the band: a new
+        array of shape (hi - lo + 1, rows, cols), empty when hi < lo."""
+        out = np.zeros((max(hi - lo + 1, 0), self.rows, self.cols), complex)
+        a, b = max(lo, self.min_deg), min(hi, self.max_deg)
+        if a <= b:
+            out[a - lo:b - lo + 1] = self.coeffs[a - self.min_deg:b - self.min_deg + 1]
+        return out
+
     def norm_l2(self) -> float:
         """L2(T) norm with the Frobenius norm on matrix values."""
         return float(np.sqrt(np.sum(np.abs(self.coeffs) ** 2)))
@@ -163,10 +171,8 @@ class MatrixSymbol:
             raise ValueError("shape mismatch")
         lo = min(self.min_deg, other.min_deg)
         hi = max(self.max_deg, other.max_deg)
-        out = np.zeros((hi - lo + 1, self.rows, self.cols), complex)
-        out[self.min_deg - lo:self.max_deg - lo + 1] += self.coeffs
-        out[other.min_deg - lo:other.max_deg - lo + 1] += other.coeffs
-        return MatrixSymbol(self.rows, self.cols, lo, out)
+        return MatrixSymbol(self.rows, self.cols, lo,
+                            self.window(lo, hi) + other.window(lo, hi))
 
     def __sub__(self, other: "MatrixSymbol") -> "MatrixSymbol":
         return self + other.scale(-1)
@@ -187,8 +193,10 @@ class MatrixSymbol:
                             self.coeffs[lo2 - self.min_deg:hi2 - self.min_deg + 1])
 
     def compress(self, tol: float = 0.0) -> "MatrixSymbol":
-        """Drop zero margins of the degree band."""
-        mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1)
+        """Drop zero margins of the degree band (a symbol with no rows or
+        no columns compresses to its zero symbol)."""
+        mags = np.abs(self.coeffs).reshape(self.coeffs.shape[0], -1).max(axis=1,
+                                                                         initial=0.0)
         keep = np.nonzero(mags > tol)[0]
         if keep.size == 0:
             return MatrixSymbol.zero(self.rows, self.cols)
@@ -337,10 +345,7 @@ class HardyElement:
     def to_vector(self, degree: int | None = None) -> np.ndarray:
         """Stacked coefficient vector, zero-padded/truncated to degree."""
         n = self.degree if degree is None else degree
-        out = np.zeros(((n + 1), self.dim), complex)
-        take = min(n + 1, self.coeffs.shape[0])
-        out[:take] = self.coeffs[:take]
-        return out.reshape(-1)
+        return self.as_symbol().window(0, n).reshape(-1)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.coeffs))
@@ -361,22 +366,14 @@ class HardyElement:
 
 def hardy_inner(f: HardyElement, g: HardyElement) -> complex:
     """H2 inner product <f, g> = sum_j <f_j, g_j>."""
-    n = max(f.coeffs.shape[0], g.coeffs.shape[0])
-    a = np.zeros((n, f.dim), complex)
-    b = np.zeros((n, g.dim), complex)
-    a[:f.coeffs.shape[0]] = f.coeffs
-    b[:g.coeffs.shape[0]] = g.coeffs
-    return complex(np.sum(a * np.conj(b)))
+    n = max(f.degree, g.degree)
+    return complex(np.sum(f.to_vector(n) * np.conj(g.to_vector(n))))
 
 
 def apply_symbol(a: MatrixSymbol, f: HardyElement, degree: int) -> HardyElement:
     """p_+(a f) truncated to the requested degree (exact convolution first)."""
     prod = symbol_mul(a, f.as_symbol())
-    out = np.zeros((degree + 1, a.rows), complex)
-    lo, hi = max(prod.min_deg, 0), min(prod.max_deg, degree)
-    if lo <= hi:
-        out[lo:hi + 1] = prod.coeffs[lo - prod.min_deg:hi - prod.min_deg + 1, :, 0]
-    return HardyElement(a.rows, out)
+    return HardyElement(a.rows, prod.window(0, degree)[:, :, 0])
 
 
 # -- Herglotz transform and Cayley map ---------------------------------------
@@ -392,12 +389,9 @@ def _check_hermitian_band(density: MatrixSymbol, tol: float) -> None:
 def herglotz_taylor(density: MatrixSymbol, N: int) -> MatrixSymbol:
     """Degree-N Taylor truncation of the Herglotz transform."""
     _check_hermitian_band(density, 1e-10)
-    m = density.rows
-    arr = np.zeros((N + 1, m, m), complex)
+    arr = 2.0 * density.window(0, N)
     arr[0] = density.coeff(0)
-    for k in range(1, N + 1):
-        arr[k] = 2.0 * density.coeff(k)
-    return MatrixSymbol(m, m, 0, arr)
+    return MatrixSymbol(density.rows, density.rows, 0, arr)
 
 
 def series_inverse(a: MatrixSymbol, N: int) -> MatrixSymbol:
@@ -409,7 +403,7 @@ def series_inverse(a: MatrixSymbol, N: int) -> MatrixSymbol:
     m = a.rows
     d = a.max_deg
     s0_inv = np.linalg.inv(a.coeff(0))
-    band = np.array([a.coeff(j) for j in range(1, d + 1)]).reshape(d, m, m)
+    band = a.window(1, d)
     out = np.zeros((N + 1, m, m), complex)
     out[0] = s0_inv
     for k in range(1, N + 1):

@@ -1,5 +1,9 @@
 """Finite sections of block Toeplitz operators, numerical kernels, residuals.
 
+A subspace basis is its column matrix: column j stacks the coefficients of
+one analytic element degree by degree, dim entries per degree.  A symbol
+acts on a whole basis through one symbol product (apply_to_basis).
+
 A section is its symbol and its degree; the dense matrix is filled on first
 use.  `kernel_basis` takes one dense SVD of the section.  `singular_values`,
 for callers that need no vectors, reads from the symbol's nonzero pattern
@@ -10,14 +14,12 @@ split is filled, as one piece.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .symbols import HardyElement, MatrixSymbol, ToleranceConfig, DEFAULT_CONFIG
-
-KERNEL_GAP_FACTOR = 1e3
+from .symbols import MatrixSymbol, ToleranceConfig, DEFAULT_CONFIG, symbol_mul
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,11 +46,6 @@ class BlockToeplitz:
         mat.setflags(write=False)
         return mat
 
-    def apply(self, f: HardyElement) -> HardyElement:
-        vec = f.to_vector(self.domain_degree)
-        out = self.matrix @ vec
-        return HardyElement.from_vector(out, self.symbol.rows)
-
 
 def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
     """Finite section of the block Toeplitz operator with symbol phi."""
@@ -57,26 +54,37 @@ def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
 
 @dataclass(frozen=True, eq=False)
 class SubspaceBasis:
-    """Orthonormal list of Hardy elements spanning a subspace of H2(C^m)."""
+    """Columns spanning a subspace of H2(C^dim) within degrees 0..degree.
+
+    matrix has shape (dim*(degree+1), size): entry (k*dim + i, j) is the
+    degree-k coefficient of channel i of element j.  The bases this module
+    returns are orthonormal.
+    """
 
     dim: int
     degree: int
-    elements: tuple
+    matrix: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if self.matrix.ndim != 2 or len(self.matrix) != self.dim * (self.degree + 1):
+            raise ValueError("matrix must have dim*(degree+1) rows")
 
     @property
     def size(self) -> int:
-        return len(self.elements)
+        return self.matrix.shape[1]
 
-    def matrix(self) -> np.ndarray:
-        """Stacked coefficient columns, shape (dim*(degree+1), size)."""
-        cols = [e.to_vector(self.degree) for e in self.elements]
-        if not cols:
-            return np.zeros((self.dim * (self.degree + 1), 0), complex)
-        return np.stack(cols, axis=1)
 
-    def gram(self) -> np.ndarray:
-        q = self.matrix()
-        return np.conj(q.T) @ q
+def apply_to_basis(phi: MatrixSymbol, Q: SubspaceBasis, degree: int) -> np.ndarray:
+    """Column matrix of p_+(phi q) on degrees 0..degree, one column per
+    column q of Q.
+
+    Q is read as an analytic dim x size symbol with its zero margins
+    trimmed (a model-space basis is zero past its window), so one exact
+    symbol product serves every column.
+    """
+    cols = MatrixSymbol(Q.dim, Q.size, 0, Q.matrix.reshape(Q.degree + 1, Q.dim, Q.size))
+    prod = symbol_mul(phi, cols.compress())
+    return prod.window(0, degree).reshape(phi.rows * (degree + 1), Q.size)
 
 
 def phase_gauge(cols: np.ndarray) -> np.ndarray:
@@ -97,17 +105,13 @@ def numerical_rank(s: np.ndarray, rank_tol: float) -> int:
 
 
 def basis_from_matrix(cols: np.ndarray, dim: int, degree: int) -> SubspaceBasis:
-    gauged = phase_gauge(cols)
-    els = tuple(HardyElement.from_vector(gauged[:, j], dim)
-                for j in range(gauged.shape[1]))
-    return SubspaceBasis(dim, degree, els)
+    """The columns as a basis, each in the shared phase gauge."""
+    return SubspaceBasis(dim, degree, phase_gauge(cols))
 
 
 def orthonormal_basis(cols: np.ndarray, dim: int, degree: int,
                       rank_tol: float = 1e-8) -> SubspaceBasis:
     """Orthonormal basis of the column span via SVD with rank truncation."""
-    if cols.shape[1] == 0:
-        return SubspaceBasis(dim, degree, ())
     u, s, _ = np.linalg.svd(cols, full_matrices=False)
     return basis_from_matrix(u[:, :numerical_rank(s, rank_tol)], dim, degree)
 
@@ -170,9 +174,7 @@ def singular_values(T: BlockToeplitz) -> np.ndarray:
                                           return_counts=True)
     row_start = np.searchsorted(sorted_rows, labels, "left")
     n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
-    near = phi.truncate(-N, N)  # coefficients on degrees -N..N, zero-filled
-    band = np.zeros((2 * N + 1, p, q), complex)
-    band[near.min_deg + N:near.max_deg + N + 1] = near.coeffs
+    band = phi.window(-N, N)
     values = []
     for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
         sel = np.flatnonzero((n_rows == a) & (n_cols == b))
@@ -215,7 +217,7 @@ def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
         return float(np.pi / 2)
     if A.size == 0:
         return 0.0
-    qa, qb = A.matrix(), B.matrix()
+    qa, qb = A.matrix, B.matrix
     cross = np.conj(qa.T) @ qb
     smin = float(np.min(np.linalg.svd(cross, compute_uv=False)))
     if smin >= np.sqrt(0.5):

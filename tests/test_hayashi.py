@@ -298,7 +298,7 @@ class TestClassification:
         ker = kernel_basis(build_toeplitz(rep.symbol, N), CFG)
         assert ker.size == 1
         gvec = HardyElement(1, g_poisson_double(N).coeffs[:, :, 0]).to_vector(N)
-        q = ker.matrix()
+        q = ker.matrix
         assert np.linalg.norm(gvec - q @ (q.conj().T @ gvec)) < 1e-6
 
     def test_singular_mass_blocks_kernel(self):
@@ -325,7 +325,7 @@ class TestClassification:
         rep = classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, m=2), N, CFG)
         ker = kernel_basis(build_toeplitz(rep.symbol, 16), CFG)
         assert ker.size == 4
-        q = ker.matrix()
+        q = ker.matrix
         for col in range(2):
             f = apply_symbol(lin_diag_G(), HardyElement(
                 2, np.eye(2, dtype=complex)[None, col].reshape(1, 2)), 16)
@@ -538,9 +538,9 @@ class TestEmbedding:
         emb = embed_rect(column_G(), MatrixSymbol.monomial(2), N, CFG)
         ker = kernel_basis(build_toeplitz(emb.phi, 16), CFG)
         assert ker.size == 2
-        for e in ker.elements:
-            assert np.max(np.abs(e.coeffs[:, 1])) < 1e-8
-            assert np.max(np.abs(e.coeffs[2:, 0])) < 1e-8
+        vec = ker.matrix.reshape(17, 2, ker.size)  # (degree, channel, element)
+        assert np.max(np.abs(vec[:, 1])) < 1e-8
+        assert np.max(np.abs(vec[2:, 0])) < 1e-8
 
     def test_flagship_channel(self):
         arr = np.zeros((N + 1, 2, 1), complex)

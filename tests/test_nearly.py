@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from toepkern.symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
                               ToleranceConfig, adjoint_flip, apply_symbol,
                               hardy_inner, riesz_project, symbol_mul)
-from toepkern.toeplitz import SubspaceBasis, subspace_angle
+from toepkern.toeplitz import SubspaceBasis, apply_to_basis, subspace_angle
 from toepkern.factor import PreconditionError
 from toepkern.fixtures import (g_one_plus_z, g_poisson, model_inner_det_z,
                                sarason_B_closed_form, sqrt_diag_G)
@@ -51,15 +51,14 @@ def normalized_columns(G: MatrixSymbol) -> MatrixSymbol:
 
 
 def columns_as_basis(G: MatrixSymbol) -> SubspaceBasis:
-    els = tuple(HardyElement(G.rows, np.array(G.coeffs[:, :, j]))
-                for j in range(G.cols))
-    return SubspaceBasis(G.rows, G.max_deg, els)
+    return SubspaceBasis(G.rows, G.max_deg, G.window(0, G.max_deg).reshape(-1, G.cols))
 
 
 def membership_defect(U: MatrixSymbol, basis: SubspaceBasis) -> float:
     """max over basis elements of the analytic mass of U* f (0 inside K_U)."""
     worst = 0.0
-    for f in basis.elements:
+    for col in basis.matrix.T:
+        f = HardyElement.from_vector(col, basis.dim)
         prod = symbol_mul(adjoint_flip(U), f.as_symbol())
         worst = max(worst, riesz_project(prod, "plus").norm_l2())
     return worst
@@ -71,24 +70,23 @@ class TestModelSpace:
     def test_scalar_z2_is_low_monomials(self):
         basis = model_space_basis(MatrixSymbol.monomial(2), 16)
         assert basis.size == 2
-        monos = SubspaceBasis(1, basis.degree, (
-            HardyElement.scalar([1.0] + [0.0] * basis.degree),
-            HardyElement.scalar([0.0, 1.0] + [0.0] * (basis.degree - 1))))
+        monos = SubspaceBasis(1, basis.degree, np.eye(basis.degree + 1, 2))
         assert subspace_angle(basis, monos) < 1e-12
 
     def test_z_times_identity(self):
         basis = model_space_basis(MatrixSymbol.monomial(1, m=2), 12)
         assert basis.size == 2
-        evals = np.stack([e.coeffs[0] for e in basis.elements], axis=1)
+        evals = basis.matrix[:2]
         assert np.linalg.norm(evals.conj().T @ evals - np.eye(2)) < 1e-12
-        assert all(np.linalg.norm(e.coeffs[1:]) < 1e-12 for e in basis.elements)
+        assert np.all(np.linalg.norm(basis.matrix[2:], axis=0) < 1e-12)
 
     def test_garcia_model_space_dimension_three(self):
         U = symbol_mul(MatrixSymbol.monomial(1, m=2), model_inner_det_z())
         assert det2_degree(U) == 3
         basis = model_space_basis(U, 24)
         assert basis.size == 3
-        assert np.linalg.norm(basis.gram() - np.eye(3)) < 1e-10
+        q = basis.matrix
+        assert np.linalg.norm(q.conj().T @ q - np.eye(3)) < 1e-10
         assert membership_defect(U, basis) < 1e-10
 
     def test_small_degree_raises(self):
@@ -120,13 +118,12 @@ def model_space_oracle(U: MatrixSymbol, N: int) -> SubspaceBasis:
     _, s, vh = np.linalg.svd(shifts.conj().T)
     rank = int(np.sum(s > DEFAULT_CONFIG.rank_tol * s[0]))
     null = vh[rank:].conj().T
-    return SubspaceBasis(m, M, tuple(HardyElement.from_vector(null[:, j], m)
-                                     for j in range(null.shape[1])))
+    return SubspaceBasis(m, M, null)
 
 
 def span_distance(A: SubspaceBasis, B: SubspaceBasis) -> float:
     """Sine of the largest principal angle; free of the arccos floor near 0."""
-    qa, qb = A.matrix(), B.matrix()
+    qa, qb = A.matrix, B.matrix
     return float(np.linalg.norm(qb - qa @ (qa.conj().T @ qb), 2))
 
 
@@ -147,8 +144,19 @@ def test_windowed_model_space_matches_full_window(U):
 
 class TestNearlyInvariant:
     def test_shifted_line_is_not(self):
-        f = HardyElement(2, np.array([[0, 0], [1, 0]], complex))
-        assert not is_nearly_invariant(SubspaceBasis(2, 1, (f,)))
+        f = np.array([[0], [0], [1], [0]], complex)  # z e_1
+        assert not is_nearly_invariant(SubspaceBasis(2, 1, f))
+
+    @pytest.mark.parametrize("dim,degree,k,i", [
+        (dim, degree, k, i) for dim in (1, 2, 3) for degree in (1, 2)
+        for k in range(degree + 1) for i in range(dim)])
+    def test_repeated_monomial(self, dim, degree, k, i):
+        # span{z^k e_i}, spanned twice: nearly invariant only for k = 0,
+        # since S* z^k e_i = z^(k-1) e_i is outside the span
+        col = np.zeros((dim * (degree + 1), 1), complex)
+        col[k * dim + i] = 1.0
+        F = SubspaceBasis(dim, degree, np.hstack([col, col]))
+        assert is_nearly_invariant(F) == (k == 0)
 
     def test_half_power_span_is(self):
         F = columns_as_basis(normalized_columns(sqrt_diag_G(32)))
@@ -158,12 +166,8 @@ class TestNearlyInvariant:
         g = g_one_plus_z()
         basis = model_space_basis(MatrixSymbol.monomial(2), 16)
         deg = basis.degree + 1
-        images = [apply_symbol(g, f, deg) for f in basis.elements]
-        cols = np.stack([f.to_vector(deg) for f in images], axis=1)
-        q, _ = np.linalg.qr(cols)
-        span = SubspaceBasis(1, deg, tuple(
-            HardyElement.from_vector(q[:, j], 1) for j in range(q.shape[1])))
-        assert is_nearly_invariant(span)
+        q, _ = np.linalg.qr(apply_to_basis(g, basis, deg))
+        assert is_nearly_invariant(SubspaceBasis(1, deg, q))
 
     def test_model_space_itself_is(self):
         basis = model_space_basis(MatrixSymbol.monomial(3), 16)
@@ -172,9 +176,8 @@ class TestNearlyInvariant:
 
 class TestExtractW:
     def test_column_plus_shift(self):
-        els = (HardyElement(2, np.array([[1, 0], [0, 0]], complex)),
-               HardyElement(2, np.array([[0, 0], [1, 0]], complex)))
-        G, r = extract_W(SubspaceBasis(2, 1, els))
+        cols = np.array([[1, 0], [0, 0], [0, 1], [0, 0]], complex)  # e_1, z e_1
+        G, r = extract_W(SubspaceBasis(2, 1, cols))
         assert r == 1
         assert G.rows == 2 and G.cols == 1
         assert np.allclose(G.coeff(0), [[1], [0]])
@@ -198,9 +201,17 @@ class TestExtractW:
             want = Gn.coeffs[:W.coeffs.shape[0], j, j]
             assert abs(abs(np.vdot(got, want)) - 1.0) < 1e-10
 
+    def test_skew_spanning_set_gives_the_constant(self):
+        # F = span{1 + z, z} = span{1, z}: W = F minus F cap zH2 is the
+        # constants, whatever spanning set F is given by
+        G, r = extract_W(SubspaceBasis(1, 1, np.array([[1, 0], [1, 1]], complex)))
+        assert r == 1
+        assert G.max_deg == 0
+        assert abs(G.coeff(0)[0, 0] - 1.0) < 1e-12
+
     def test_trivial_rejected(self):
         with pytest.raises(ValueError):
-            extract_W(SubspaceBasis(1, 0, ()))
+            extract_W(SubspaceBasis(1, 0, np.zeros((1, 0), complex)))
 
 
 # -- the Sarason construction -------------------------------------------------------

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toepkern import (
@@ -191,6 +191,42 @@ def test_offset_grid_avoids_minus_one():
 
 
 # -- JSON interchange ------------------------------------------------------------
+
+@st.composite
+def symbol_and_range(draw):
+    a = draw(int_symbols())
+    lo_band, hi_band = a.min_deg, a.max_deg
+    kind = draw(st.sampled_from(["inside", "straddle", "below", "above", "empty"]))
+    if kind == "inside":
+        lo = draw(st.integers(lo_band, hi_band))
+        hi = draw(st.integers(lo, hi_band))
+    elif kind == "straddle":  # past one end of the band or both
+        lo = draw(st.integers(lo_band - 4, hi_band))
+        hi = draw(st.integers(max(lo, lo_band), hi_band + 4))
+        assume(lo < lo_band or hi > hi_band)
+    elif kind == "below":
+        hi = lo_band - draw(st.integers(1, 4))
+        lo = hi - draw(st.integers(0, 4))
+    elif kind == "above":
+        lo = hi_band + draw(st.integers(1, 4))
+        hi = lo + draw(st.integers(0, 4))
+    else:
+        lo = draw(st.integers(lo_band - 4, hi_band + 4))
+        hi = lo - 1
+    return a, lo, hi
+
+
+@given(symbol_and_range())
+@settings(max_examples=200, deadline=None)
+def test_window_matches_per_degree_coeff(case):
+    a, lo, hi = case
+    w = a.window(lo, hi)
+    assert w.shape == (max(hi - lo + 1, 0), a.rows, a.cols)
+    for k in range(lo, hi + 1):
+        assert np.array_equal(w[k - lo], a.coeff(k))
+    # a new array: writing to it leaves the symbol alone
+    assert w.flags.writeable and not np.shares_memory(w, a.coeffs)
+
 
 @given(int_symbols())
 @settings(max_examples=50, deadline=None)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from toepkern import HardyElement, MatrixSymbol, ToleranceConfig, apply_symbol
+from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
     SubspaceBasis,
     _pieces,
+    apply_to_basis,
     basis_from_matrix,
     build_toeplitz,
     kernel_basis,
@@ -36,10 +38,11 @@ def test_block_diag_symbol_section():
     phi = MatrixSymbol.diag(MatrixSymbol.monomial(-2), MatrixSymbol.scalar([1.0]))
     T = build_toeplitz(phi, 3)
     f = HardyElement(2, np.array([[1, 5], [2, 6], [3, 7], [4, 8]], dtype=complex))
-    out = T.apply(f)
+    out = (T.matrix @ f.to_vector(3)).reshape(4, 2)
+    assert np.array_equal(out, apply_symbol(phi, f, 3).coeffs)
     # first channel shifts down by two, second channel passes through
-    assert np.allclose(out.coeffs[:, 0], [3, 4, 0, 0])
-    assert np.allclose(out.coeffs[:, 1], [5, 6, 7, 8])
+    assert np.allclose(out[:, 0], [3, 4, 0, 0])
+    assert np.allclose(out[:, 1], [5, 6, 7, 8])
 
 
 def test_constant_symbol_section_is_block_diagonal():
@@ -123,9 +126,9 @@ def test_finite_section_consistency(data):
     phi, f = data
     N = 8
     T = build_toeplitz(phi, N)
-    got = T.apply(f)
+    got = T.matrix @ f.to_vector(N)
     want = apply_symbol(phi, f, N)
-    assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(got, want.to_vector(N))
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -139,18 +142,16 @@ def test_kernel_of_double_backward_shift():
     oracle = basis_from_matrix(np.conj(vh[-2:].T), 1, 4)
     assert subspace_angle(basis, oracle) < 1e-12
     # span must be {1, z}: every element has no degree >= 2 component
-    for e in basis.elements:
-        assert np.max(np.abs(e.to_vector(4)[2:])) < 1e-12
+    assert np.max(np.abs(basis.matrix[2:])) < 1e-12
 
 
 def test_kernel_of_mixed_block_symbol():
     phi = MatrixSymbol.diag(MatrixSymbol.monomial(-2), MatrixSymbol.scalar([1.0]))
     basis = kernel_basis(build_toeplitz(phi, 4), CFG)
     assert basis.size == 2
-    for e in basis.elements:
-        vec = e.to_vector(4).reshape(5, 2)
-        assert np.max(np.abs(vec[:, 1])) < 1e-12  # second channel zero
-        assert np.max(np.abs(vec[2:, 0])) < 1e-12  # first channel degree <= 1
+    vec = basis.matrix.reshape(5, 2, basis.size)  # (degree, channel, element)
+    assert np.max(np.abs(vec[:, 1])) < 1e-12  # second channel zero
+    assert np.max(np.abs(vec[2:, 0])) < 1e-12  # first channel degree <= 1
 
 
 def test_identity_has_empty_kernel():
@@ -178,8 +179,8 @@ def test_kernel_dimension_of_coanalytic_monomial(j, q):
     basis = kernel_basis(T, CFG)
     assert basis.size == q * j
     nrm = np.linalg.norm(T.matrix, 2)
-    for e in basis.elements:
-        assert np.linalg.norm(T.matrix @ e.to_vector(N)) <= 10 * CFG.rank_tol * nrm
+    residuals = np.linalg.norm(T.matrix @ basis.matrix, axis=0)
+    assert np.all(residuals <= 10 * CFG.rank_tol * nrm)
 
 
 def test_kernel_dimension_stable_under_degree_doubling():
@@ -191,7 +192,8 @@ def test_kernel_dimension_stable_under_degree_doubling():
 
 def test_kernel_basis_orthonormal():
     basis = kernel_basis(build_toeplitz(MatrixSymbol.monomial(-3), 6), CFG)
-    dev = basis.gram() - np.eye(basis.size)
+    q = basis.matrix
+    dev = np.conj(q.T) @ q - np.eye(basis.size)
     assert np.max(np.abs(dev)) < 1e-12
 
 
@@ -266,7 +268,7 @@ def test_split_kernel_matches_dense_svd(case, N):
     n = s.size
     assert basis.size == n - cut
     if basis.size:
-        q = basis.matrix()
+        q = basis.matrix
         assert np.linalg.norm(null - q @ (np.conj(q.T) @ null), 2) < 1e-12
     # each oracle value carries an absolute error of order n eps s[0]
     err = 10 * n * np.finfo(float).eps * s[0]
@@ -430,3 +432,67 @@ def test_orthonormal_basis_collapses_dependent_columns():
     cols = np.array([[1, 2], [1, 2], [0, 0]], dtype=complex)
     b = orthonormal_basis(cols, 1, 2)
     assert b.size == 1
+
+
+def test_basis_matrix_rows_must_match_the_degree_range():
+    with pytest.raises(ValueError):
+        SubspaceBasis(2, 3, np.zeros((7, 1), complex))
+
+
+# -- a symbol acting on a whole basis ----------------------------------------------
+
+def image_by_columns(phi, basis, degree):
+    """Oracle: apply_symbol to each column as its own element, restacked."""
+    cols = [apply_symbol(phi, HardyElement.from_vector(basis.matrix[:, j], basis.dim),
+                         degree).to_vector(degree) for j in range(basis.size)]
+    return np.stack(cols, axis=1)
+
+
+@st.composite
+def symbol_and_basis(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    lo = draw(st.integers(-4, 2))
+    hi = draw(st.integers(lo, 4))
+    deg, size = draw(st.integers(0, 5)), draw(st.integers(1, 3))
+    # zero margins at both ends of the basis band, as in a padded model space
+    live = draw(st.integers(0, deg))
+    cols = np.zeros((deg + 1, q, size), complex)
+    cols[live:] = _band(rng, (q, size), live, deg) * (rng.random((deg + 1 - live, 1, 1)) < 0.7)
+    basis = SubspaceBasis(q, deg, cols.reshape(-1, size))
+    return MatrixSymbol(p, q, lo, _band(rng, (p, q), lo, hi)), basis, draw(st.integers(0, 8))
+
+
+@given(symbol_and_basis())
+@settings(max_examples=100, deadline=None)
+def test_basis_image_matches_column_loop(case):
+    phi, basis, degree = case
+    got = apply_to_basis(phi, basis, degree)
+    assert got.shape == (phi.rows * (degree + 1), basis.size)
+    assert np.allclose(got, image_by_columns(phi, basis, degree), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("U", [
+    MatrixSymbol.monomial(2), MatrixSymbol.monomial(1, 2),
+    MatrixSymbol.diag(MatrixSymbol.monomial(1), MatrixSymbol.monomial(3)),
+], ids=["z2", "zI2", "diag-z-z3"])
+def test_basis_image_of_padded_model_space(U):
+    # K_U sits in degrees < deg U; the basis is solved on degrees <= deg U
+    # and zero-padded to 40 - deg U
+    basis = model_space_basis(U, 40)
+    assert np.max(np.abs(basis.matrix[U.rows * U.max_deg:])) < 1e-14
+    assert not np.any(basis.matrix[U.rows * (U.max_deg + 1):])
+    phi = MatrixSymbol(U.rows, U.rows, -2, np.arange(1, 4 * U.rows ** 2 + 1)
+                       .reshape(4, U.rows, U.rows) / 7)
+    for degree in (0, 3, basis.degree, basis.degree + 2):
+        assert np.allclose(apply_to_basis(phi, basis, degree),
+                           image_by_columns(phi, basis, degree), rtol=0, atol=1e-13)
+
+
+def test_basis_image_of_empty_model_space():
+    # a constant unitary U has K_U = {0}: the image has no columns
+    U = MatrixSymbol.constant(np.array([[0, 1], [1, 0]]))
+    basis = model_space_basis(U, 6)
+    assert basis.size == 0 and basis.matrix.shape == (14, 0)
+    phi = MatrixSymbol(3, 2, -1, np.ones((3, 3, 2)))
+    assert apply_to_basis(phi, basis, 4).shape == (15, 0)
