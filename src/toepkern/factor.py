@@ -46,15 +46,13 @@ class PreconditionError(ValueError):
 class InnerCertificate:
     """Partial-isometry certificate for a square analytic symbol.
 
-    domain_projector is the constant value of U(xi)^H U(xi), range_projector
-    the constant value of U(xi) U(xi)^H; deviation is the worst grid sample's
-    distance from that behavior.
+    rank is the rank of the constant projector U(xi)^H U(xi); deviation is
+    the worst grid sample's distance from constant projectors U(xi)^H U(xi)
+    and U(xi) U(xi)^H.
     """
 
     is_inner: bool
     rank: int
-    domain_projector: np.ndarray
-    range_projector: np.ndarray
     deviation: float
 
 
@@ -80,7 +78,7 @@ def is_inner(U: MatrixSymbol,
     eigs = np.linalg.eigvalsh((Pm + np.conj(Pm.T)) / 2)
     dev = max(dev, float(np.max(np.minimum(np.abs(eigs), np.abs(1 - eigs)))))
     rank = int(np.sum(eigs > 0.5))
-    return InnerCertificate(dev <= 10 * config.residual_tol, rank, Pm, Qm, dev)
+    return InnerCertificate(dev <= 10 * config.residual_tol, rank, dev)
 
 
 def garcia_inner(theta: MatrixSymbol, a: MatrixSymbol, b: MatrixSymbol,

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
-                      ToleranceConfig, adjoint_flip, cayley, hardy_inner,
+from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
+                      ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       herglotz_taylor, sample_symbol, series_inverse,
                       symbol_from_samples, symbol_mul)
-from .toeplitz import (SubspaceBasis, apply_to_basis, build_toeplitz,
-                       numerical_rank, orthonormal_basis, phase_gauge,
-                       singular_values)
+from .toeplitz import (basis_from_matrix, build_toeplitz, numerical_rank,
+                       orthonormal_basis, phase_gauge, singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
 from .nearly import model_space_basis, sarason_B
@@ -156,7 +155,8 @@ class RigidityReport:
     """sigma_min ladder of the finite sections of F* F^{-1}.
 
     verdict "non-rigid" always carries a certified witness (a kernel
-    vector v with ||T v|| <= 10 rank_tol ||v||); "rigid" requires the
+    vector v with ||T v|| <= 10 rank_tol ||v||, one column of dimension
+    F.rows at the ladder degree where it was found); "rigid" requires the
     ladder to stay above the floor without decay; anything else is
     "indeterminate" since finite sections cannot prove an infinite kernel
     trivial.
@@ -165,7 +165,7 @@ class RigidityReport:
     verdict: str
     sigma_ladder: tuple
     ladder: tuple
-    witness: HardyElement | None = None
+    witness: SubspaceBasis | None = None
     witness_residual: float = float("inf")
 
 
@@ -191,8 +191,7 @@ def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
                 v = vh[-1].conj()
                 resid = float(np.linalg.norm(T.matrix @ v))
                 if resid <= 10 * config.rank_tol:
-                    witness = HardyElement.from_vector(
-                        phase_gauge(v[:, None])[:, 0], F.rows)
+                    witness = basis_from_matrix(v[:, None], F.rows, n)
                     witness_residual = resid
     if witness is not None:
         verdict = "non-rigid"
@@ -277,8 +276,8 @@ class ClassificationReport:
 
 def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
               config: ToleranceConfig) -> SubspaceBasis:
-    images = apply_to_basis(G, model_space_basis(U, M, config), M)
-    return orthonormal_basis(images, G.rows, M, config.rank_tol)
+    images = apply_symbol(G, model_space_basis(U, M, config), M)
+    return orthonormal_basis(images.matrix, G.rows, M, config.rank_tol)
 
 
 def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
@@ -301,7 +300,7 @@ def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
         return float(np.pi / 2)
     if q.size == 0:
         return 0.0
-    tq = apply_to_basis(phi, q, M)
+    tq = apply_symbol(phi, q, M).matrix
     return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
 
 
@@ -334,7 +333,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
         raise ValueError("rectangular G: use embed_rect")
     _require_inner_U(U, config)
 
-    _, B = sarason_B(G, N, config)
+    B = sarason_B(G, N, config)
     div = divide_inner(B, U, config)
     if div.divisible:
         div_verdict = "divisible"
@@ -496,25 +495,30 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
 
 # -- the H(B) inner product ---------------------------------------------------------
 
-def hb_inner(h1: HardyElement, h2: HardyElement, pair: Pair,
+def hb_inner(h1: SubspaceBasis, h2: SubspaceBasis, pair: Pair,
              config: ToleranceConfig = DEFAULT_CONFIG) -> complex:
     """<h1, h2> + <h1+, h2+> where T_{A*} h+ = T_{B*} h at degree N.
 
-    The companion h+ is found by least squares on the finite sections; a
-    large solve residual means h is not in H(B) at this truncation.
+    h1 and h2 are one-column bases.  The companion h+ is found by least
+    squares on the finite sections; a large solve residual means h is not
+    in H(B) at this truncation.
     """
     N = config.trunc_degree
     TA = build_toeplitz(adjoint_flip(pair.A), N).matrix
     TB = build_toeplitz(adjoint_flip(pair.B), N).matrix
 
-    def companion(h: HardyElement) -> HardyElement:
-        rhs = TB @ h.to_vector(N)
+    def vector(h: SubspaceBasis, n: int) -> np.ndarray:
+        return h.as_symbol().window(0, n).reshape(-1)
+
+    def companion(h: SubspaceBasis) -> np.ndarray:
+        rhs = TB @ vector(h, N)
         sol, *_ = np.linalg.lstsq(TA, rhs, rcond=None)
         resid = float(np.linalg.norm(TA @ sol - rhs))
-        if resid > 10 * config.residual_tol * max(1.0, h.norm()):
+        if resid > 10 * config.residual_tol * max(1.0, np.linalg.norm(h.matrix)):
             raise ValueError(
                 f"not in H(B) at this truncation: solve residual {resid:.3e}")
-        return HardyElement.from_vector(sol, h.dim)
+        return sol
 
+    n = max(h1.degree, h2.degree)
     p1, p2 = companion(h1), companion(h2)
-    return hardy_inner(h1, h2) + hardy_inner(p1, p2)
+    return complex(np.vdot(vector(h2, n), vector(h1, n)) + np.vdot(p2, p1))

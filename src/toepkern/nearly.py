@@ -9,17 +9,16 @@ on K_U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .symbols import (DEFAULT_CONFIG, HardyElement, MatrixSymbol,
+from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
-                      hardy_inner, herglotz_taylor, riesz_project,
-                      sample_symbol, symbol_mul)
-from .toeplitz import (SubspaceBasis, apply_to_basis, build_toeplitz,
-                       kernel_basis, numerical_rank, operator_residual,
-                       orthonormal_basis, phase_gauge)
+                      herglotz_taylor, riesz_project, sample_symbol,
+                      symbol_mul)
+from .toeplitz import (build_toeplitz, kernel_basis, numerical_rank,
+                       operator_residual, orthonormal_basis, phase_gauge)
 from .factor import PreconditionError, divide_inner, garcia_inner, is_inner
 
 
@@ -108,24 +107,8 @@ def extract_W(F: SubspaceBasis,
 
 # -- the Sarason construction -------------------------------------------------------
 
-@dataclass(frozen=True)
-class HerglotzData:
-    """Analytic Herglotz transform F of a boundary density.
-
-    V is the Hermitian imaginary part of F(0); f0_deviation records the
-    spectral-norm distance of F(0) - iV from the identity (zero exactly
-    when the source columns are orthonormal).
-    """
-
-    F: MatrixSymbol
-    density: MatrixSymbol
-    V: np.ndarray = field(repr=False)
-    f0_deviation: float = 0.0
-
-
 def sarason_B(G: MatrixSymbol, N: int,
-              config: ToleranceConfig = DEFAULT_CONFIG
-              ) -> tuple[HerglotzData, MatrixSymbol]:
+              config: ToleranceConfig = DEFAULT_CONFIG) -> MatrixSymbol:
     """Contraction B attached to an isometric multiplier G.
 
     Parameters
@@ -137,9 +120,9 @@ def sarason_B(G: MatrixSymbol, N: int,
 
     Returns
     -------
-    (HerglotzData, MatrixSymbol)
-        F = Herglotz transform of G*G with F(0) = I, and B = cayley(F),
-        an r x r contraction with B(0) = 0.
+    MatrixSymbol
+        B = cayley(F), an r x r contraction with B(0) = 0, where F is the
+        degree-N Herglotz transform of G*G, so F(0) = I.
     """
     # unit-norm columns bound every entry by 1; checked before G*G can overflow
     peak = float(np.max(np.abs(G.coeffs)))
@@ -149,16 +132,12 @@ def sarason_B(G: MatrixSymbol, N: int,
     gram_dev = float(np.linalg.norm(density.coeff(0) - np.eye(G.cols), 2))
     if gram_dev > 10 * config.residual_tol:
         raise PreconditionError("columns of G orthonormal in H2", gram_dev)
-    F = herglotz_taylor(density, N)
-    f0 = F.coeff(0)
-    V = (f0 - f0.conj().T) / 2j
-    dev = float(np.linalg.norm(f0 - 1j * V - np.eye(G.cols), 2))
-    return HerglotzData(F, density, V, dev), cayley(F)
+    return cayley(herglotz_taylor(density, N))
 
 
 def dbr_kernel(B: MatrixSymbol, lam: complex, u: np.ndarray,
-               config: ToleranceConfig = DEFAULT_CONFIG) -> HardyElement:
-    """Reproducing kernel of H(B) at lam applied to u.
+               config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
+    """Reproducing kernel of H(B) at lam applied to u, as one column.
 
     Degree-N truncation of (I - B(z) B(lam)*) u / (1 - conj(lam) z).
     """
@@ -172,13 +151,13 @@ def dbr_kernel(B: MatrixSymbol, lam: complex, u: np.ndarray,
     szego = np.power(np.conj(complex(lam)), np.arange(N + 1))
     out = np.stack([np.convolve(core[:, c], szego)[:N + 1] for c in range(m)],
                    axis=1)
-    return HardyElement(m, out)
+    return SubspaceBasis(m, N, out.reshape(-1, 1))
 
 
-def _szego_element(lam: complex, u: np.ndarray, N: int) -> HardyElement:
+def _szego_element(lam: complex, u: np.ndarray, N: int) -> SubspaceBasis:
     u = np.asarray(u, complex)
     pows = np.power(np.conj(complex(lam)), np.arange(N + 1))
-    return HardyElement(u.size, pows[:, None] * u[None, :])
+    return SubspaceBasis(u.size, N, (pows[:, None] * u[None, :]).reshape(-1, 1))
 
 
 def verify_lemma31(G: MatrixSymbol, B: MatrixSymbol, points,
@@ -197,9 +176,9 @@ def verify_lemma31(G: MatrixSymbol, B: MatrixSymbol, points,
     for w, u, zz, v in points:
         u = np.asarray(u, complex).reshape(m)
         v = np.asarray(v, complex).reshape(m)
-        fu = apply_symbol(G, _szego_element(w, u, N), N)
-        fv = apply_symbol(G, _szego_element(zz, v, N), N)
-        lhs = hardy_inner(fu, fv)
+        fu = apply_symbol(G, _szego_element(w, u, N), N).matrix[:, 0]
+        fv = apply_symbol(G, _szego_element(zz, v, N), N).matrix[:, 0]
+        lhs = complex(np.sum(fu * np.conj(fv)))
         a = np.linalg.solve(eye - B.eval_at(w).conj().T, u)
         b = np.linalg.solve(eye - B.eval_at(zz).conj().T, v)
         kernel = (eye - B.eval_at(zz) @ B.eval_at(w).conj().T) \
@@ -218,10 +197,14 @@ def isometry_defect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     Products are exact polynomials (no tail is discarded), so the value
     measures the operator rather than the truncation.
     """
-    basis = model_space_basis(U, N, config)
+    return _gram_defect(G, model_space_basis(U, N, config))
+
+
+def _gram_defect(G: MatrixSymbol, basis: SubspaceBasis) -> float:
+    """isometry_defect on a model-space basis already built."""
     if basis.size == 0:
         return 0.0
-    images = apply_to_basis(G, basis, max(G.max_deg, 0) + basis.degree)
+    images = apply_symbol(G, basis, max(G.max_deg, 0) + basis.degree).matrix
     return float(np.linalg.norm(images.conj().T @ images - np.eye(basis.size), 2))
 
 
@@ -254,11 +237,11 @@ def sarason_equivalence(G: MatrixSymbol, U: MatrixSymbol, N: int,
     annihilation defect max ||T_{B*} h|| over the model-space basis, then
     checks the three agree on which side of the tolerance they fall.
     """
-    _, B = sarason_B(G, N, config)
-    iso = isometry_defect(G, U, N, config)
-    div = divide_inner(B, U, config).defect
+    B = sarason_B(G, N, config)
     basis = model_space_basis(U, N, config)
-    images = apply_to_basis(adjoint_flip(B), basis, basis.degree)
+    iso = _gram_defect(G, basis)
+    div = divide_inner(B, U, config).defect
+    images = apply_symbol(adjoint_flip(B), basis, basis.degree).matrix
     ann = float(np.linalg.norm(images, axis=0).max(initial=0.0))
     lo = 10 * config.residual_tol
     hi = 1000 * config.residual_tol
@@ -283,21 +266,22 @@ def section_defect(G: MatrixSymbol, B: MatrixSymbol, n: int) -> float:
     return operator_residual(S @ S.conj().T, eye - tb @ tb.conj().T, n)
 
 
-def divide_by_G(f: HardyElement, G: MatrixSymbol, B: MatrixSymbol,
-                config: ToleranceConfig = DEFAULT_CONFIG) -> HardyElement:
+def divide_by_G(f: SubspaceBasis, G: MatrixSymbol, B: MatrixSymbol,
+                config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
     """Division inside F = G K_U: the h with G h = f, computed as T_{I-B} T_{G*} f.
 
-    T_{G*} f is formed to degree 2N and h = p_+((I - B) T_{G*} f) is kept
-    to degree N.  Raises when the reconstruction residual ||p_+(G h) - f||
-    shows f is outside the expected range at this truncation.
+    f and h are one-column bases.  T_{G*} f is formed to degree 2N and
+    h = p_+((I - B) T_{G*} f) is kept to degree N.  Raises when the
+    reconstruction residual ||p_+(G h) - f|| shows f is outside the
+    expected range at this truncation.
     """
     N = config.trunc_degree
     step = apply_symbol(adjoint_flip(G), f, 2 * N)
     h = apply_symbol(MatrixSymbol.identity(B.rows) - B, step, N)
-    back = apply_symbol(G, h, max(f.degree, N))
-    resid = float(np.linalg.norm(back.to_vector(max(f.degree, N))
-                                 - f.to_vector(max(f.degree, N))))
-    if resid > 1000 * config.residual_tol * max(1.0, f.norm()):
+    back = apply_symbol(G, h, max(f.degree, N)).matrix
+    back[:len(f.matrix)] -= f.matrix
+    resid = float(np.linalg.norm(back))
+    if resid > 1000 * config.residual_tol * max(1.0, np.linalg.norm(f.matrix)):
         raise ValueError(f"f is not in G K_U at this truncation: residual {resid:.3e}")
     return h
 

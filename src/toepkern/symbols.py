@@ -2,16 +2,18 @@
 
 Everything downstream (Toeplitz sections, factorizations, classification)
 manipulates two carriers: MatrixSymbol, a matrix Laurent polynomial with
-coefficients on a finite degree band, and HardyElement, one analytic vector
-polynomial.  MatrixSymbol.window(lo, hi) reads the coefficients on any
-degree range, zero-filled outside the band.  Boundary sampling uses the
-offset grid xi_j = exp(2 pi i (j+1/2)/K) so that real-axis zeros of the
-standard fixtures (1 +- z) never coincide with a sample point.
+coefficients on a finite degree band, and SubspaceBasis, the column matrix
+of analytic vector polynomials, one column per element.
+MatrixSymbol.window(lo, hi) reads the coefficients on any degree range,
+zero-filled outside the band; apply_symbol acts on every column at once.
+Boundary sampling uses the offset grid xi_j = exp(2 pi i (j+1/2)/K) so that
+real-axis zeros of the standard fixtures (1 +- z) never coincide with a
+sample point.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -312,68 +314,47 @@ def symbols_allclose(a: MatrixSymbol, b: MatrixSymbol, tol: float = 1e-12) -> bo
     return (a - b).norm_l2() <= tol
 
 
-# -- Hardy elements -----------------------------------------------------------
+# -- analytic columns ---------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
-class HardyElement:
-    """Analytic vector polynomial f = sum_j coeffs[j] z^j, coeffs (N+1, m)."""
+class SubspaceBasis:
+    """Analytic columns in H2(C^dim) on degrees 0..degree.
+
+    matrix has shape (dim*(degree+1), size): entry (k*dim + i, j) is the
+    degree-k coefficient of channel i of column j.  One column is one
+    element (a Szego kernel, an image T_a f, a rigidity witness); several
+    span a subspace.  The columns are orthonormal only where the producer
+    says so: orthonormal_basis, kernel_basis and model_space_basis.
+    """
 
     dim: int
-    coeffs: np.ndarray = field(repr=False)
+    degree: int
+    matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.ndim != 2 or arr.shape[1] != self.dim:
-            raise ValueError("coeffs must have shape (N+1, dim)")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "coeffs", arr)
-
-    @staticmethod
-    def from_vector(vec: np.ndarray, dim: int) -> "HardyElement":
-        vec = np.asarray(vec, dtype=complex).reshape(-1, dim)
-        return HardyElement(dim, vec)
-
-    @staticmethod
-    def scalar(series: Sequence[complex]) -> "HardyElement":
-        return HardyElement(1, np.asarray(series, complex).reshape(-1, 1))
+        if self.matrix.ndim != 2 or len(self.matrix) != self.dim * (self.degree + 1):
+            raise ValueError("matrix must have dim*(degree+1) rows")
 
     @property
-    def degree(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    def to_vector(self, degree: int | None = None) -> np.ndarray:
-        """Stacked coefficient vector, zero-padded/truncated to degree."""
-        n = self.degree if degree is None else degree
-        return self.as_symbol().window(0, n).reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def eval_at(self, z: complex) -> np.ndarray:
-        powers = np.power(complex(z), np.arange(self.coeffs.shape[0]))
-        return powers @ self.coeffs
+    def size(self) -> int:
+        return self.matrix.shape[1]
 
     def as_symbol(self) -> MatrixSymbol:
-        return MatrixSymbol(self.dim, 1, 0, self.coeffs[:, :, None])
-
-    def backward_shift(self) -> "HardyElement":
-        """S* f = (f - f(0))/z."""
-        if self.coeffs.shape[0] == 1:
-            return HardyElement(self.dim, np.zeros((1, self.dim), complex))
-        return HardyElement(self.dim, self.coeffs[1:])
+        """The columns as an analytic dim x size symbol."""
+        return MatrixSymbol(self.dim, self.size, 0,
+                            self.matrix.reshape(self.degree + 1, self.dim, self.size))
 
 
-def hardy_inner(f: HardyElement, g: HardyElement) -> complex:
-    """H2 inner product <f, g> = sum_j <f_j, g_j>."""
-    n = max(f.degree, g.degree)
-    return complex(np.sum(f.to_vector(n) * np.conj(g.to_vector(n))))
+def apply_symbol(a: MatrixSymbol, Q: SubspaceBasis, degree: int) -> SubspaceBasis:
+    """p_+(a q) on degrees 0..degree for every column q of Q.
 
-
-def apply_symbol(a: MatrixSymbol, f: HardyElement, degree: int) -> HardyElement:
-    """p_+(a f) truncated to the requested degree (exact convolution first)."""
-    prod = symbol_mul(a, f.as_symbol())
-    return HardyElement(a.rows, prod.window(0, degree)[:, :, 0])
+    Q is read as an analytic symbol with its zero margins trimmed (a
+    model-space basis is zero past its window), so one exact symbol
+    product serves every column.
+    """
+    prod = symbol_mul(a, Q.as_symbol().compress())
+    return SubspaceBasis(a.rows, degree,
+                         prod.window(0, degree).reshape(a.rows * (degree + 1), Q.size))
 
 
 # -- Herglotz transform and Cayley map ---------------------------------------

@@ -1,8 +1,7 @@
 """Finite sections of block Toeplitz operators, numerical kernels, residuals.
 
-A subspace basis is its column matrix: column j stacks the coefficients of
-one analytic element degree by degree, dim entries per degree.  A symbol
-acts on a whole basis through one symbol product (apply_to_basis).
+orthonormal_basis and kernel_basis return a symbols.SubspaceBasis with
+orthonormal columns, each column in one phase gauge (basis_from_matrix).
 
 A section is its symbol and its degree; the dense matrix is filled on first
 use.  `kernel_basis` takes one dense SVD of the section.  `singular_values`,
@@ -14,12 +13,12 @@ split is filled, as one piece.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .symbols import MatrixSymbol, ToleranceConfig, DEFAULT_CONFIG, symbol_mul
+from .symbols import DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis, ToleranceConfig
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,41 +49,6 @@ class BlockToeplitz:
 def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
     """Finite section of the block Toeplitz operator with symbol phi."""
     return BlockToeplitz(phi, N)
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceBasis:
-    """Columns spanning a subspace of H2(C^dim) within degrees 0..degree.
-
-    matrix has shape (dim*(degree+1), size): entry (k*dim + i, j) is the
-    degree-k coefficient of channel i of element j.  The bases this module
-    returns are orthonormal.
-    """
-
-    dim: int
-    degree: int
-    matrix: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if self.matrix.ndim != 2 or len(self.matrix) != self.dim * (self.degree + 1):
-            raise ValueError("matrix must have dim*(degree+1) rows")
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[1]
-
-
-def apply_to_basis(phi: MatrixSymbol, Q: SubspaceBasis, degree: int) -> np.ndarray:
-    """Column matrix of p_+(phi q) on degrees 0..degree, one column per
-    column q of Q.
-
-    Q is read as an analytic dim x size symbol with its zero margins
-    trimmed (a model-space basis is zero past its window), so one exact
-    symbol product serves every column.
-    """
-    cols = MatrixSymbol(Q.dim, Q.size, 0, Q.matrix.reshape(Q.degree + 1, Q.dim, Q.size))
-    prod = symbol_mul(phi, cols.compress())
-    return prod.window(0, degree).reshape(phi.rows * (degree + 1), Q.size)
 
 
 def phase_gauge(cols: np.ndarray) -> np.ndarray:
@@ -208,11 +172,17 @@ def kernel_basis(T: BlockToeplitz,
 def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
     """Largest principal angle between the spans; pi/2 on dimension mismatch.
 
-    Angles below pi/4 are read from the sine, ||Q_B - Q_A Q_A^H Q_B||, since
-    the arccos of a cosine near 1 cannot resolve angles below ~1e-8.
+    Both bases must have orthonormal columns (||Q^H Q - I||_2 <= 1e-8),
+    else ValueError.  Angles below pi/4 are read from the sine,
+    ||Q_B - Q_A Q_A^H Q_B||, since the arccos of a cosine near 1 cannot
+    resolve angles below ~1e-8.
     """
     if A.dim != B.dim or A.degree != B.degree:
         raise ValueError("bases live on different ambient spaces")
+    for Q in (A, B):
+        gram = np.conj(Q.matrix.T) @ Q.matrix
+        if Q.size and np.linalg.norm(gram - np.eye(Q.size), 2) > 1e-8:
+            raise ValueError("subspace_angle needs orthonormal columns")
     if A.size != B.size:
         return float(np.pi / 2)
     if A.size == 0:

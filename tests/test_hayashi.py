@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toepkern import (
-    HardyElement,
     MatrixSymbol,
+    SubspaceBasis,
     ToleranceConfig,
     adjoint_flip,
     apply_symbol,
@@ -82,6 +82,17 @@ def quotient_pair():
     inv = series_inverse(MatrixSymbol.scalar([2.0, 1.0]), N)
     a = symbol_mul(MatrixSymbol.scalar([np.sqrt(2), np.sqrt(2)]), inv)
     return inv, a
+
+
+def column(coeffs, dim=1):
+    """One-column basis from degree-major coefficients, dim per degree."""
+    arr = np.asarray(coeffs, complex).reshape(-1, 1)
+    return SubspaceBasis(dim, len(arr) // dim - 1, arr)
+
+
+def window(f, n):
+    """The column of f on degrees 0..n, zero-padded or cut."""
+    return f.as_symbol().window(0, n).reshape(-1)
 
 
 def contracted_lambda(G, B, f, depth):
@@ -206,18 +217,20 @@ class TestRigidity:
     def test_one_plus_z_witness(self):
         rep = rigidity_test(g_one_plus_z(), config=CFG)
         assert rep.verdict == "non-rigid"
-        assert rep.witness is not None
+        w = rep.witness
+        assert w is not None
+        assert (w.dim, w.degree, w.size) == (1, rep.ladder[0], 1)
         assert rep.witness_residual < 1e-10
         # boundary ratio is zbar, so the kernel is the constants
-        assert rep.witness.backward_shift().norm() < 1e-8
-        assert abs(abs(rep.witness.eval_at(0)[0]) - 1.0) < 1e-8
+        assert np.linalg.norm(w.matrix[w.dim:]) < 1e-8
+        assert abs(abs(w.matrix[0, 0]) - 1.0) < 1e-8
 
     def test_double_zero_witness(self):
         rep = rigidity_test(MatrixSymbol.scalar([1.0, 0.0, 1.0]), config=CFG)
         assert rep.verdict == "non-rigid"
         w = rep.witness
         assert w is not None and rep.witness_residual < 1e-8
-        assert w.backward_shift().backward_shift().norm() < 1e-8
+        assert np.linalg.norm(w.matrix[2 * w.dim:]) < 1e-8
 
     def test_flagship_rigid(self):
         rep = rigidity_test(g_poisson(N), config=CFG)
@@ -297,7 +310,7 @@ class TestClassification:
         rep = flagship_report()
         ker = kernel_basis(build_toeplitz(rep.symbol, N), CFG)
         assert ker.size == 1
-        gvec = HardyElement(1, g_poisson_double(N).coeffs[:, :, 0]).to_vector(N)
+        gvec = g_poisson_double(N).window(0, N).reshape(-1)
         q = ker.matrix
         assert np.linalg.norm(gvec - q @ (q.conj().T @ gvec)) < 1e-6
 
@@ -327,9 +340,8 @@ class TestClassification:
         assert ker.size == 4
         q = ker.matrix
         for col in range(2):
-            f = apply_symbol(lin_diag_G(), HardyElement(
-                2, np.eye(2, dtype=complex)[None, col].reshape(1, 2)), 16)
-            v = f.to_vector(16)
+            f = apply_symbol(lin_diag_G(), column(np.eye(2)[col], dim=2), 16)
+            v = f.matrix[:, 0]
             assert np.linalg.norm(v - q @ (q.conj().T @ v)) < 1e-8
 
     def test_undivisible_contraction_shape(self):
@@ -582,18 +594,18 @@ class TestHbInner:
     def test_plain_h2_when_B_vanishes(self):
         pair = Pair(MatrixSymbol.zero(1, 1), MatrixSymbol.identity(1),
                     0.0, "special")
-        h = HardyElement.scalar([1.0, 2.0])
+        h = column([1.0, 2.0])
         assert abs(hb_inner(h, h, pair, CFG) - 5.0) < 1e-12
 
     def test_flagship_norms(self):
         pair = pair_from_B(MatrixSymbol.scalar([0, 0, 0.5]))
-        one = HardyElement.scalar([1.0])
-        z2 = HardyElement.scalar([0, 0, 1.0])
+        one = column([1.0])
+        z2 = column([0, 0, 1.0])
         assert abs(hb_inner(one, one, pair, CFG) - 1.0) < 1e-10
         # companion of z^2 solves (sqrt3/2) h+ = 1/2, adding 1/3 to the norm
         assert abs(hb_inner(z2, z2, pair, CFG) - 4.0 / 3.0) < 1e-10
         assert abs(hb_inner(one, z2, pair, CFG)) < 1e-10
-        mix = HardyElement.scalar([1.0, 1j])
+        mix = column([1.0, 1j])
         lhs = hb_inner(mix, z2, pair, CFG)
         rhs = hb_inner(z2, mix, pair, CFG)
         assert abs(lhs - np.conj(rhs)) < 1e-10
@@ -602,8 +614,7 @@ class TestHbInner:
         pair = Pair(MatrixSymbol.monomial(1), MatrixSymbol.zero(1, 1),
                     float("nan"), "indeterminate")
         with pytest.raises(ValueError):
-            hb_inner(HardyElement.scalar([0, 1.0]),
-                     HardyElement.scalar([0, 1.0]), pair, CFG)
+            hb_inner(column([0, 1.0]), column([0, 1.0]), pair, CFG)
 
     def test_outer_images_always_inside(self):
         # A H^2 embeds in H(B): the companion solve succeeds for A p
@@ -617,11 +628,11 @@ class TestHbInner:
         for pair in pairs:
             m = pair.A.rows
             for _ in range(8):
-                poly = HardyElement(m, rng.standard_normal((6, m))
-                                    + 1j * rng.standard_normal((6, m)))
+                poly = column(rng.standard_normal((6, m))
+                              + 1j * rng.standard_normal((6, m)), dim=m)
                 h = apply_symbol(pair.A, poly, N)
                 val = hb_inner(h, h, pair, CFG)
-                assert val.real >= h.norm() ** 2 - 1e-8
+                assert val.real >= np.linalg.norm(h.matrix) ** 2 - 1e-8
                 assert abs(val.imag) < 1e-8
 
 
@@ -636,16 +647,15 @@ class TestIsometryProbes:
         A = MatrixSymbol.constant(np.array([[ROOT3 / 2]]))
         cols = []
         for j in range(9):
-            gj = apply_symbol(G, HardyElement.scalar([0.0] * j + [1.0]), 2 * N)
-            cols.append(contracted_lambda(G, B, gj, 2 * N).to_vector(N))
+            gj = apply_symbol(G, column([0.0] * j + [1.0]), 2 * N)
+            cols.append(window(contracted_lambda(G, B, gj, 2 * N), N))
         M = np.stack(cols, axis=1)
         rng = np.random.default_rng(11)
-        targets = [HardyElement.scalar([0.0] * k + [1.0]) for k in range(5)]
-        targets += [HardyElement.scalar(rng.standard_normal(6)
-                                        + 1j * rng.standard_normal(6))
+        targets = [column([0.0] * k + [1.0]) for k in range(5)]
+        targets += [column(rng.standard_normal(6) + 1j * rng.standard_normal(6))
                     for _ in range(4)]
         for p in targets:
-            t = apply_symbol(A, p, N).to_vector(N)
+            t = apply_symbol(A, p, N).matrix[:, 0]
             sol, *_ = np.linalg.lstsq(M, t, rcond=None)
             assert np.linalg.norm(M @ sol - t) < 1e-8 * max(1.0, np.linalg.norm(t))
 
@@ -655,8 +665,8 @@ class TestIsometryProbes:
         B = MatrixSymbol.scalar([0, 0, 0.5])
         cols = []
         for j in range(3):
-            gj = apply_symbol(G, HardyElement.scalar([0.0] * j + [1.0]), 2 * N)
-            cols.append(contracted_lambda(G, B, gj, 2 * N).to_vector(N))
+            gj = apply_symbol(G, column([0.0] * j + [1.0]), 2 * N)
+            cols.append(window(contracted_lambda(G, B, gj, 2 * N), N))
         M = np.stack(cols, axis=1)
         target = np.zeros(N + 1, complex)
         target[2] = ROOT3 / 2
@@ -675,13 +685,12 @@ class TestIsometryProbes:
             np.einsum("kij,kjl->kil", su, sg))
         psi = symbol_from_samples(psi_samples, -256, 255).compress(1e-13)
         rng = np.random.default_rng(3)
-        probes = [HardyElement.scalar([1.0]), HardyElement.scalar([0, 1.0]),
-                  HardyElement.scalar([0, 0, 1.0]),
-                  HardyElement.scalar(rng.standard_normal(5))]
+        probes = [column([1.0]), column([0, 1.0]), column([0, 0, 1.0]),
+                  column(rng.standard_normal(5))]
         for p in probes:
             tp = apply_symbol(psi, p, 2 * N)
             x = contracted_lambda(G, B, tp, 2 * N)
-            assert abs(x.eval_at(0)[0]) < 1e-7 * max(1.0, x.norm())
+            assert abs(x.matrix[0, 0]) < 1e-7 * max(1.0, np.linalg.norm(x.matrix))
 
     def test_unit_probe_image_value(self):
         G = g_poisson_double(N)
@@ -691,9 +700,8 @@ class TestIsometryProbes:
         psi = symbol_from_samples(np.einsum(
             "kij,kjl->kil", np.linalg.inv(sg.conj().transpose(0, 2, 1)),
             np.einsum("kij,kjl->kil", su, sg)), -256, 255).compress(1e-13)
-        x = contracted_lambda(G, B, apply_symbol(psi, HardyElement.scalar([1.0]),
-                                                 2 * N), 2 * N)
-        v = x.to_vector(8)
+        x = contracted_lambda(G, B, apply_symbol(psi, column([1.0]), 2 * N), 2 * N)
+        v = window(x, 8)
         assert abs(v[1] - ROOT3 / 2) < 1e-6
         v[1] = 0.0
         assert np.linalg.norm(v) < 1e-6

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import toepkern
 from toepkern import (
-    HardyElement,
     MatrixSymbol,
+    SubspaceBasis,
     ToleranceConfig,
     adjoint_flip,
     apply_symbol,
     cayley,
     grid_points,
-    hardy_inner,
     herglotz_taylor,
     riesz_project,
     sample_symbol,
@@ -355,39 +355,22 @@ def test_series_inverse_matches_loop_reference(m, band):
     assert symbols_allclose(prod, MatrixSymbol.identity(m), 1e-12)
 
 
-# -- Hardy elements -------------------------------------------------------------------
+# -- analytic columns -----------------------------------------------------------------
 
 def test_hardy_norm_is_stacked_euclidean():
-    f = HardyElement(2, np.array([[1.0, 2.0], [0.0, 2.0]], dtype=complex))
-    assert abs(f.norm() - 3.0) < 1e-15
-
-
-def test_hardy_inner_matches_quadrature():
-    f = HardyElement.scalar([1.0, 2.0, 0.5j])
-    g = HardyElement.scalar([0.5, -1.0j])
-    K = 64
-    xi = grid_points(K)
-    fv = np.array([f.eval_at(x)[0] for x in xi])
-    gv = np.array([g.eval_at(x)[0] for x in xi])
-    want = np.mean(fv * np.conj(gv))
-    assert abs(hardy_inner(f, g) - want) < 1e-12
-
-
-def test_backward_shift():
-    f = HardyElement.scalar([3.0, 1.0, 2.0])
-    s = f.backward_shift()
-    assert s.degree == 1
-    assert np.allclose(s.coeffs[:, 0], [1.0, 2.0])
-    const = HardyElement.scalar([5.0])
-    assert const.backward_shift().norm() == 0.0
+    # degree-major rows: f = (1, 2) + (0, 2) z
+    f = SubspaceBasis(2, 1, np.array([[1.0], [2.0], [0.0], [2.0]], dtype=complex))
+    assert abs(np.linalg.norm(f.matrix) - 3.0) < 1e-15
+    assert np.array_equal(f.as_symbol().coeffs[:, :, 0], [[1.0, 2.0], [0.0, 2.0]])
 
 
 def test_apply_symbol_truncates_analytic_part():
     phi = MatrixSymbol.scalar([1.0, 1.0], min_deg=-1)  # zbar + 1
-    f = HardyElement.scalar([0.0, 1.0])  # z
+    f = SubspaceBasis(1, 1, np.array([[0.0], [1.0]], dtype=complex))  # z
     out = apply_symbol(phi, f, 4)
     # p_+((zbar + 1) z) = 1 + z
-    assert np.allclose(out.coeffs[:, 0], [1.0, 1.0, 0.0, 0.0, 0.0])
+    assert (out.dim, out.degree, out.size) == (1, 4, 1)
+    assert np.allclose(out.matrix[:, 0], [1.0, 1.0, 0.0, 0.0, 0.0])
 
 
 # -- config ------------------------------------------------------------------------------
@@ -404,3 +387,12 @@ def test_config_validation():
     cfg = ToleranceConfig().with_degree(16)
     assert cfg.grid_size >= 4 * 17
     assert cfg.grid_size & (cfg.grid_size - 1) == 0
+
+
+# -- package exports ---------------------------------------------------------------------
+
+def test_exports_resolve_once_in_order():
+    names = toepkern.__all__
+    assert [n for n in names if not hasattr(toepkern, n)] == []
+    assert len(set(names)) == len(names)
+    assert names == sorted(names)

@@ -7,12 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from toepkern import HardyElement, MatrixSymbol, ToleranceConfig, apply_symbol
+from toepkern import MatrixSymbol, SubspaceBasis, ToleranceConfig, apply_symbol
 from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
-    SubspaceBasis,
     _pieces,
-    apply_to_basis,
     basis_from_matrix,
     build_toeplitz,
     kernel_basis,
@@ -37,9 +35,9 @@ def test_backward_shift_section():
 def test_block_diag_symbol_section():
     phi = MatrixSymbol.diag(MatrixSymbol.monomial(-2), MatrixSymbol.scalar([1.0]))
     T = build_toeplitz(phi, 3)
-    f = HardyElement(2, np.array([[1, 5], [2, 6], [3, 7], [4, 8]], dtype=complex))
-    out = (T.matrix @ f.to_vector(3)).reshape(4, 2)
-    assert np.array_equal(out, apply_symbol(phi, f, 3).coeffs)
+    f = SubspaceBasis(2, 3, np.array([[1, 5, 2, 6, 3, 7, 4, 8]], dtype=complex).T)
+    out = (T.matrix @ f.matrix).reshape(4, 2)
+    assert np.array_equal(out, apply_symbol(phi, f, 3).matrix.reshape(4, 2))
     # first channel shifts down by two, second channel passes through
     assert np.allclose(out[:, 0], [3, 4, 0, 0])
     assert np.allclose(out[:, 1], [5, 6, 7, 8])
@@ -116,7 +114,7 @@ def analytic_symbol_and_poly(draw):
     d = draw(st.integers(0, 3))
     fc = np.array(draw(st.lists(st.lists(ints, min_size=q, max_size=q),
                                 min_size=d + 1, max_size=d + 1)), dtype=complex)
-    return phi, HardyElement(q, fc)
+    return phi, SubspaceBasis(q, d, fc.reshape(-1, 1))
 
 
 @given(analytic_symbol_and_poly())
@@ -126,9 +124,8 @@ def test_finite_section_consistency(data):
     phi, f = data
     N = 8
     T = build_toeplitz(phi, N)
-    got = T.matrix @ f.to_vector(N)
-    want = apply_symbol(phi, f, N)
-    assert np.array_equal(got, want.to_vector(N))
+    got = T.matrix @ np.pad(f.matrix, ((0, f.dim * (N - f.degree)), (0, 0)))
+    assert np.array_equal(got, apply_symbol(phi, f, N).matrix)
 
 
 # -- kernels ---------------------------------------------------------------------
@@ -399,6 +396,13 @@ def test_angle_requires_matching_ambient():
         subspace_angle(a, b)
 
 
+def test_angle_rejects_non_orthonormal_columns():
+    # the sine formula assumes unit columns: 2 e0 against itself read pi/2
+    a = basis_from_matrix(2 * np.eye(3, 1, dtype=complex), 1, 2)
+    with pytest.raises(ValueError, match="orthonormal"):
+        subspace_angle(a, a)
+
+
 # -- operator residuals ----------------------------------------------------------------
 
 def test_residual_syntactic_equality():
@@ -442,10 +446,17 @@ def test_basis_matrix_rows_must_match_the_degree_range():
 # -- a symbol acting on a whole basis ----------------------------------------------
 
 def image_by_columns(phi, basis, degree):
-    """Oracle: apply_symbol to each column as its own element, restacked."""
-    cols = [apply_symbol(phi, HardyElement.from_vector(basis.matrix[:, j], basis.dim),
-                         degree).to_vector(degree) for j in range(basis.size)]
-    return np.stack(cols, axis=1)
+    """Oracle: p_+(phi q) column by column, one np.convolve per channel pair."""
+    cols = basis.matrix.reshape(basis.degree + 1, basis.dim, basis.size)
+    out = np.zeros((degree + 1, phi.rows, basis.size), complex)
+    for j in range(basis.size):
+        for a in range(phi.rows):
+            for b in range(basis.dim):
+                full = np.convolve(phi.coeffs[:, a, b], cols[:, b, j])
+                for k, c in enumerate(full):  # entry k sits at degree min_deg + k
+                    if 0 <= phi.min_deg + k <= degree:
+                        out[phi.min_deg + k, a, j] += c
+    return out.reshape(-1, basis.size)
 
 
 @st.composite
@@ -467,7 +478,7 @@ def symbol_and_basis(draw):
 @settings(max_examples=100, deadline=None)
 def test_basis_image_matches_column_loop(case):
     phi, basis, degree = case
-    got = apply_to_basis(phi, basis, degree)
+    got = apply_symbol(phi, basis, degree).matrix
     assert got.shape == (phi.rows * (degree + 1), basis.size)
     assert np.allclose(got, image_by_columns(phi, basis, degree), rtol=0, atol=1e-12)
 
@@ -485,7 +496,7 @@ def test_basis_image_of_padded_model_space(U):
     phi = MatrixSymbol(U.rows, U.rows, -2, np.arange(1, 4 * U.rows ** 2 + 1)
                        .reshape(4, U.rows, U.rows) / 7)
     for degree in (0, 3, basis.degree, basis.degree + 2):
-        assert np.allclose(apply_to_basis(phi, basis, degree),
+        assert np.allclose(apply_symbol(phi, basis, degree).matrix,
                            image_by_columns(phi, basis, degree), rtol=0, atol=1e-13)
 
 
@@ -495,4 +506,4 @@ def test_basis_image_of_empty_model_space():
     basis = model_space_basis(U, 6)
     assert basis.size == 0 and basis.matrix.shape == (14, 0)
     phi = MatrixSymbol(3, 2, -1, np.ones((3, 3, 2)))
-    assert apply_to_basis(phi, basis, 4).shape == (15, 0)
+    assert apply_symbol(phi, basis, 4).matrix.shape == (15, 0)
