@@ -23,7 +23,7 @@ from .toeplitz import (basis_from_matrix, build_toeplitz, numerical_rank,
                        orthonormal_basis, phase_gauge, singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
-from .nearly import model_space_basis, sarason_B
+from .nearly import _model_space, model_space_basis, sarason_B
 
 DEFAULT_LADDER = (16, 32, 64)
 RIGIDITY_FLOOR = 1e-4
@@ -140,12 +140,9 @@ def _special_or_undecided(test, *args) -> tuple[float, str]:
 
 
 def _gram(g: MatrixSymbol, depth: int) -> np.ndarray:
-    """Column Gram sum_{d <= depth} g_d^H g_d of an analytic symbol.
-
-    The per-degree products are added in degree order (np.cumsum): a
-    pairwise sum rounds differently and would move the recipe's scale."""
+    """Column Gram sum_{d <= depth} g_d^H g_d of an analytic symbol."""
     c = g.window(0, depth)
-    return np.cumsum(np.matmul(c.conj().transpose(0, 2, 1), c), axis=0)[-1]
+    return np.einsum("dji,djk->ik", c.conj(), c)
 
 
 # -- rigidity -----------------------------------------------------------------------
@@ -211,11 +208,13 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
 
     G must be square (a rectangular G goes through embed_rect); the symbol
     is formed on the boundary samples and read back as Fourier coefficients.
-    Every coefficient entry of modulus below 1e-13 is roundoff dust and is
-    set to zero before the band is compressed at the same tolerance: dust
-    in an interior degree would couple pieces of a section that the exact
-    symbol splits (singular_values), and it moves T by at most about
-    band * 1e-13 in norm.
+    The real and imaginary part of every coefficient entry are read
+    separately: a part of modulus below 1e-13 is roundoff dust and is set
+    to zero before the band is compressed at the same tolerance.  Dust in
+    an interior degree would couple pieces of a section that the exact
+    symbol splits, imaginary dust on a real symbol would send every
+    section to complex arithmetic (singular_values), and either moves T by
+    at most about band * 1e-13 in norm.
     """
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
@@ -230,8 +229,9 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
     if not np.all(np.isfinite(core)):
         raise PreconditionError("bounded boundary samples", float("inf"))
     phi = symbol_from_samples(core, -(K // 2), K // 2 - 1)
-    coeffs = np.where(np.abs(phi.coeffs) < 1e-13, 0, phi.coeffs)
-    return MatrixSymbol(phi.rows, phi.cols, phi.min_deg, coeffs).compress(1e-13)
+    re, im = (np.where(np.abs(part) < 1e-13, 0.0, part)
+              for part in (phi.coeffs.real, phi.coeffs.imag))
+    return MatrixSymbol(phi.rows, phi.cols, phi.min_deg, re + 1j * im).compress(1e-13)
 
 
 # -- classification -----------------------------------------------------------------
@@ -276,7 +276,8 @@ class ClassificationReport:
 
 def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
               config: ToleranceConfig) -> SubspaceBasis:
-    images = apply_symbol(G, model_space_basis(U, M, config), M)
+    """Orthonormal basis of G K_U at degree M, U certified inner of full rank."""
+    images = apply_symbol(G, _model_space(U, M, U.rows, config), M)
     return orthonormal_basis(images.matrix, G.rows, M, config.rank_tol)
 
 
@@ -291,9 +292,18 @@ def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
     arcsin(min(1, ||T_phi Q||_2 / s[cut - 1])).  For a unit x in span Q,
     ||T x|| >= s[cut - 1] times the part of x outside the numerical kernel,
     so the value is never below the principal angle, up to roundoff.
-    T_phi Q is formed from the symbol, O(M * band * k).
+    T_phi Q is formed from the symbol, O(M * band * k).  U is certified
+    inner here (model_space_basis); the pipelines, which certify U once up
+    front, pass their own G K_U basis to _angle.
     """
-    q = _gk_basis(G, U, M, config)
+    images = apply_symbol(G, model_space_basis(U, M, config), M)
+    return _angle(phi, orthonormal_basis(images.matrix, G.rows, M, config.rank_tol),
+                  M, config)
+
+
+def _angle(phi: MatrixSymbol, q: SubspaceBasis, M: int,
+           config: ToleranceConfig) -> float:
+    """kernel_angle against an orthonormal basis q of G K_U at degree M."""
     s = singular_values(build_toeplitz(phi, M))
     cut = numerical_rank(s, config.rank_tol)
     if s.size - cut != q.size:
@@ -357,7 +367,8 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     angle = float("nan")
     try:
         phi = toeplitz_symbol(G, U, config)
-        angle = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
+        angle = max(_angle(phi, _gk_basis(G, U, M, config), M, config)
+                    for M in (N, 2 * N))
     except PreconditionError:
         pass
 
@@ -436,10 +447,11 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
 
     phi = toeplitz_symbol(G, U, config)
     F = _gk_basis(G, U, N, config)
-    angles = [kernel_angle(phi, G, U, M, config) for M in (N, 2 * N)]
+    F2 = _gk_basis(G, U, 2 * N, config)
     return ConstructionResult(G, F, phi, scale,
                               Pair(B0, A_prime, gap, verdict), B,
-                              angles[0], angles[1], rig)
+                              _angle(phi, F, N, config), _angle(phi, F2, 2 * N, config),
+                              rig)
 
 
 # -- rectangular embedding ----------------------------------------------------------
@@ -489,7 +501,8 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     phi = (MatrixSymbol(m, m, reduced.min_deg, rotated)
            + MatrixSymbol.constant(comp @ comp.conj().T)).compress(1e-13)
 
-    worst = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
+    worst = max(_angle(phi, _gk_basis(G, U, M, config), M, config)
+                for M in (N, 2 * N))
     return EmbedResult(np.hstack([t0, comp]), phi, classification, worst)
 
 

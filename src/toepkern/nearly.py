@@ -53,11 +53,17 @@ def model_space_basis(U: MatrixSymbol, N: int,
     cert = is_inner(U, config)
     if not cert.is_inner:
         raise PreconditionError("U inner", cert.deviation)
+    return _model_space(U, N, cert.rank, config)
+
+
+def _model_space(U: MatrixSymbol, N: int, rank: int,
+                 config: ToleranceConfig) -> SubspaceBasis:
+    """model_space_basis for a U already certified inner of the given rank."""
     d = U.max_deg
     M = N - d
     if M < 0:
         raise ValueError("N too small: need N >= deg U")
-    W = min(M, d) if cert.rank == U.rows else M
+    W = min(M, d) if rank == U.rows else M
     # the rows of the section of T_{U*} are the pairings with the columns U z^k e
     ker = kernel_basis(build_toeplitz(adjoint_flip(U), W), config)
     padded = np.pad(ker.matrix, ((0, U.rows * (M - W)), (0, 0)))

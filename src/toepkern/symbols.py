@@ -252,15 +252,38 @@ class MatrixSymbol:
         return MatrixSymbol(rows, cols, lo, arr)
 
 
+def _cauchy(a: np.ndarray, b: np.ndarray, mode: str = "full") -> np.ndarray:
+    """Cauchy product of coefficient stacks a (na, p, r) and b (nb, r, q).
+
+    Returns shape (na + nb - 1, p, q), or with mode "valid" only the
+    |na - nb| + 1 degrees where the shorter stack overlaps the longer one
+    completely (np.convolve's modes): one direct np.convolve per entry
+    triple (i, k, j), at most p r q calls whatever the band lengths.  A
+    triple with an identically zero entry (a diagonal symbol's off-diagonal
+    ones) contributes nothing and is skipped.
+    """
+    na, nb = a.shape[0], b.shape[0]
+    n = na + nb - 1 if mode == "full" else abs(na - nb) + 1
+    out = np.zeros((n, a.shape[1], b.shape[2]), complex)
+    live_b = b.any(axis=0)
+    for i, k in zip(*np.nonzero(a.any(axis=0))):
+        for j in np.flatnonzero(live_b[k]):
+            out[:, i, j] += np.convolve(a[:, i, k], b[:, k, j], mode)
+    return out
+
+
 def symbol_mul(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
-    """Exact Cauchy-product coefficients of the pointwise matrix product."""
+    """Exact Cauchy-product coefficients of the pointwise matrix product.
+
+    Every coefficient is a direct sum of products (np.convolve per entry),
+    never an FFT product: an FFT spreads the roundoff of the largest
+    coefficients over all of them, so coefficients far below the peak
+    lose their relative accuracy.
+    """
     if a.cols != b.rows:
         raise ValueError("dimension mismatch in symbol product")
-    na, nb = a.coeffs.shape[0], b.coeffs.shape[0]
-    out = np.zeros((na + nb - 1, a.rows, b.cols), complex)
-    for i in range(na):
-        out[i:i + nb] += np.matmul(a.coeffs[i], b.coeffs)
-    return MatrixSymbol(a.rows, b.cols, a.min_deg + b.min_deg, out)
+    return MatrixSymbol(a.rows, b.cols, a.min_deg + b.min_deg,
+                        _cauchy(a.coeffs, b.coeffs))
 
 
 def adjoint_flip(a: MatrixSymbol) -> MatrixSymbol:
@@ -376,23 +399,28 @@ def herglotz_taylor(density: MatrixSymbol, N: int) -> MatrixSymbol:
 
 
 def series_inverse(a: MatrixSymbol, N: int) -> MatrixSymbol:
-    """Power-series inverse of an analytic symbol with invertible a(0)."""
+    """Power-series inverse of an analytic symbol with invertible a(0).
+
+    Newton doubling (Brent & Kung, J. ACM 25, 1978): from X = a^{-1} mod
+    z^n, the residual E = a X - I vanishes below degree n, and
+    X - X E = a^{-1} mod z^{2n}; the doubling stops at degree N.  Each step
+    is two direct Cauchy products, so the coefficients below n are kept as
+    they are and only degrees n..k-1 (k = min(2n, N + 1)) are added.  The
+    residual's degrees n..k-1 are exactly the "valid" part of the product
+    of a's degrees 1..k-1 with X, so a last step that adds few degrees
+    costs little.
+    """
     if a.min_deg < 0:
         raise ValueError("series inverse needs an analytic symbol")
     if a.rows != a.cols:
         raise ValueError("series inverse needs a square symbol")
-    m = a.rows
-    d = a.max_deg
-    s0_inv = np.linalg.inv(a.coeff(0))
-    band = a.window(1, d)
-    out = np.zeros((N + 1, m, m), complex)
-    out[0] = s0_inv
-    for k in range(1, N + 1):
-        # sum_j a(j) out(k - j) over the band, against the earlier outputs
-        # in reverse order
-        j = min(k, d)
-        out[k] = -s0_inv @ np.einsum("jab,jbc->ac", band[:j], out[k - j:k][::-1])
-    return MatrixSymbol(m, m, 0, out)
+    x = np.linalg.inv(a.coeff(0))[None]
+    while len(x) <= N:
+        n = len(x)
+        k = min(2 * n, N + 1)
+        err = _cauchy(a.window(1, k - 1), x, "valid")
+        x = np.concatenate([x, -_cauchy(x[:k - n], err)[:k - n]])
+    return MatrixSymbol(a.rows, a.rows, 0, x)
 
 
 def cayley(F: MatrixSymbol) -> MatrixSymbol:

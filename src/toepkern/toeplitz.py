@@ -127,6 +127,7 @@ def singular_values(T: BlockToeplitz) -> np.ndarray:
     piece's values are zero-padded to its column count (a piece with no
     rows is a zero column), so a section with more columns than rows gets
     zeros for the columns beyond its rank, as kernel_basis counts them.
+    A stack with no imaginary part gets a real SVD.
     """
     phi, N = T.symbol, T.domain_degree
     p, q = phi.rows, phi.cols
@@ -148,6 +149,8 @@ def singular_values(T: BlockToeplitz) -> np.ndarray:
             stack = T.matrix[None]
         else:
             stack = band[rows // p - cols // q + N, rows % p, cols % q]
+        if not stack.imag.any():
+            stack = stack.real
         s = np.linalg.svd(stack, compute_uv=False)
         padded = np.zeros((sel.size, b))
         padded[:, :s.shape[1]] = s

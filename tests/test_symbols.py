@@ -62,6 +62,31 @@ def cayley_long_division_oracle(num, den, n):
     return out
 
 
+def symbol_mul_loop_reference(a: MatrixSymbol, b: MatrixSymbol) -> np.ndarray:
+    """The Cauchy product one degree of a at a time, each against all of b."""
+    na, nb = a.coeffs.shape[0], b.coeffs.shape[0]
+    out = np.zeros((na + nb - 1, a.rows, b.cols), complex)
+    for i in range(na):
+        out[i:i + nb] += np.matmul(a.coeffs[i], b.coeffs)
+    return out
+
+
+def moduli_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The loop-reference product of the entry moduli of two coefficient
+    stacks: each output entry is the sum of the moduli of its terms."""
+    return symbol_mul_loop_reference(MatrixSymbol(*a.shape[1:], 0, np.abs(a)),
+                                     MatrixSymbol(*b.shape[1:], 0, np.abs(b))).real
+
+
+def within_per_degree(got, want, scale, rtol):
+    """Each degree's largest entry error is at most rtol times that degree's
+    largest entry of scale, plus the smallest normal float: below it,
+    gradual underflow rounds in absolute terms, and a geometric series
+    decays into subnormals within a few hundred degrees."""
+    err = np.abs(got - want).max(axis=(1, 2))
+    return bool(np.all(err <= rtol * scale.max(axis=(1, 2)) + np.finfo(float).tiny))
+
+
 def herglotz_quadrature_oracle(density: MatrixSymbol, z: complex, K: int = 4096):
     """F(z) = int (xi+z)/(xi-z) rho(xi) dm(xi) by offset-grid quadrature."""
     xi = grid_points(K)
@@ -124,6 +149,37 @@ def test_symbol_mul_agrees_with_pointwise_product(pair):
     want = np.matmul(sample_symbol(a, K), sample_symbol(b, K))
     got = sample_symbol(prod, K)
     assert np.max(np.abs(want - got)) < 1e-10 * (1 + a.norm_l2() * b.norm_l2())
+
+
+@st.composite
+def long_band_pair(draw):
+    # p x r times r x q with random complex bands of 1..300 degrees that
+    # decay over nine decades, some entries identically zero
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, r, q = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def band(rows, cols):
+        n = draw(st.one_of(st.just(1), st.integers(1, 300)))
+        c = rng.standard_normal((n, rows, cols, 2)) @ [1, 1j]
+        c *= 10.0 ** (-9 * np.linspace(0, 1, n))[:, None, None]
+        c *= rng.random((1, rows, cols)) < 0.8
+        return MatrixSymbol(rows, cols, draw(st.integers(-300, 5)), c)
+
+    return band(p, r), band(r, q)
+
+
+@given(long_band_pair())
+@settings(max_examples=60, deadline=None)
+def test_symbol_mul_matches_loop_reference(pair):
+    # per-degree error against the sum of the moduli of that degree's
+    # terms: an FFT product fails this on the decayed tail
+    a, b = pair
+    prod = symbol_mul(a, b)
+    assert prod.min_deg == a.min_deg + b.min_deg
+    assert (prod.rows, prod.cols) == (a.rows, b.cols)
+    ref = symbol_mul_loop_reference(a, b)
+    assert prod.coeffs.shape == ref.shape
+    assert within_per_degree(prod.coeffs, ref, moduli_product(a.coeffs, b.coeffs), 1e-12)
 
 
 # -- adjoint flip --------------------------------------------------------------
@@ -353,6 +409,38 @@ def test_series_inverse_matches_loop_reference(m, band):
     assert np.max(np.abs(inv.coeffs - ref)) <= 1e-12 * np.max(np.abs(ref))
     prod = symbol_mul(a, inv).truncate(0, N)
     assert symbols_allclose(prod, MatrixSymbol.identity(m), 1e-12)
+
+
+@st.composite
+def invertible_series(draw):
+    # a(0) = I + small, band of 0..300 degrees decaying like 1/j^2
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m, band = draw(st.integers(1, 3)), draw(st.integers(0, 300))
+    c = rng.standard_normal((band + 1, m, m, 2)) @ [1, 1j]
+    c *= 0.3 / (m * (1.0 + np.arange(band + 1)) ** 2)[:, None, None]
+    c[0] += np.eye(m)
+    return MatrixSymbol(m, m, 0, c)
+
+
+@given(invertible_series(), st.integers(0, 300))
+@settings(max_examples=30, deadline=None)
+def test_series_inverse_doubling_matches_loop_reference(a, N):
+    # N from 0 to 300 crosses up to nine doubling boundaries, below and
+    # above the band; each degree's error is read against the moduli of
+    # the terms the recurrence sums at that degree
+    inv = series_inverse(a, N)
+    ref = series_inverse_loop_reference(a, N)
+    assert inv.min_deg == 0 and inv.coeffs.shape == ref.shape
+    moduli = np.abs(ref[0]) @ moduli_product(a.coeffs, ref)[:N + 1]
+    assert within_per_degree(inv.coeffs, ref, moduli, 1e-12)
+
+
+def test_series_inverse_of_singular_constant_raises():
+    with pytest.raises(np.linalg.LinAlgError):
+        series_inverse(MatrixSymbol.scalar([0.0, 1.0]), 8)
+    with pytest.raises(np.linalg.LinAlgError):
+        series_inverse(MatrixSymbol(2, 2, 0, np.array([[[1.0, 1.0], [1.0, 1.0]],
+                                                       [[1.0, 0.0], [0.0, 1.0]]])), 8)
 
 
 # -- analytic columns -----------------------------------------------------------------

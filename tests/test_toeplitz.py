@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
 from toepkern import MatrixSymbol, SubspaceBasis, ToleranceConfig, apply_symbol
+from toepkern.fixtures import g_poisson
+from toepkern.hayashi import toeplitz_symbol
 from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
     _pieces,
@@ -327,6 +329,58 @@ def test_split_section_is_never_filled():
     assert peak < 0.1 * 16 * 2050 ** 2
     # each channel shifts down by two: columns of degree >= 2 map isometrically
     assert np.array_equal(values, np.r_[np.ones(2046), np.zeros(4)])
+
+
+@st.composite
+def real_symbols(draw):
+    # real coefficients, either a full band or a diagonal one that splits
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo, hi = draw(st.integers(-4, 0)), draw(st.integers(0, 4))
+    if draw(st.booleans()):
+        p, q = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        return MatrixSymbol(p, q, lo, rng.standard_normal((hi - lo + 1, p, q)))
+    chans = rng.standard_normal((draw(st.integers(2, 3)), hi - lo + 1, 1, 1))
+    return MatrixSymbol.diag(*(MatrixSymbol(1, 1, lo, c) for c in chans))
+
+
+@given(real_symbols(), st.integers(0, 24))
+@settings(max_examples=60, deadline=None)
+def test_real_symbol_values_match_complex_dense_svd(phi, N):
+    T = build_toeplitz(phi, N)
+    s = np.linalg.svd(T.matrix, compute_uv=False)  # complex dtype
+    want = np.concatenate([s, np.zeros(T.matrix.shape[1] - s.size)])
+    values = singular_values(build_toeplitz(phi, N))
+    assert np.allclose(values, want, rtol=1e-12, atol=1e-12 * want[0])
+
+
+@pytest.mark.parametrize("phi", [
+    MatrixSymbol(2, 2, -1, np.arange(12.0).reshape(3, 2, 2)),  # does not split
+    MatrixSymbol.diag(MatrixSymbol.scalar([1.0, -2.0], -1),
+                      MatrixSymbol.scalar([0.5, 3.0])),  # splits
+])
+def test_real_symbol_gets_real_svd(phi, monkeypatch):
+    dtypes = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        dtypes.append(a.dtype)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    singular_values(build_toeplitz(phi, 16))
+    assert dtypes and all(d == np.float64 for d in dtypes)
+    dtypes.clear()
+    singular_values(build_toeplitz(phi.scale(1j), 16))
+    assert dtypes and all(d == np.complex128 for d in dtypes)
+
+
+def test_real_kernel_symbol_carries_no_imaginary_dust():
+    # G* U* G^{-1} is real for the real flagship G and U = z; the sampled
+    # symbol's imaginary roundoff is dropped part by part
+    phi = toeplitz_symbol(g_poisson(64), MatrixSymbol.monomial(1),
+                          ToleranceConfig().with_degree(64))
+    assert phi.coeffs.shape[0] > 1 and np.abs(phi.coeffs.real).max() > 0.1
+    assert not phi.coeffs.imag.any()
 
 
 # -- principal angles ---------------------------------------------------------------
