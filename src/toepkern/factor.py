@@ -1,5 +1,7 @@
 """Inner certification, outer detection, spectral factorization, inner division.
 
+Inner certificates are memoized; shift_span reduces G by an exact product.
+
 Outer factorization runs two routes. Diagonal symbols go through the scalar
 exp-of-Herglotz-of-log formula, which is pointwise exact on the sample grid
 and tolerates boundary zeros (the offset grid never lands on them). Genuinely
@@ -13,6 +15,7 @@ non-commuting values it does not reproduce the factor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -20,6 +23,7 @@ import scipy.linalg
 from .symbols import (
     DEFAULT_CONFIG,
     MatrixSymbol,
+    SubspaceBasis,
     ToleranceConfig,
     _pow2_at_least,
     adjoint_flip,
@@ -28,7 +32,7 @@ from .symbols import (
     symbol_from_samples,
     symbol_mul,
 )
-from .toeplitz import numerical_rank, phase_gauge
+from .toeplitz import orthonormal_basis
 
 
 class PreconditionError(ValueError):
@@ -56,9 +60,14 @@ class InnerCertificate:
     deviation: float
 
 
+@lru_cache(maxsize=16)
 def is_inner(U: MatrixSymbol,
              config: ToleranceConfig = DEFAULT_CONFIG) -> InnerCertificate:
-    """Certify that boundary values are partial isometries of constant rank."""
+    """Certify that boundary values are partial isometries of constant rank.
+
+    Memoized on (U, config): a MatrixSymbol is immutable and hashes by
+    identity (eq=False), a ToleranceConfig is frozen and hashes by value.
+    """
     if U.rows != U.cols:
         raise ValueError("inner certification needs a square symbol")
     eff = U.compress(1e-300)
@@ -170,20 +179,18 @@ def shift_span(G: MatrixSymbol,
     symbol is outer; that is decided by the ratio of |det| at 0 to its
     geometric boundary mean, measured at two resolutions so boundary zeros
     (which push the ratio below 1 at any finite grid) are recognized by their
-    vanishing defect instead of a flat one.
+    vanishing defect instead of a flat one.  theta0 is the orthonormal_basis
+    of the coefficient columns; theta0^H G is an exact product.
     """
     if G.compress(1e-300).min_deg < 0:
         raise ValueError("shift_span needs an analytic symbol")
     m, r = G.rows, G.cols
-    flat = np.concatenate([G.coeffs[k] for k in range(G.coeffs.shape[0])], axis=1)
-    u, s, _ = np.linalg.svd(flat, full_matrices=False)
-    rank = numerical_rank(s, config.rank_tol)
+    flat = np.concatenate(G.coeffs, axis=1)
+    theta0 = orthonormal_basis(SubspaceBasis(m, 0, flat), config).matrix
+    rank = theta0.shape[1]
     if rank == 0:
-        return OuterReport("indeterminate", 0, np.zeros((m, 0)), G, 1.0, 1.0)
-    theta0 = phase_gauge(u[:, :rank])
-    g_tilde = symbol_from_samples(
-        np.matmul(np.conj(theta0.T)[None], sample_symbol(G, config.grid_size)),
-        G.min_deg, G.max_deg)
+        return OuterReport("indeterminate", 0, theta0, G, 1.0, 1.0)
+    g_tilde = symbol_mul(MatrixSymbol.constant(np.conj(theta0.T)), G)
     if rank != r:
         return OuterReport("indeterminate", rank, theta0, g_tilde, 1.0, 1.0)
     K = config.grid_size

@@ -6,6 +6,8 @@ to G is divisible by U, the quotient pair (B0, A') is special (no singular
 mass), and the square of G0' = (I - B0)^{-1} A' is rigid.  This module
 implements the sub-tests, the classification pipeline, the constructive
 recipe that runs the argument backwards, and the rectangular embedding.
+Every step reads U through the public model_space_basis and kernel_angle;
+the memoized is_inner certifies it once per pipeline call.
 """
 
 from __future__ import annotations
@@ -13,17 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       herglotz_taylor, sample_symbol, series_inverse,
                       symbol_from_samples, symbol_mul)
-from .toeplitz import (basis_from_matrix, build_toeplitz, numerical_rank,
-                       orthonormal_basis, phase_gauge, singular_values)
+from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_basis,
+                       numerical_rank, orthonormal_basis, singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
-from .nearly import _model_space, model_space_basis, sarason_B
+from .nearly import model_space_basis, sarason_B
 
 DEFAULT_LADDER = (16, 32, 64)
 RIGIDITY_FLOOR = 1e-4
@@ -276,9 +277,9 @@ class ClassificationReport:
 
 def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
               config: ToleranceConfig) -> SubspaceBasis:
-    """Orthonormal basis of G K_U at degree M, U certified inner of full rank."""
-    images = apply_symbol(G, _model_space(U, M, U.rows, config), M)
-    return orthonormal_basis(images.matrix, G.rows, M, config.rank_tol)
+    """Orthonormal basis of G K_U at degree M."""
+    return orthonormal_basis(apply_symbol(G, model_space_basis(U, M, config), M),
+                             config)
 
 
 def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
@@ -292,18 +293,9 @@ def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
     arcsin(min(1, ||T_phi Q||_2 / s[cut - 1])).  For a unit x in span Q,
     ||T x|| >= s[cut - 1] times the part of x outside the numerical kernel,
     so the value is never below the principal angle, up to roundoff.
-    T_phi Q is formed from the symbol, O(M * band * k).  U is certified
-    inner here (model_space_basis); the pipelines, which certify U once up
-    front, pass their own G K_U basis to _angle.
+    T_phi Q is formed from the symbol, O(M * band * k).
     """
-    images = apply_symbol(G, model_space_basis(U, M, config), M)
-    return _angle(phi, orthonormal_basis(images.matrix, G.rows, M, config.rank_tol),
-                  M, config)
-
-
-def _angle(phi: MatrixSymbol, q: SubspaceBasis, M: int,
-           config: ToleranceConfig) -> float:
-    """kernel_angle against an orthonormal basis q of G K_U at degree M."""
+    q = _gk_basis(G, U, M, config)
     s = singular_values(build_toeplitz(phi, M))
     cut = numerical_rank(s, config.rank_tol)
     if s.size - cut != q.size:
@@ -312,6 +304,12 @@ def _angle(phi: MatrixSymbol, q: SubspaceBasis, M: int,
         return 0.0
     tq = apply_symbol(phi, q, M).matrix
     return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
+
+
+def _require_grid(N: int, config: ToleranceConfig) -> None:
+    if config.grid_size < 4 * (N + 1):  # the bound ToleranceConfig keeps
+        raise ValueError(f"grid_size {config.grid_size} is below 4*(N+1) for "
+                         f"N = {N}: pass config.with_degree({N})")
 
 
 def _require_inner_U(U: MatrixSymbol, config: ToleranceConfig) -> None:
@@ -339,6 +337,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     resolved by majority.  A specialness test whose precondition fails at
     this truncation reads as indeterminate.
     """
+    _require_grid(N, config)
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
     _require_inner_U(U, config)
@@ -367,8 +366,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     angle = float("nan")
     try:
         phi = toeplitz_symbol(G, U, config)
-        angle = max(_angle(phi, _gk_basis(G, U, M, config), M, config)
-                    for M in (N, 2 * N))
+        angle = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
     except PreconditionError:
         pass
 
@@ -420,6 +418,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     identity.  Returns G, the orthonormalized F = {p_+(G k)}, the symbol,
     and the bounds on the kernel agreement angles at N and 2N.
     """
+    _require_grid(N, config)
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")
     r = G0p.rows
@@ -446,12 +445,10 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     G = symbol_mul(g_raw, MatrixSymbol.constant(scale))
 
     phi = toeplitz_symbol(G, U, config)
-    F = _gk_basis(G, U, N, config)
-    F2 = _gk_basis(G, U, 2 * N, config)
-    return ConstructionResult(G, F, phi, scale,
+    return ConstructionResult(G, _gk_basis(G, U, N, config), phi, scale,
                               Pair(B0, A_prime, gap, verdict), B,
-                              _angle(phi, F, N, config), _angle(phi, F2, 2 * N, config),
-                              rig)
+                              kernel_angle(phi, G, U, N, config),
+                              kernel_angle(phi, G, U, 2 * N, config), rig)
 
 
 # -- rectangular embedding ----------------------------------------------------------
@@ -473,12 +470,14 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
 
     The shift span of G is rotated onto the first r coordinates by a
     constant unitary Theta = [Theta0, completion], and the reduced r x r
-    problem G~ = Theta0^H G goes through classify_kernel.  The returned
+    problem G~ = Theta0^H G from shift_span goes through classify_kernel;
+    the completion is the kernel_basis of Theta0^H.  The returned
     symbol is Theta (phi~ (+) I_{m-r}) Theta^H, built from the reduced
     symbol phi~ that classify_kernel returned: it acts as phi~ on the span
     and as the identity on its complement.  The kernel of the ambient
     symbol is cross-checked against G K_U directly.
     """
+    _require_grid(N, config)
     m, r = G.rows, G.cols
     if r >= m:
         raise ValueError("square input: use classify_kernel")
@@ -489,20 +488,20 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
         raise PreconditionError("shift span dimension equals r", float(span.rank))
 
     t0 = span.theta0
-    gt = symbol_mul(MatrixSymbol.constant(t0.conj().T), G).compress(1e-14)
-    classification = classify_kernel(gt, U, N, config, ladder)
+    classification = classify_kernel(span.g_tilde.compress(1e-14), U, N, config,
+                                     ladder)
     reduced = classification.symbol
     if reduced is None:
         raise PreconditionError("reduced symbol from bounded G~ samples",
                                 float("nan"))
-    comp = phase_gauge(scipy.linalg.null_space(t0.conj().T))
+    comp = kernel_basis(build_toeplitz(MatrixSymbol.constant(t0.conj().T), 0),
+                        config).matrix
     # Theta (phi~ (+) I) Theta^H = Theta0 phi~ Theta0^H + comp comp^H
     rotated = np.einsum("ij,kjl,ml->kim", t0, reduced.coeffs, t0.conj())
     phi = (MatrixSymbol(m, m, reduced.min_deg, rotated)
            + MatrixSymbol.constant(comp @ comp.conj().T)).compress(1e-13)
 
-    worst = max(_angle(phi, _gk_basis(G, U, M, config), M, config)
-                for M in (N, 2 * N))
+    worst = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
     return EmbedResult(np.hstack([t0, comp]), phi, classification, worst)
 
 

@@ -31,7 +31,7 @@ def model_space_basis(U: MatrixSymbol, N: int,
     Parameters
     ----------
     U : MatrixSymbol
-        Square inner symbol (certified internally).
+        Square inner symbol (certified by the memoized is_inner).
     N : int
         Truncation degree; the basis lives in degrees <= N - deg U.
 
@@ -53,17 +53,11 @@ def model_space_basis(U: MatrixSymbol, N: int,
     cert = is_inner(U, config)
     if not cert.is_inner:
         raise PreconditionError("U inner", cert.deviation)
-    return _model_space(U, N, cert.rank, config)
-
-
-def _model_space(U: MatrixSymbol, N: int, rank: int,
-                 config: ToleranceConfig) -> SubspaceBasis:
-    """model_space_basis for a U already certified inner of the given rank."""
     d = U.max_deg
     M = N - d
     if M < 0:
         raise ValueError("N too small: need N >= deg U")
-    W = min(M, d) if rank == U.rows else M
+    W = min(M, d) if cert.rank == U.rows else M
     # the rows of the section of T_{U*} are the pairings with the columns U z^k e
     ker = kernel_basis(build_toeplitz(adjoint_flip(U), W), config)
     padded = np.pad(ker.matrix, ((0, U.rows * (M - W)), (0, 0)))
@@ -80,7 +74,7 @@ def is_nearly_invariant(F: SubspaceBasis,
     direction is backward-shifted and tested for containment within
     rank_tol.
     """
-    q = orthonormal_basis(F.matrix, F.dim, F.degree, config.rank_tol).matrix
+    q = orthonormal_basis(F, config).matrix
     _, s, vh = np.linalg.svd(q[:F.dim])
     vanishing = q @ vh[numerical_rank(s, config.rank_tol):].conj().T
     shifted = np.zeros_like(vanishing)  # S* f = (f - f(0)) / z
@@ -99,7 +93,7 @@ def extract_W(F: SubspaceBasis,
     spanning set: they are orthonormalized with the shared rank cut
     (orthonormal_basis) before the values at 0 are read.
     """
-    q = orthonormal_basis(F.matrix, F.dim, F.degree, config.rank_tol).matrix
+    q = orthonormal_basis(F, config).matrix
     if q.shape[1] == 0:
         raise ValueError("F is trivial")
     _, s, vh = np.linalg.svd(q[:F.dim])
@@ -150,14 +144,9 @@ def dbr_kernel(B: MatrixSymbol, lam: complex, u: np.ndarray,
     if abs(lam) >= 1:
         raise ValueError("lam must lie in the open unit disc")
     N = config.trunc_degree
-    m = B.rows
-    u = np.asarray(u, complex).reshape(m)
-    core = -(B.window(0, N) @ (B.eval_at(lam).conj().T @ u))
-    core[0] += u
-    szego = np.power(np.conj(complex(lam)), np.arange(N + 1))
-    out = np.stack([np.convolve(core[:, c], szego)[:N + 1] for c in range(m)],
-                   axis=1)
-    return SubspaceBasis(m, N, out.reshape(-1, 1))
+    core = MatrixSymbol.identity(B.rows) - symbol_mul(
+        B, MatrixSymbol.constant(B.eval_at(lam).conj().T))
+    return apply_symbol(core, _szego_element(lam, np.reshape(u, B.rows), N), N)
 
 
 def _szego_element(lam: complex, u: np.ndarray, N: int) -> SubspaceBasis:

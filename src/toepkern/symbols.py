@@ -134,15 +134,11 @@ class MatrixSymbol:
     @staticmethod
     def diag(*entries: "MatrixSymbol") -> "MatrixSymbol":
         """Block-diagonal stack of scalar (1x1) symbols."""
-        m = len(entries)
-        lo = min(e.min_deg for e in entries)
-        hi = max(e.max_deg for e in entries)
-        out = np.zeros((hi - lo + 1, m, m), complex)
-        for i, e in enumerate(entries):
-            if e.rows != 1 or e.cols != 1:
-                raise ValueError("diag takes scalar symbols")
-            out[:, i, i] = e.window(lo, hi)[:, 0, 0]
-        return MatrixSymbol(m, m, lo, out)
+        # +0 at the lowest degree: e.scale(0) would write -0.0
+        zero = MatrixSymbol.monomial(min(e.min_deg for e in entries)).scale(0)
+        return MatrixSymbol.from_blocks(
+            [[e if i == j else zero for j in range(len(entries))]
+             for i, e in enumerate(entries)])
 
     # -- basic queries -----------------------------------------------------
     @property

@@ -1,7 +1,9 @@
 """Finite sections of block Toeplitz operators, numerical kernels, residuals.
 
-orthonormal_basis and kernel_basis return a symbols.SubspaceBasis with
-orthonormal columns, each column in one phase gauge (basis_from_matrix).
+orthonormal_basis (the span of a basis) and kernel_basis (the null space of
+a section), which every span and complement goes through, return a
+symbols.SubspaceBasis with orthonormal columns in one phase gauge
+(basis_from_matrix) under one rank cut (numerical_rank).
 
 A section is its symbol and its degree; the dense matrix is filled on first
 use.  `kernel_basis` takes one dense SVD of the section.  `singular_values`,
@@ -73,11 +75,13 @@ def basis_from_matrix(cols: np.ndarray, dim: int, degree: int) -> SubspaceBasis:
     return SubspaceBasis(dim, degree, phase_gauge(cols))
 
 
-def orthonormal_basis(cols: np.ndarray, dim: int, degree: int,
-                      rank_tol: float = 1e-8) -> SubspaceBasis:
-    """Orthonormal basis of the column span via SVD with rank truncation."""
-    u, s, _ = np.linalg.svd(cols, full_matrices=False)
-    return basis_from_matrix(u[:, :numerical_rank(s, rank_tol)], dim, degree)
+def orthonormal_basis(Q: SubspaceBasis,
+                      config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
+    """Orthonormal basis of the span of Q's columns, on Q's ambient space:
+    the left singular vectors above the rank cut, in the phase gauge."""
+    u, s, _ = np.linalg.svd(Q.matrix, full_matrices=False)
+    return basis_from_matrix(u[:, :numerical_rank(s, config.rank_tol)],
+                             Q.dim, Q.degree)
 
 
 def _pieces(T: BlockToeplitz) -> tuple[np.ndarray, np.ndarray]:

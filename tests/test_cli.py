@@ -11,6 +11,7 @@ import pytest
 
 from toepkern import MatrixSymbol
 from toepkern.cli import main
+from toepkern.factor import is_inner
 from toepkern.fixtures import (column_G, g_poisson, g_poisson_double, lin_diag_G,
                                matrix_recipe)
 from toepkern.hayashi import ClassificationReport
@@ -273,6 +274,15 @@ def test_construct_writes_artifacts(tmp_path, capsys):
     assert phi.min_deg < 0
     basis = json.loads(open(pre + ".basis.json").read())
     assert basis["dim"] == 1 and len(basis["elements"]) == 1
+
+
+def test_construct_certifies_U_once(tmp_path, capsys):
+    # construct_kernel, its G K_U bases and the per-N angles all read U
+    seed = dump(tmp_path, "seed.json", g_poisson(64))
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    is_inner.cache_clear()
+    assert main(["construct", seed, u, "--degree", "64"]) == 0
+    assert is_inner.cache_info().misses == 1
 
 
 def test_construct_stdout_without_out(tmp_path, capsys):

@@ -76,6 +76,25 @@ def test_is_inner_requires_analytic():
         is_inner(MatrixSymbol.monomial(-1), CFG)
 
 
+def test_is_inner_returns_the_cached_certificate():
+    U = MatrixSymbol.monomial(1, 2)
+    assert is_inner(U, CFG) is is_inner(U, CFG)
+    # ToleranceConfig hashes by value: an equal new config hits
+    assert is_inner(U, ToleranceConfig()) is is_inner(U, CFG)
+
+
+def test_is_inner_recomputes_for_a_new_tolerance_or_symbol():
+    U = MatrixSymbol.monomial(1, 2)
+    is_inner.cache_clear()
+    is_inner(U, CFG)
+    is_inner(U, ToleranceConfig(residual_tol=1e-9))
+    assert is_inner.cache_info().misses == 2
+    # a MatrixSymbol hashes by identity: equal values, new object, new entry
+    is_inner(MatrixSymbol.monomial(1, 2), CFG)
+    assert is_inner.cache_info().misses == 3
+    assert is_inner.cache_info().hits == 0
+
+
 # -- inner completion ------------------------------------------------------------
 
 def test_garcia_trivial_completion():

@@ -529,6 +529,18 @@ class TestRebuiltPairs:
         assert verdict == "special" and gap < 1e-7
 
 
+@pytest.mark.parametrize("n", [200, 600])
+@pytest.mark.parametrize("run", [
+    lambda n: classify_kernel(g_poisson_double(n), MatrixSymbol.monomial(1), n),
+    lambda n: construct_kernel(g_poisson(n), MatrixSymbol.monomial(1), n),
+    lambda n: embed_rect(column_G(), MatrixSymbol.monomial(2), n),
+], ids=["classify", "construct", "embed"])
+def test_grid_below_the_degree_rejected(run, n):
+    # the default grid (512) resolves degrees up to 127
+    with pytest.raises(ValueError, match=rf"with_degree\({n}\)"):
+        run(n)
+
+
 # -- rectangular embedding ----------------------------------------------------------
 
 
@@ -577,6 +589,20 @@ class TestEmbedding:
         want[2] = Q @ np.diag([0.0, 1.0]) @ Q.conj().T
         assert (emb.phi.truncate(-6, 6)
                 - MatrixSymbol(2, 2, -2, want)).norm_l2() < 1e-10
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_constant_columns_in_three_channels(self, r):
+        # G = first r columns of a random unitary: F is the constants G C^r,
+        # the kernel of the ambient symbol Theta0 zbar Theta0^H + P_complement
+        rng = np.random.default_rng(5 + r)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3))
+                            + 1j * rng.standard_normal((3, 3)))
+        G = MatrixSymbol.constant(Q[:, :r])
+        emb = embed_rect(G, MatrixSymbol.monomial(1, m=r), 16, CFG)
+        assert emb.classification.final == "is-kernel"
+        assert emb.ambient_angle <= 1e-12
+        assert np.linalg.norm(emb.theta.conj().T @ emb.theta - np.eye(3)) < 1e-12
+        assert np.linalg.norm(emb.theta[:, r:].conj().T @ Q[:, :r]) < 1e-12
 
     def test_square_rejected(self):
         with pytest.raises(ValueError):

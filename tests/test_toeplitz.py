@@ -488,7 +488,7 @@ def test_residual_shape_check():
 
 def test_orthonormal_basis_collapses_dependent_columns():
     cols = np.array([[1, 2], [1, 2], [0, 0]], dtype=complex)
-    b = orthonormal_basis(cols, 1, 2)
+    b = orthonormal_basis(SubspaceBasis(1, 2, cols))
     assert b.size == 1
 
 
