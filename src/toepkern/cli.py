@@ -29,14 +29,14 @@ from .fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
                        half_signature, lin_diag_G, matrix_recipe, sqrt_diag_G,
                        twisted_contraction)
 from .hayashi import (DEFAULT_LADDER, classify_kernel, construct_kernel,
-                      embed_rect, kernel_angle, pair_from_B,
+                      embed_rect, gk_basis, pair_from_B,
                       pair_identity_defect, special_test)
 from .nearly import (counterexample_UBU, is_nearly_invariant,
                      sarason_equivalence, section_defect, verify_lemma31)
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, ToleranceConfig,
                       adjoint_flip, grid_points, series_inverse, symbol_mul)
-from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_basis,
-                       subspace_angle)
+from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
+                       kernel_basis, subspace_angle)
 
 
 class CliError(Exception):
@@ -163,18 +163,16 @@ def cmd_construct(args, run: RunConfig) -> int:
     tol = run.tolerance
     try:
         res = construct_kernel(G0p, U, tol.trunc_degree, tol, run.ladder)
-        angles = {str(n): kernel_angle(res.phi, res.G, U, n, tol)
+        angles = {str(n): kernel_angle(res.phi, gk_basis(res.G, U, n, tol), tol)
                   for n in run.ladder}
     except (PreconditionError, ValueError) as exc:
         raise CliError(2, str(exc))
     doc = {
         "dim_F": res.F.size,
         "cross_check_angle": {"per_N": angles, "refined": res.angle_2N},
-        "pair": None if res.pair is None else {
-            "special": res.pair.special, "mass_gap": res.pair.mass_gap},
-        "rigidity": None if res.rigidity is None else {
-            "verdict": res.rigidity.verdict,
-            "sigma_min": list(res.rigidity.sigma_ladder)},
+        "pair": {"special": res.pair.special, "mass_gap": res.pair.mass_gap},
+        "rigidity": {"verdict": res.rigidity.verdict,
+                     "sigma_min": list(res.rigidity.sigma_ladder)},
         "scale": MatrixSymbol.constant(res.scale).to_json_dict(),
         "ladder": {"N": list(run.ladder)},
     }

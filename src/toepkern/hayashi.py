@@ -6,8 +6,9 @@ to G is divisible by U, the quotient pair (B0, A') is special (no singular
 mass), and the square of G0' = (I - B0)^{-1} A' is rigid.  This module
 implements the sub-tests, the classification pipeline, the constructive
 recipe that runs the argument backwards, and the rectangular embedding.
-Every step reads U through the public model_space_basis and kernel_angle;
-the memoized is_inner certifies it once per pipeline call.
+Every step reads U through the public model_space_basis and gk_basis, which
+toeplitz.kernel_angle(phi, Q) compares with ker T_phi without building a
+section; the memoized is_inner certifies U once per pipeline call.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       herglotz_taylor, sample_symbol, series_inverse,
                       symbol_from_samples, symbol_mul)
-from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_basis,
-                       numerical_rank, orthonormal_basis, singular_values)
+from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
+                       kernel_basis, orthonormal_basis)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
 from .nearly import model_space_basis, sarason_B
@@ -275,35 +276,11 @@ class ClassificationReport:
         }
 
 
-def _gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
-              config: ToleranceConfig) -> SubspaceBasis:
-    """Orthonormal basis of G K_U at degree M."""
+def gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
+             config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
+    """Orthonormal basis of G K_U at degree M, as kernel_angle reads it."""
     return orthonormal_basis(apply_symbol(G, model_space_basis(U, M, config), M),
                              config)
-
-
-def kernel_angle(phi: MatrixSymbol, G: MatrixSymbol, U: MatrixSymbol, M: int,
-                 config: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Upper bound on the largest principal angle between ker T_phi and G K_U.
-
-    At degree M, with Q an orthonormal basis of G K_U of size k and s the
-    singular values of the section (values only, no vectors): pi/2 when the
-    numerical kernel (the values below the rank cut) does not have
-    dimension k, 0 when k = 0, and otherwise Wedin's sin-theta bound
-    arcsin(min(1, ||T_phi Q||_2 / s[cut - 1])).  For a unit x in span Q,
-    ||T x|| >= s[cut - 1] times the part of x outside the numerical kernel,
-    so the value is never below the principal angle, up to roundoff.
-    T_phi Q is formed from the symbol, O(M * band * k).
-    """
-    q = _gk_basis(G, U, M, config)
-    s = singular_values(build_toeplitz(phi, M))
-    cut = numerical_rank(s, config.rank_tol)
-    if s.size - cut != q.size:
-        return float(np.pi / 2)
-    if q.size == 0:
-        return 0.0
-    tq = apply_symbol(phi, q, M).matrix
-    return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
 
 
 def _require_grid(N: int, config: ToleranceConfig) -> None:
@@ -366,7 +343,8 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     angle = float("nan")
     try:
         phi = toeplitz_symbol(G, U, config)
-        angle = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
+        angle = max(kernel_angle(phi, gk_basis(G, U, M, config), config)
+                    for M in (N, 2 * N))
     except PreconditionError:
         pass
 
@@ -400,11 +378,11 @@ class ConstructionResult:
     F: SubspaceBasis
     phi: MatrixSymbol
     scale: np.ndarray = field(repr=False)
-    pair: Pair | None = None
-    B: MatrixSymbol | None = None
-    angle_N: float = float("nan")
-    angle_2N: float = float("nan")
-    rigidity: RigidityReport | None = None
+    pair: Pair
+    B: MatrixSymbol
+    angle_N: float
+    angle_2N: float
+    rigidity: RigidityReport
 
 
 def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
@@ -412,8 +390,8 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
                      ladder=DEFAULT_LADDER) -> ConstructionResult:
     """Run the classification backwards from a rigid G0'.
 
-    F0 = Herglotz of G0'* G0', B0 = cayley(F0), A' from bauer_factorize of
-    I - B0*B0 (the recovered pair must be special), B = U B0, and
+    F0 = Herglotz of G0'* G0', B0 = cayley(F0), A' from pair_from_B(B0)
+    (the recovered pair must be special), B = U B0, and
     G = (I - B0 U)^{-1} A' rescaled on the right so its column Gram is the
     identity.  Returns G, the orthonormalized F = {p_+(G k)}, the symbol,
     and the bounds on the kernel agreement angles at N and 2N.
@@ -421,7 +399,6 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     _require_grid(N, config)
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")
-    r = G0p.rows
     rig = rigidity_test(G0p, ladder, config)
     if rig.verdict != "rigid":
         raise PreconditionError("G0' square rigid", rig.sigma_ladder[-1]
@@ -429,26 +406,23 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     _require_inner_U(U, config)
 
     density = symbol_mul(adjoint_flip(G0p), G0p)
-    F0 = herglotz_taylor(density, N)
-    B0 = cayley(F0)
-    eye = MatrixSymbol.identity(r)
-    complement = eye - symbol_mul(adjoint_flip(B0), B0)
-    A_prime = bauer_factorize(complement, N, config)
-    gap, verdict = special_test(B0, A_prime, N, config)
-    if verdict != "special":
-        raise PreconditionError("recovered pair (B0, A') special", gap)
+    B0 = cayley(herglotz_taylor(density, N))
+    pair = pair_from_B(B0, N, config)
+    if pair.special != "special":
+        raise PreconditionError("recovered pair (B0, A') special", pair.mass_gap)
 
     B = symbol_mul(U, B0)
+    eye = MatrixSymbol.identity(G0p.rows)
     g_raw = symbol_mul(series_inverse(eye - symbol_mul(B0, U), N),
-                       A_prime).truncate(0, N)
+                       pair.A).truncate(0, N)
     scale = _inv_sqrt_hermitian(_gram(g_raw, N))
     G = symbol_mul(g_raw, MatrixSymbol.constant(scale))
 
     phi = toeplitz_symbol(G, U, config)
-    return ConstructionResult(G, _gk_basis(G, U, N, config), phi, scale,
-                              Pair(B0, A_prime, gap, verdict), B,
-                              kernel_angle(phi, G, U, N, config),
-                              kernel_angle(phi, G, U, 2 * N, config), rig)
+    F = gk_basis(G, U, N, config)
+    angle_N = kernel_angle(phi, F, config)
+    angle_2N = kernel_angle(phi, gk_basis(G, U, 2 * N, config), config)
+    return ConstructionResult(G, F, phi, scale, pair, B, angle_N, angle_2N, rig)
 
 
 # -- rectangular embedding ----------------------------------------------------------
@@ -458,9 +432,9 @@ class EmbedResult:
     """Ambient m x m symbol for a flat r-dimensional shift span, r < m."""
 
     theta: np.ndarray = field(repr=False)
-    phi: MatrixSymbol | None = None
-    classification: ClassificationReport | None = None
-    ambient_angle: float = float("nan")
+    phi: MatrixSymbol
+    classification: ClassificationReport
+    ambient_angle: float
 
 
 def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
@@ -501,7 +475,8 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     phi = (MatrixSymbol(m, m, reduced.min_deg, rotated)
            + MatrixSymbol.constant(comp @ comp.conj().T)).compress(1e-13)
 
-    worst = max(kernel_angle(phi, G, U, M, config) for M in (N, 2 * N))
+    worst = max(kernel_angle(phi, gk_basis(G, U, M, config), config)
+                for M in (N, 2 * N))
     return EmbedResult(np.hstack([t0, comp]), phi, classification, worst)
 
 

@@ -5,52 +5,57 @@ a section), which every span and complement goes through, return a
 symbols.SubspaceBasis with orthonormal columns in one phase gauge
 (basis_from_matrix) under one rank cut (numerical_rank).
 
-A section is its symbol and its degree; the dense matrix is filled on first
-use.  `kernel_basis` takes one dense SVD of the section.  `singular_values`,
-for callers that need no vectors, reads from the symbol's nonzero pattern
-whether the section is an exact direct sum (a diagonal or lacunary symbol),
-gathers each independent piece's entries straight from the coefficients and
-asks each piece for its singular values only; only a section that does not
-split is filled, as one piece.
+Every section is read from one strided view of its symbol (_section).
+build_toeplitz fills the dense matrix when the section is built, and
+`kernel_basis` takes one dense SVD of it.  `singular_values(phi, N)` and
+`kernel_angle(phi, Q)`, which need no vectors, build no section: the
+symbol's nonzero pattern tells whether the section is an exact direct sum (a
+diagonal or lacunary symbol), and each independent piece, or the whole
+section, is gathered from the view and asked for its singular values only.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .symbols import DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis, ToleranceConfig
+from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis, ToleranceConfig,
+                      apply_symbol)
+
+
+def _section(phi: MatrixSymbol, N: int) -> np.ndarray:
+    """Read-only view of the section on degrees 0..N, shape (N+1, p, N+1, q).
+
+    Entry [j, a, k, b] is phi's coefficient at degree j - k, entry (a, b):
+    phi.window(-N, N) walked from degree 0, one degree up per block row and
+    one down per block column, with nothing copied.
+    """
+    band = phi.window(-N, N)
+    s0, s1, s2 = band.strides
+    return np.lib.stride_tricks.as_strided(
+        band[N:], (N + 1, phi.rows, N + 1, phi.cols), (s0, s1, -s0, s2),
+        writeable=False)
 
 
 @dataclass(frozen=True, eq=False)
 class BlockToeplitz:
     """Finite section of T_phi = p_+(phi .) on degrees 0..N.
 
-    Only the symbol and the degree are stored.  matrix, filled on first
-    read and read-only, has shape (p(N+1), q(N+1)) with block (j, k) equal
+    matrix, read-only, has shape (p(N+1), q(N+1)) with block (j, k) equal
     to the symbol coefficient at degree j - k.
     """
 
     symbol: MatrixSymbol
     domain_degree: int
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        phi, N = self.symbol, self.domain_degree
-        p, q = phi.rows, phi.cols
-        mat = np.zeros(((N + 1) * p, (N + 1) * q), complex)
-        blocks = mat.reshape(N + 1, p, N + 1, q)
-        for d in range(max(phi.min_deg, -N), min(phi.max_deg, N) + 1):
-            j = np.arange(max(d, 0), min(N, N + d) + 1)
-            blocks[j, :, j - d, :] = phi.coeff(d)
-        mat.setflags(write=False)
-        return mat
+    matrix: np.ndarray = field(repr=False)
 
 
 def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
     """Finite section of the block Toeplitz operator with symbol phi."""
-    return BlockToeplitz(phi, N)
+    mat = np.ascontiguousarray(_section(phi, N)).reshape(
+        (N + 1) * phi.rows, (N + 1) * phi.cols)
+    mat.setflags(write=False)
+    return BlockToeplitz(phi, N, mat)
 
 
 def phase_gauge(cols: np.ndarray) -> np.ndarray:
@@ -84,7 +89,7 @@ def orthonormal_basis(Q: SubspaceBasis,
                              Q.dim, Q.degree)
 
 
-def _pieces(T: BlockToeplitz) -> tuple[np.ndarray, np.ndarray]:
+def _pieces(phi: MatrixSymbol, N: int) -> tuple[np.ndarray, np.ndarray]:
     """Connected-component labels of the rows and columns of the section.
 
     Row i and column k are joined when entry (i, k) is nonzero, read from
@@ -96,7 +101,6 @@ def _pieces(T: BlockToeplitz) -> tuple[np.ndarray, np.ndarray]:
     Labels only decrease and every round merges at least two components, so
     the loop ends when each component carries its smallest node index.
     """
-    phi, N = T.symbol, T.domain_degree
     r = phi.rows * (N + 1)
     deg, a, b = np.nonzero(phi.coeffs)
     j = np.arange(N + 1)
@@ -119,23 +123,22 @@ def _pieces(T: BlockToeplitz) -> tuple[np.ndarray, np.ndarray]:
             label = jumped
 
 
-def singular_values(T: BlockToeplitz) -> np.ndarray:
-    """Singular values of the section, one per column, in descending order.
+def singular_values(phi: MatrixSymbol, N: int) -> np.ndarray:
+    """Singular values of the degree-N section, one per column, descending.
 
     The section is split into the connected pieces of its row/column
     coupling (_pieces); a direct sum's singular values are the union of its
     pieces', so each piece gets its own values-only SVD, pieces of one shape
-    in one stacked call.  A piece's entries are gathered from the symbol,
-    entry (i, c) being the coefficient at degree i//p - c//q, entry
-    (i%p, c%q); only a section that does not split reads T.matrix.  Each
-    piece's values are zero-padded to its column count (a piece with no
-    rows is a zero column), so a section with more columns than rows gets
-    zeros for the columns beyond its rank, as kernel_basis counts them.
-    A stack with no imaginary part gets a real SVD.
+    in one stacked call.  Every piece, an unsplit section included, is
+    gathered from the strided view (_section).  Each piece's values are
+    zero-padded to its column count (a piece with no rows is a zero column),
+    so a section with more columns than rows gets zeros for the columns
+    beyond its rank, as kernel_basis counts them.  A stack with no imaginary
+    part gets a real SVD.
     """
-    phi, N = T.symbol, T.domain_degree
     p, q = phi.rows, phi.cols
-    row_lab, col_lab = _pieces(T)
+    section = _section(phi, N)
+    row_lab, col_lab = _pieces(phi, N)
     row_order = np.argsort(row_lab, kind="stable")
     col_order = np.argsort(col_lab, kind="stable")
     sorted_rows = row_lab[row_order]
@@ -143,16 +146,12 @@ def singular_values(T: BlockToeplitz) -> np.ndarray:
                                           return_counts=True)
     row_start = np.searchsorted(sorted_rows, labels, "left")
     n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
-    band = phi.window(-N, N)
     values = []
     for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
         sel = np.flatnonzero((n_rows == a) & (n_cols == b))
         rows = row_order[row_start[sel, None] + np.arange(a)][:, :, None]
         cols = col_order[col_start[sel, None] + np.arange(b)][:, None, :]
-        if (a, b) == (row_lab.size, col_lab.size):  # the section does not split
-            stack = T.matrix[None]
-        else:
-            stack = band[rows // p - cols // q + N, rows % p, cols % q]
+        stack = section[rows // p, rows % p, cols // q, cols % q]
         if not stack.imag.any():
             stack = stack.real
         s = np.linalg.svd(stack, compute_uv=False)
@@ -203,15 +202,38 @@ def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
     return float(np.arccos(smin))
 
 
+def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
+                 config: ToleranceConfig = DEFAULT_CONFIG) -> float:
+    """Upper bound on the largest principal angle between ker T_phi and span Q.
+
+    Q has orthonormal columns, k of them, at degree M = Q.degree; s are the
+    singular values of the section of phi at degree M (values only, no
+    vectors).  pi/2 when the numerical kernel (the values below the rank
+    cut) does not have dimension k, 0 when k = 0, and otherwise Wedin's
+    sin-theta bound arcsin(min(1, ||T_phi Q||_2 / s[cut - 1])).  For a unit
+    x in span Q, ||T x|| >= s[cut - 1] times the part of x outside the
+    numerical kernel, so the value is never below the principal angle, up
+    to roundoff.  T_phi Q is formed from the symbol, O(M * band * k).
+    """
+    M = Q.degree
+    s = singular_values(phi, M)
+    cut = numerical_rank(s, config.rank_tol)
+    if s.size - cut != Q.size:
+        return float(np.pi / 2)
+    if Q.size == 0:
+        return 0.0
+    tq = apply_symbol(phi, Q, M).matrix
+    return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
+
+
 def operator_residual(lhs, rhs, N: int) -> float:
     """Spectral norm of lhs - rhs on the inner half-window of degrees.
 
-    Inputs are dense section matrices (or BlockToeplitz) of shape
-    rows x q(N+1); the difference is restricted to input polynomials of
-    degree <= N/2 so boundary-of-truncation artifacts do not register.
+    Inputs are dense section matrices of shape rows x q(N+1); the
+    difference is restricted to input polynomials of degree <= N/2 so
+    boundary-of-truncation artifacts do not register.
     """
-    L = lhs.matrix if isinstance(lhs, BlockToeplitz) else np.asarray(lhs, complex)
-    R = rhs.matrix if isinstance(rhs, BlockToeplitz) else np.asarray(rhs, complex)
+    L, R = np.asarray(lhs, complex), np.asarray(rhs, complex)
     if L.shape != R.shape:
         raise ValueError("section shapes disagree")
     if L.shape[1] % (N + 1):

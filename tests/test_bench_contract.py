@@ -47,3 +47,19 @@ def test_workload_builds_its_calls(workload):
     for call in calls:
         assert call.name and callable(call.run)
         assert callable(call.check) and callable(call.verdict)
+
+
+def test_traced_pass_of_every_workload_checks_clean():
+    # one pass of each workload through the tracer's wrappers: a signature
+    # change that breaks a work function (tracer.WORK) or a check fails here
+    tracer, workloads = load("tracer"), load("workloads")
+    for workload in workload_names():
+        recorder = tracer.Recorder()
+        calls = workloads.build(workload, np.random.default_rng(1))
+        with tracer.installed(recorder):
+            failures = {call.name: call.check(call.run()) for call in calls}
+        assert failures == {call.name: [] for call in calls}
+        if workload == "classify-deep":
+            # the cross-check reads singular values from the symbol: no
+            # 2N section is built for it
+            assert recorder.work["toeplitz.build_toeplitz.mb"] < 1.0

@@ -5,6 +5,7 @@ Poisson-kernel fixtures, exact rational algebra for the quotient pairs, and
 hand-computed images of the contracted isometry for the probe tests.
 """
 import json
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -39,19 +40,19 @@ from toepkern.fixtures import (
 from toepkern.hayashi import (
     Pair,
     _g0_prime,
-    _gk_basis,
     classify_kernel,
     construct_kernel,
     embed_rect,
+    gk_basis,
     hb_inner,
-    kernel_angle,
     pair_from_B,
     pair_identity_defect,
     rigidity_test,
     special_test,
     toeplitz_symbol,
 )
-from toepkern.toeplitz import _pieces, build_toeplitz, kernel_basis, subspace_angle
+from toepkern.toeplitz import (_pieces, build_toeplitz, kernel_angle, kernel_basis,
+                               subspace_angle)
 
 CFG = ToleranceConfig()
 N = 64
@@ -457,7 +458,7 @@ def cross_check_case(name, n):
 def oracle_angle(phi, G, U, M, config):
     """The exact principal angle: full kernel vectors of the section."""
     return subspace_angle(kernel_basis(build_toeplitz(phi, M), config),
-                          _gk_basis(G, U, M, config))
+                          gk_basis(G, U, M, config))
 
 
 class TestCrossCheck:
@@ -467,7 +468,7 @@ class TestCrossCheck:
     def test_bound_never_below_the_angle(self, name, n, frac):
         phi, G, U, config = cross_check_case(name, n)
         M = int(n * frac)
-        bound = kernel_angle(phi, G, U, M, config)
+        bound = kernel_angle(phi, gk_basis(G, U, M, config), config)
         assert 0 <= bound <= np.pi / 2
         angle = oracle_angle(phi, G, U, M, config)
         assert angle <= bound * (1 + 1e-10) + 1e-13
@@ -478,7 +479,7 @@ class TestCrossCheck:
         G, U = lin_diag_G(), MatrixSymbol.monomial(1, m=2)
         phi = toeplitz_symbol(G, U, config=CFG)
         for M in (N, 2 * N):
-            assert kernel_angle(phi, G, U, M, CFG) == np.pi / 2
+            assert kernel_angle(phi, gk_basis(G, U, M, CFG), CFG) == np.pi / 2
             assert oracle_angle(phi, G, U, M, CFG) == np.pi / 2
 
     @pytest.mark.parametrize("n", [128, 256])
@@ -495,8 +496,22 @@ class TestCrossCheck:
             return set((phi.min_deg + np.flatnonzero(live)).tolist())
 
         assert degrees(built) == degrees(classified)
-        labels = np.concatenate(_pieces(build_toeplitz(built, 2 * n)))
+        labels = np.concatenate(_pieces(built, 2 * n))
         assert np.unique(labels).size == 2
+
+    def test_cross_check_fills_no_section(self):
+        # linear-diagonal at N = 512: one dense section at 2N is 67 MB, but
+        # the cross-check reads its singular values from the symbol
+        n = 512
+        tracemalloc.start()
+        try:
+            rep = classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, m=2), n,
+                                  ToleranceConfig().with_degree(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.final == "not-kernel"
+        assert peak < 20e6
 
 
 class TestRebuiltPairs:
