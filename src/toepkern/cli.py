@@ -330,7 +330,7 @@ def _check_outer_image(run: RunConfig):
                          axis=2)
             h = symbol_mul(pair.A, MatrixSymbol(m, 8, 0, c[:n + 1])).window(0, n)
             rhs = tb @ h.reshape(-1, 8)
-            sol = np.linalg.lstsq(ta, rhs, rcond=None)[0]
+            sol = np.linalg.lstsq(ta, rhs, rcond=run.tolerance.rank_tol)[0]
             worst = float(np.max(np.linalg.norm(ta @ sol - rhs, axis=0)))
             rows.append((name, n, worst, 1e-8))
     return rows

@@ -21,8 +21,8 @@ from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
                       ToleranceConfig, adjoint_flip, apply_symbol, cayley,
                       herglotz_taylor, sample_symbol, series_inverse,
                       symbol_from_samples, symbol_mul)
-from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
-                       kernel_basis, orthonormal_basis)
+from .toeplitz import (build_toeplitz, kernel_angle, kernel_basis,
+                       numerical_rank, orthonormal_basis, singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
 from .nearly import model_space_basis, sarason_B
@@ -30,7 +30,6 @@ from .nearly import model_space_basis, sarason_B
 DEFAULT_LADDER = (16, 32, 64)
 RIGIDITY_FLOOR = 1e-4
 ANGLE_TOL = 1e-5
-KERNEL_GAP_FACTOR = 1e3
 
 
 # -- pairs --------------------------------------------------------------------------
@@ -153,24 +152,32 @@ def _gram(g: MatrixSymbol, depth: int) -> np.ndarray:
 class RigidityReport:
     """sigma_min ladder of the finite sections of F* F^{-1}.
 
-    verdict "non-rigid" always carries a certified witness (a kernel
-    vector v with ||T v|| <= 10 rank_tol ||v||, one column of dimension
-    F.rows at the ladder degree where it was found); "rigid" requires the
-    ladder to stay above the floor without decay; anything else is
-    "indeterminate" since finite sections cannot prove an infinite kernel
-    trivial.
+    sigma_ladder holds the smallest singular value of the section at each
+    ladder degree (singular_values, values only).  verdict "non-rigid"
+    always carries a witness: the numerical kernel of the section at the
+    first ladder degree whose values fall below the rank cut (kernel_basis,
+    orthonormal columns in the phase gauge, ||T v|| <= rank_tol sigma_max
+    per column), with as many columns as that kernel has dimensions.
+    "rigid" requires the ladder to stay above the floor without decay;
+    anything else is "indeterminate" since finite sections cannot prove an
+    infinite kernel trivial.
     """
 
     verdict: str
     sigma_ladder: tuple
-    ladder: tuple
     witness: SubspaceBasis | None = None
-    witness_residual: float = float("inf")
 
 
 def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
                   config: ToleranceConfig = DEFAULT_CONFIG) -> RigidityReport:
-    """Three-valued rigidity verdict for the square of an outer F."""
+    """Three-valued rigidity verdict for the square of an outer F.
+
+    Each ladder degree n reads the singular values of the section of
+    F* F^{-1} (singular_values splits lacunary and diagonal symbols); at the
+    first n where numerical_rank counts fewer than all of them, the
+    section is built and its kernel_basis is the witness.  A kernel that
+    comes back empty there leaves the ladder climbing.
+    """
     span = shift_span(F, config)
     if span.verdict != "outer":
         raise PreconditionError("F outer", span.eta_fine)
@@ -178,28 +185,20 @@ def rigidity_test(F: MatrixSymbol, ladder=DEFAULT_LADDER,
 
     sigmas = []
     witness = None
-    witness_residual = float("inf")
     for n in ladder:
-        T = build_toeplitz(phi, n)
-        u, s, vh = np.linalg.svd(T.matrix)
-        smin = float(s[-1])
-        sigmas.append(smin)
-        if witness is None and smin <= 10 * config.rank_tol * max(float(s[0]), 1.0):
-            gap_ok = s.size < 2 or s[-2] >= KERNEL_GAP_FACTOR * max(smin, 1e-300)
-            if gap_ok:
-                v = vh[-1].conj()
-                resid = float(np.linalg.norm(T.matrix @ v))
-                if resid <= 10 * config.rank_tol:
-                    witness = basis_from_matrix(v[:, None], F.rows, n)
-                    witness_residual = resid
+        s = singular_values(phi, n)
+        sigmas.append(float(s[-1]))
+        if witness is None and numerical_rank(s, config.rank_tol) < s.size:
+            kernel = kernel_basis(build_toeplitz(phi, n), config)
+            if kernel.size:
+                witness = kernel
     if witness is not None:
         verdict = "non-rigid"
     elif min(sigmas) >= RIGIDITY_FLOOR and sigmas[-1] >= 0.5 * sigmas[0]:
         verdict = "rigid"
     else:
         verdict = "indeterminate"
-    return RigidityReport(verdict, tuple(sigmas), tuple(ladder),
-                          witness, witness_residual)
+    return RigidityReport(verdict, tuple(sigmas), witness)
 
 
 # -- the Toeplitz symbol ------------------------------------------------------------
@@ -379,7 +378,6 @@ class ConstructionResult:
     phi: MatrixSymbol
     scale: np.ndarray = field(repr=False)
     pair: Pair
-    B: MatrixSymbol
     angle_N: float
     angle_2N: float
     rigidity: RigidityReport
@@ -391,8 +389,8 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     """Run the classification backwards from a rigid G0'.
 
     F0 = Herglotz of G0'* G0', B0 = cayley(F0), A' from pair_from_B(B0)
-    (the recovered pair must be special), B = U B0, and
-    G = (I - B0 U)^{-1} A' rescaled on the right so its column Gram is the
+    (the recovered pair must be special), and G = (I - B0 U)^{-1} A',
+    whose Sarason B is U B0, rescaled on the right so its column Gram is the
     identity.  Returns G, the orthonormalized F = {p_+(G k)}, the symbol,
     and the bounds on the kernel agreement angles at N and 2N.
     """
@@ -411,7 +409,6 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     if pair.special != "special":
         raise PreconditionError("recovered pair (B0, A') special", pair.mass_gap)
 
-    B = symbol_mul(U, B0)
     eye = MatrixSymbol.identity(G0p.rows)
     g_raw = symbol_mul(series_inverse(eye - symbol_mul(B0, U), N),
                        pair.A).truncate(0, N)
@@ -422,7 +419,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     F = gk_basis(G, U, N, config)
     angle_N = kernel_angle(phi, F, config)
     angle_2N = kernel_angle(phi, gk_basis(G, U, 2 * N, config), config)
-    return ConstructionResult(G, F, phi, scale, pair, B, angle_N, angle_2N, rig)
+    return ConstructionResult(G, F, phi, scale, pair, angle_N, angle_2N, rig)
 
 
 # -- rectangular embedding ----------------------------------------------------------
@@ -487,8 +484,8 @@ def hb_inner(h1: SubspaceBasis, h2: SubspaceBasis, pair: Pair,
     """<h1, h2> + <h1+, h2+> where T_{A*} h+ = T_{B*} h at degree N.
 
     h1 and h2 are one-column bases.  The companion h+ is found by least
-    squares on the finite sections; a large solve residual means h is not
-    in H(B) at this truncation.
+    squares on the finite sections, cut at rank_tol like kernel_basis; a
+    large solve residual means h is not in H(B) at this truncation.
     """
     N = config.trunc_degree
     TA = build_toeplitz(adjoint_flip(pair.A), N).matrix
@@ -499,7 +496,7 @@ def hb_inner(h1: SubspaceBasis, h2: SubspaceBasis, pair: Pair,
 
     def companion(h: SubspaceBasis) -> np.ndarray:
         rhs = TB @ vector(h, N)
-        sol, *_ = np.linalg.lstsq(TA, rhs, rcond=None)
+        sol, *_ = np.linalg.lstsq(TA, rhs, rcond=config.rank_tol)
         resid = float(np.linalg.norm(TA @ sol - rhs))
         if resid > 10 * config.residual_tol * max(1.0, np.linalg.norm(h.matrix)):
             raise ValueError(

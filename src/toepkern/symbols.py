@@ -178,9 +178,6 @@ class MatrixSymbol:
     def scale(self, c: complex) -> "MatrixSymbol":
         return MatrixSymbol(self.rows, self.cols, self.min_deg, self.coeffs * c)
 
-    def __mul__(self, other: "MatrixSymbol") -> "MatrixSymbol":
-        return symbol_mul(self, other)
-
     def truncate(self, lo: int, hi: int) -> "MatrixSymbol":
         """Restrict the degree band to [lo, hi] (zero symbol if disjoint)."""
         lo2, hi2 = max(lo, self.min_deg), min(hi, self.max_deg)
@@ -316,10 +313,9 @@ def sample_symbol(a: MatrixSymbol, K: int) -> np.ndarray:
 
 
 def symbol_from_samples(values: np.ndarray, min_deg: int, max_deg: int) -> MatrixSymbol:
-    """Fourier coefficients on [min_deg, max_deg] from offset-grid samples."""
+    """Fourier coefficients on [min_deg, max_deg] from offset-grid samples
+    of shape (K, rows, cols)."""
     values = np.asarray(values, dtype=complex)
-    if values.ndim == 1:
-        values = values[:, None, None]
     K = values.shape[0]
     if max_deg - min_deg + 1 > K:
         raise ValueError("requested band exceeds grid resolution")

@@ -5,6 +5,7 @@ captured with capsys.  Symbol inputs are written to tmp_path as JSON.
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_classify_out_writes_report_and_sidecar(tmp_path, capsys):
     doc = json.loads(out.read_text())
     side = str(out) + ".symbol.json"
     assert doc["symbol_ref"] == side
-    phi = MatrixSymbol.from_json_dict(json.loads(open(side).read()))
+    phi = MatrixSymbol.from_json_dict(json.loads(Path(side).read_text()))
     assert phi.min_deg < 0 <= phi.max_deg
 
 
@@ -263,16 +264,16 @@ def test_construct_writes_artifacts(tmp_path, capsys):
     pre = str(tmp_path / "art")
     assert main(["construct", seed, u, "--out", pre]) == 0
     assert capsys.readouterr().out == ""
-    rep = json.loads(open(pre + ".report.json").read())
+    rep = json.loads(Path(pre + ".report.json").read_text())
     assert rep["dim_F"] == 1
     assert rep["cross_check_angle"]["per_N"]["64"] <= 1e-6
     assert rep["pair"]["special"] == "special"
     assert rep["rigidity"]["verdict"] == "rigid"
-    G = MatrixSymbol.from_json_dict(json.loads(open(pre + ".G.json").read()))
+    G = MatrixSymbol.from_json_dict(json.loads(Path(pre + ".G.json").read_text()))
     assert (G - g_poisson_double(64)).norm_l2() <= 1e-10
-    phi = MatrixSymbol.from_json_dict(json.loads(open(pre + ".phi.json").read()))
+    phi = MatrixSymbol.from_json_dict(json.loads(Path(pre + ".phi.json").read_text()))
     assert phi.min_deg < 0
-    basis = json.loads(open(pre + ".basis.json").read())
+    basis = json.loads(Path(pre + ".basis.json").read_text())
     assert basis["dim"] == 1 and len(basis["elements"]) == 1
 
 

@@ -20,6 +20,7 @@ from toepkern import (
     symbol_mul,
     symbols_allclose,
 )
+from toepkern import factor
 from toepkern.factor import (
     DivisionResult,
     PreconditionError,
@@ -267,6 +268,31 @@ def test_exp_log_refuses_nondiagonal():
     phi = MatrixSymbol.constant(np.array([[2.0, 0.5], [0.5, 2.0]]))
     with pytest.raises(ValueError):
         outer_exp_log(phi, 8, CFG)
+
+
+def test_diagonal_density_past_N_takes_exp_log(monkeypatch):
+    # a*a has degree 6 > N = 4, so the Fejer-Riesz roots are refused and
+    # bauer_factorize falls back to exp-log; the result is the degree-8
+    # Fejer-Riesz factor (a itself) truncated to degree 4
+    a = np.zeros((7, 2, 2))
+    a[0] = np.eye(2)
+    a[1, 0, 0], a[6, 0, 0] = 0.5, 0.25
+    a[3, 1, 1], a[6, 1, 1] = -0.3, 0.1
+    a = MatrixSymbol(2, 2, 0, a)
+    density = symbol_mul(adjoint_flip(a), a)
+    routes = []
+
+    def counted(*args):
+        routes.append("exp_log")
+        return outer_exp_log(*args)
+
+    monkeypatch.setattr(factor, "outer_exp_log", counted)
+    fallback = bauer_factorize(density, 4, CFG)
+    assert routes == ["exp_log"]
+    exact = bauer_factorize(density, 8, CFG)
+    assert routes == ["exp_log"]
+    assert np.max(np.abs(exact.coeffs[:7] - a.coeffs)) < 1e-14
+    assert np.max(np.abs(fallback.coeffs - exact.truncate(0, 4).coeffs)) < 1e-14
 
 
 def _noncommuting_density():

@@ -216,27 +216,45 @@ class TestRigidity:
         assert np.allclose(rep.sigma_ladder, 1.0, atol=1e-10)
 
     def test_one_plus_z_witness(self):
-        rep = rigidity_test(g_one_plus_z(), config=CFG)
+        g = g_one_plus_z()
+        rep = rigidity_test(g, config=CFG)
         assert rep.verdict == "non-rigid"
         w = rep.witness
         assert w is not None
-        assert (w.dim, w.degree, w.size) == (1, rep.ladder[0], 1)
-        assert rep.witness_residual < 1e-10
+        assert (w.dim, w.degree, w.size) == (1, 16, 1)
+        phi = toeplitz_symbol(g, MatrixSymbol.identity(1), CFG)
+        assert np.linalg.norm(build_toeplitz(phi, w.degree).matrix @ w.matrix) < 1e-10
         # boundary ratio is zbar, so the kernel is the constants
         assert np.linalg.norm(w.matrix[w.dim:]) < 1e-8
         assert abs(abs(w.matrix[0, 0]) - 1.0) < 1e-8
 
     def test_double_zero_witness(self):
-        rep = rigidity_test(MatrixSymbol.scalar([1.0, 0.0, 1.0]), config=CFG)
+        g = MatrixSymbol.scalar([1.0, 0.0, 1.0])
+        rep = rigidity_test(g, config=CFG)
         assert rep.verdict == "non-rigid"
         w = rep.witness
-        assert w is not None and rep.witness_residual < 1e-8
+        assert w is not None
+        phi = toeplitz_symbol(g, MatrixSymbol.identity(1), CFG)
+        assert np.linalg.norm(build_toeplitz(phi, w.degree).matrix @ w.matrix) < 1e-8
         assert np.linalg.norm(w.matrix[2 * w.dim:]) < 1e-8
+
+    @pytest.mark.parametrize("ladder", [(4, 8, 16), (8, 16, 24), (16, 32, 64)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_one_plus_zk_witness_is_the_whole_kernel(self, k, ladder):
+        # F* F^{-1} = zbar^k, whose kernel is the polynomials of degree < k:
+        # the witness is all of it, at the first ladder degree
+        c = np.zeros(k + 1)
+        c[0] = c[k] = 1 / np.sqrt(2)
+        rep = rigidity_test(MatrixSymbol.scalar(c), ladder, CFG)
+        assert rep.verdict == "non-rigid"
+        w = rep.witness
+        assert (w.dim, w.degree, w.size) == (1, ladder[0], k)
+        assert np.max(np.abs(w.matrix[k:])) < 1e-12
 
     def test_flagship_rigid(self):
         rep = rigidity_test(g_poisson(N), config=CFG)
         assert rep.verdict == "rigid"
-        assert rep.ladder == (16, 32, 64)
+        assert len(rep.sigma_ladder) == 3  # one per degree of (16, 32, 64)
         assert np.allclose(rep.sigma_ladder, ROOT3 / 2, atol=1e-4)
 
     def test_non_outer_rejected(self):
@@ -395,7 +413,7 @@ class TestRecipe:
         res = construct_kernel(MatrixSymbol.identity(1), MatrixSymbol.monomial(1),
                                32, CFG)
         assert (res.G - MatrixSymbol.identity(1)).norm_l2() < 1e-12
-        assert res.B.norm_l2() < 1e-12
+        assert symbol_mul(MatrixSymbol.monomial(1), res.pair.B).norm_l2() < 1e-12
         assert res.F.size == 1
         assert (res.phi.truncate(-4, 4)
                 - MatrixSymbol.scalar([1.0], min_deg=-1)).norm_l2() < 1e-10
@@ -408,7 +426,8 @@ class TestRecipe:
         assert (res.pair.B - MatrixSymbol.scalar([0, 0.5])).norm_l2() < 1e-12
         assert (res.pair.A
                 - MatrixSymbol.constant(np.array([[ROOT3 / 2]]))).norm_l2() < 1e-10
-        assert (res.B - MatrixSymbol.scalar([0, 0, 0.5])).norm_l2() < 1e-12
+        assert (symbol_mul(MatrixSymbol.monomial(1), res.pair.B)
+                - MatrixSymbol.scalar([0, 0, 0.5])).norm_l2() < 1e-12
         assert res.F.size == 1
         assert res.angle_N < 1e-8 and res.angle_2N < 1e-8
         assert res.rigidity.verdict == "rigid"
