@@ -1,0 +1,196 @@
+"""Large-degree rows of the kernel cross-check, one source tree against another.
+
+Each row runs in a fresh interpreter, with the library imported from the
+`src` directory of the tree being measured, and records the wall time of its
+timed call and the peak resident memory of the whole process (ru_maxrss).
+A row is named `<call>:<fixture>:<degree>`:
+
+- `kernel_angle:flagship:M` and `kernel_angle:recipe:M` time one
+  kernel_angle call at degree M.  Its symbol and G K_U come from the
+  construction at degree min(256, M // 2), which runs first, untimed;
+- `construct:flagship:N` and `construct:recipe:N` time construct_kernel at
+  degree N, cross-checks at N and 2N included.
+
+The flagship is the seed g_poisson(N) with U = z; the recipe is the constant
+seed and inner U of fixtures.matrix_recipe().
+
+    python3 scripts/bench.py --tree parent=../parent --tree change=. \\
+        --repeat 3 --out BENCH_<n>.json
+    python3 scripts/bench.py --row construct:flagship:32
+
+The first form runs every default row on each tree, alternating which tree
+goes first, and writes the JSON document that `validate` checks; a parent
+tree is any checkout of the parent commit (git archive or git clone).  The
+second runs one row in this process against the importable library and
+prints its record as JSON.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+SCHEMA = "toepkern-bench/1"
+ROWS = (
+    "kernel_angle:flagship:1024",
+    "kernel_angle:flagship:4096",
+    "kernel_angle:recipe:512",
+    "kernel_angle:recipe:2048",
+    "construct:flagship:2048",
+    "construct:recipe:1024",
+)
+ROW_TIMEOUT_S = 600.0  # the slowest parent row takes about 30 s
+
+
+def parse_row(name: str) -> tuple[str, str, int]:
+    call, fixture, degree = name.split(":")
+    if call not in ("kernel_angle", "construct") or fixture not in ("flagship", "recipe"):
+        raise ValueError(f"unknown row {name!r}")
+    return call, fixture, int(degree)
+
+
+def run_row(name: str) -> dict:
+    """Run one row in this process and return its record."""
+    call, fixture, degree = parse_row(name)
+    import numpy as np
+
+    from toepkern import MatrixSymbol, ToleranceConfig, construct_kernel
+    from toepkern.fixtures import g_poisson, matrix_recipe
+    from toepkern.hayashi import gk_basis
+    from toepkern.toeplitz import kernel_angle
+
+    def inputs(n):
+        if fixture == "flagship":
+            return g_poisson(n), MatrixSymbol.monomial(1)
+        return matrix_recipe()
+
+    if call == "construct":
+        config = ToleranceConfig().with_degree(degree)
+        seed, U = inputs(degree)
+        start = time.perf_counter()
+        res = construct_kernel(seed, U, degree, config)
+        wall = time.perf_counter() - start
+        result = {"dim_F": res.F.size, "angle_N": res.angle_N, "angle_2N": res.angle_2N}
+    else:
+        n = min(256, degree // 2)
+        config = ToleranceConfig().with_degree(n)
+        seed, U = inputs(n)
+        res = construct_kernel(seed, U, n, config)
+        Q = gk_basis(res.G, U, degree, config)
+        start = time.perf_counter()
+        angle = kernel_angle(res.phi, Q, config)
+        wall = time.perf_counter() - start
+        result = {"angle": angle}
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"wall_s": wall, "max_rss_mb": rss_mb, "result": result,
+            "numpy": np.__version__}
+
+
+def run_in_tree(name: str, tree: Path) -> dict:
+    """One row in a fresh interpreter that imports the library from tree/src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    threads = str(max(1, min(2, len(os.sched_getaffinity(0)))))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = threads
+    out = subprocess.run([sys.executable, __file__, "--row", name], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=ROW_TIMEOUT_S)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def collect(rows, trees: dict, repeat: int) -> dict:
+    """Every row on every tree, `repeat` times, alternating the tree order."""
+    runs = {(row, label): [] for row in rows for label in trees}
+    for r in range(repeat):
+        order = list(trees.items())
+        if r % 2:
+            order.reverse()
+        for row in rows:
+            for label, tree in order:
+                runs[row, label].append(run_in_tree(row, tree))
+    records = []
+    first = runs[rows[0], next(iter(trees))][0]
+    for (row, label), done in runs.items():
+        walls = [d["wall_s"] for d in done]
+        rss = [d["max_rss_mb"] for d in done]
+        records.append({"row": row, "tree": label, "wall_s": walls,
+                        "max_rss_mb": rss,
+                        "wall_s_median": statistics.median(walls),
+                        "max_rss_mb_median": statistics.median(rss),
+                        "result": done[-1]["result"]})
+    return {
+        "schema": SCHEMA,
+        "machine": {"platform": platform.platform(),
+                    "python": platform.python_version(),
+                    "numpy": first["numpy"],
+                    "cpus": len(os.sched_getaffinity(0))},
+        "trees": list(trees),
+        "repeat": repeat,
+        "rows": records,
+    }
+
+
+def validate(doc: dict) -> None:
+    """Raise ValueError unless doc is a complete bench document."""
+    if doc.get("schema") != SCHEMA:
+        raise ValueError(f"schema is {doc.get('schema')!r}, not {SCHEMA!r}")
+    trees, repeat = doc["trees"], doc["repeat"]
+    if not trees or repeat < 1:
+        raise ValueError("no trees or no repeats")
+    seen = set()
+    for rec in doc["rows"]:
+        parse_row(rec["row"])
+        if rec["tree"] not in trees:
+            raise ValueError(f"row {rec['row']} from unknown tree {rec['tree']!r}")
+        for key in ("wall_s", "max_rss_mb"):
+            values = rec[key]
+            if len(values) != repeat or not all(v > 0 for v in values):
+                raise ValueError(f"{rec['row']} {rec['tree']}: bad {key} {values}")
+            if rec[f"{key}_median"] != statistics.median(values):
+                raise ValueError(f"{rec['row']} {rec['tree']}: {key}_median is stale")
+        seen.add((rec["row"], rec["tree"]))
+    rows = {rec["row"] for rec in doc["rows"]}
+    missing = {(row, tree) for row in rows for tree in trees} - seen
+    if missing:
+        raise ValueError(f"rows missing on a tree: {sorted(missing)}")
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("--row", help="run this one row here and print its record")
+    ap.add_argument("--tree", action="append", default=[], metavar="LABEL=PATH",
+                    help="a source tree to measure; repeat for each tree")
+    ap.add_argument("--repeat", type=int, default=3)
+    ap.add_argument("--out", help="write the document here instead of stdout")
+    args = ap.parse_args()
+    if args.row:
+        print(json.dumps(run_row(args.row)))
+        return 0
+    if not args.tree:
+        ap.error("give --row, or at least one --tree")
+    trees = {}
+    for spec in args.tree:
+        label, _, path = spec.partition("=")
+        if not label or not path:
+            ap.error(f"--tree takes LABEL=PATH, not {spec!r}")
+        trees[label] = Path(path).resolve()
+    doc = collect(ROWS, trees, args.repeat)
+    validate(doc)
+    text = json.dumps(doc, indent=2) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

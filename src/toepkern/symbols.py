@@ -325,10 +325,6 @@ def symbol_from_samples(values: np.ndarray, min_deg: int, max_deg: int) -> Matri
     return MatrixSymbol(values.shape[1], values.shape[2], min_deg, arr)
 
 
-def symbols_allclose(a: MatrixSymbol, b: MatrixSymbol, tol: float = 1e-12) -> bool:
-    return (a - b).norm_l2() <= tol
-
-
 # -- analytic columns ---------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)

@@ -12,6 +12,12 @@ build_toeplitz fills the dense matrix when the section is built, and
 symbol's nonzero pattern tells whether the section is an exact direct sum (a
 diagonal or lacunary symbol), and each independent piece, or the whole
 section, is gathered from the view and asked for its singular values only.
+When those pieces are large against the symbol's band, kernel_angle
+certifies its bound by inertia counts instead: the Gram T^H T, cut into
+band-wide blocks read from the view, is block tridiagonal, and Sylvester's
+law of inertia counts the singular values below a threshold from its
+Schur-complement pivots (spectrum slicing); a count that certifies nothing
+falls back to the singular values.
 """
 from __future__ import annotations
 
@@ -20,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis, ToleranceConfig,
-                      apply_symbol)
+                      apply_symbol, sample_symbol)
 
 
 def _section(phi: MatrixSymbol, N: int) -> np.ndarray:
@@ -136,9 +142,14 @@ def singular_values(phi: MatrixSymbol, N: int) -> np.ndarray:
     beyond its rank, as kernel_basis counts them.  A stack with no imaginary
     part gets a real SVD.
     """
+    return _piece_values(phi, N, *_pieces(phi, N))
+
+
+def _piece_values(phi: MatrixSymbol, N: int, row_lab: np.ndarray,
+                  col_lab: np.ndarray) -> np.ndarray:
+    """singular_values of the section split by the labels of _pieces."""
     p, q = phi.rows, phi.cols
     section = _section(phi, N)
-    row_lab, col_lab = _pieces(phi, N)
     row_order = np.argsort(row_lab, kind="stable")
     col_order = np.argsort(col_lab, kind="stable")
     sorted_rows = row_lab[row_order]
@@ -159,6 +170,96 @@ def singular_values(phi: MatrixSymbol, N: int) -> np.ndarray:
         padded[:, :s.shape[1]] = s
         values.append(padded.ravel())
     return np.sort(np.concatenate(values))[::-1]
+
+
+def _gram_blocks(phi: MatrixSymbol, N: int, width: int) -> list:
+    """The Gram T^H T of the degree-N section, cut every `width` block columns.
+
+    Returns one (D_i, C_i) per cut: D_i the diagonal block, C_i the coupling
+    (T^H T)[i-1, i] (None for the first).  Block column k meets only block
+    rows k + min_deg .. k + max_deg, so each cut's columns are gathered from
+    the strided view (_section) on those rows alone; with width at least
+    the band length minus one, cuts two apart share no row and the Gram is
+    block tridiagonal.  A real symbol gets real blocks.
+    """
+    section = _section(phi, N)
+    p, q = phi.rows, phi.cols
+    real = not phi.coeffs.imag.any()
+    blocks, prev = [], None
+    for k0 in range(0, N + 1, width):
+        k1 = min(k0 + width, N + 1)
+        j0 = min(max(k0 + phi.min_deg, 0), N + 1)
+        j1 = max(min(k1 - 1 + phi.max_deg, N) + 1, j0)
+        slab = section[j0:j1, :, k0:k1].reshape((j1 - j0) * p, (k1 - k0) * q)
+        if real:
+            slab = slab.real
+        coupling = None
+        if prev is not None:
+            pj0, pj1, pslab = prev
+            a = max(j0, pj0)
+            b = max(min(j1, pj1), a)
+            coupling = (pslab[(a - pj0) * p:(b - pj0) * p].conj().T
+                        @ slab[(a - j0) * p:(b - j0) * p])
+        blocks.append((slab.conj().T @ slab, coupling))
+        prev = j0, j1, slab
+    return blocks
+
+
+def _count_below(blocks: list, tau: float, tiny: float) -> int | None:
+    """Number of singular values below tau of the section whose Gram
+    blocks are given (_gram_blocks), or None when it cannot be read.
+
+    Sylvester's law of inertia with the Haynsworth recursion: the count is
+    the number of negative eigenvalues of T^H T - tau^2 I, summed over the
+    pivots S_i = D_i - tau^2 I - C_i^H S_{i-1}^{-1} C_i.  None when a pivot
+    has an eigenvalue of modulus below tiny, so no near-singular pivot is
+    ever solved with.
+    """
+    count, prev = 0, None
+    for diag, coupling in blocks:
+        pivot = diag - tau ** 2 * np.eye(diag.shape[0])
+        if prev is not None:
+            pivot -= coupling.conj().T @ np.linalg.solve(prev, coupling)
+        lam = np.linalg.eigvalsh(pivot)
+        if lam.size and np.abs(lam).min() < tiny:
+            return None
+        count += int(np.sum(lam < 0))
+        prev = pivot
+    return count
+
+
+def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
+                     config: ToleranceConfig) -> float | None:
+    """kernel_angle's bound from inertia counts, or None when not certified.
+
+    r = ||T_phi Q||_2 bounds the k-th smallest singular value (minimax), so
+    r <= rank_tol * c_max, with c_max the largest section column norm (at
+    most sigma_max), puts k values under the rank cut.  A count of exactly
+    k below tau >= 1e-6 beta, beta = sum_d ||phi_d||_2 >= ||T_phi||, puts no
+    other there and bounds the next value below by tau, so
+    arcsin(min(1, r / tau)) bounds Wedin's sin-theta.  tau starts at 0.45
+    times the largest singular value of phi's grid samples and halves at
+    most three times while the count exceeds k.
+    """
+    M, k = Q.degree, Q.size
+    blocks = _gram_blocks(phi, M, width)
+    c_max = np.sqrt(max(diag.diagonal().real.max() for diag, _ in blocks))
+    r = float(np.linalg.norm(apply_symbol(phi, Q, M).matrix, 2))
+    if r > config.rank_tol * c_max:
+        return None
+    beta = float(np.linalg.norm(phi.coeffs, 2, axis=(1, 2)).sum())
+    samples = sample_symbol(phi, 4 * phi.coeffs.shape[0])
+    tau = 0.45 * float(np.linalg.svd(samples, compute_uv=False).max())
+    for _ in range(4):
+        if tau < 1e-6 * beta or tau <= config.rank_tol * beta:
+            return None
+        count = _count_below(blocks, tau, 1e-10 * beta ** 2)
+        if count is None or count < k:
+            return None
+        if count == k:
+            return float(np.arcsin(min(1.0, r / tau)))
+        tau /= 2
+    return None
 
 
 def kernel_basis(T: BlockToeplitz,
@@ -206,17 +307,33 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Upper bound on the largest principal angle between ker T_phi and span Q.
 
-    Q has orthonormal columns, k of them, at degree M = Q.degree; s are the
-    singular values of the section of phi at degree M (values only, no
-    vectors).  pi/2 when the numerical kernel (the values below the rank
-    cut) does not have dimension k, 0 when k = 0, and otherwise Wedin's
-    sin-theta bound arcsin(min(1, ||T_phi Q||_2 / s[cut - 1])).  For a unit
-    x in span Q, ||T x|| >= s[cut - 1] times the part of x outside the
-    numerical kernel, so the value is never below the principal angle, up
-    to roundoff.  T_phi Q is formed from the symbol, O(M * band * k).
+    Q has orthonormal columns, k of them, at degree M = Q.degree.  Both
+    routes read Wedin's sin-theta bound arcsin(min(1, ||T_phi Q||_2 / s)),
+    s a lower bound on the smallest singular value above the rank cut: for a
+    unit x in span Q, ||T x|| >= s times the part of x outside the numerical
+    kernel, so the value is never below the principal angle, up to
+    roundoff.  T_phi Q is formed from the symbol, O(M * band * k).
+
+    A section whose pieces (_pieces) hold more than 4 n w^2 of cubic work,
+    n its column count and w = q * max(L - 1, ceil(64 / q)) for a band of L
+    degrees, is certified by inertia counts on its block tridiagonal Gram
+    (_certified_angle, O(n w^2)): s is the count's tau, about 2.25x below
+    the singular value it stands for at worst.  Otherwise, or when the count
+    certifies nothing, the singular values of the section are taken (values
+    only, no vectors, split into pieces): pi/2 when the numerical kernel
+    (the values below the rank cut) does not have dimension k, 0 when
+    k = 0, and otherwise s is the last value above the cut.
     """
     M = Q.degree
-    s = singular_values(phi, M)
+    pieces = _pieces(phi, M)
+    width = max(phi.coeffs.shape[0] - 1, -(-64 // phi.cols))
+    n, w = phi.cols * (M + 1), phi.cols * width
+    cubes = np.sum(np.bincount(pieces[1]).astype(float) ** 3)
+    if Q.size and cubes > 4 * n * w * w:
+        angle = _certified_angle(phi, Q, width, config)
+        if angle is not None:
+            return angle
+    s = _piece_values(phi, M, *pieces)
     cut = numerical_rank(s, config.rank_tol)
     if s.size - cut != Q.size:
         return float(np.pi / 2)

@@ -18,7 +18,6 @@ from toepkern import (
     grid_points,
     sample_symbol,
     symbol_mul,
-    symbols_allclose,
 )
 from toepkern import factor
 from toepkern.factor import (
@@ -43,6 +42,8 @@ from toepkern.fixtures import (
     sqrt_diag_G,
 )
 from toepkern.toeplitz import build_toeplitz
+
+from helpers import symbols_allclose
 
 CFG = ToleranceConfig()
 

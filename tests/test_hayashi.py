@@ -37,7 +37,10 @@ from toepkern.fixtures import (
     sarason_B_closed_form,
     twisted_contraction,
 )
+from toepkern import toeplitz
+from toepkern.cli import main
 from toepkern.hayashi import (
+    ANGLE_TOL,
     Pair,
     _g0_prime,
     classify_kernel,
@@ -51,7 +54,8 @@ from toepkern.hayashi import (
     special_test,
     toeplitz_symbol,
 )
-from toepkern.toeplitz import (_pieces, build_toeplitz, kernel_angle, kernel_basis,
+from toepkern.toeplitz import (_pieces, apply_symbol, build_toeplitz, kernel_angle,
+                               kernel_basis, numerical_rank, singular_values,
                                subspace_angle)
 
 CFG = ToleranceConfig()
@@ -480,6 +484,30 @@ def oracle_angle(phi, G, U, M, config):
                           gk_basis(G, U, M, config))
 
 
+def dense_angle(phi, Q, config):
+    """kernel_angle's dense route: every singular value of the section."""
+    s = singular_values(phi, Q.degree)
+    cut = numerical_rank(s, config.rank_tol)
+    if s.size - cut != Q.size:
+        return np.pi / 2
+    tq = apply_symbol(phi, Q, Q.degree).matrix
+    return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
+
+
+@pytest.fixture
+def count_route(monkeypatch):
+    """What each call of kernel_angle's count route returned."""
+    seen = []
+    certify = toeplitz._certified_angle
+
+    def spy(*args):
+        seen.append(certify(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(toeplitz, "_certified_angle", spy)
+    return seen
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("name", ["flagship", "matrix-recipe"])
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -500,6 +528,41 @@ class TestCrossCheck:
         for M in (N, 2 * N):
             assert kernel_angle(phi, gk_basis(G, U, M, CFG), CFG) == np.pi / 2
             assert oracle_angle(phi, G, U, M, CFG) == np.pi / 2
+
+    @pytest.mark.parametrize("name", ["flagship", "matrix-recipe"])
+    @pytest.mark.parametrize("M", [512, 1024])
+    def test_large_sections_are_certified_by_counts(self, name, M, count_route):
+        phi, G, U, config = cross_check_case(name, M // 2)
+        Q = gk_basis(G, U, M, config)
+        count_route.clear()  # the construction's own cross-checks
+        angle = kernel_angle(phi, Q, config)
+        assert len(count_route) == 1 and count_route[0] == angle
+        dense = dense_angle(phi, Q, config)
+        assert 0 < dense < np.pi / 2
+        assert dense <= angle <= 2.25 * dense
+
+    def test_small_and_split_sections_take_the_dense_route(self, count_route, capsys):
+        classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, m=2), 512,
+                        ToleranceConfig().with_degree(512))
+        embed_rect(column_G(), MatrixSymbol.monomial(2), 256,
+                   ToleranceConfig().with_degree(256))
+        assert main(["examples", "--degree", "64"]) == 0
+        assert capsys.readouterr().out
+        assert count_route == []
+
+    def test_count_route_fills_no_section(self):
+        # flagship at M = 4096: the dense section is 134 MB, the Gram blocks
+        # the count reads about 6 MB
+        phi, G, U, config = cross_check_case("flagship", 256)
+        Q = gk_basis(G, U, 4096, config)
+        tracemalloc.start()
+        try:
+            angle = kernel_angle(phi, Q, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert angle < ANGLE_TOL
+        assert peak < 20e6
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_construct_symbol_carries_no_dust(self, n):

@@ -1,4 +1,6 @@
 """Smoke tests: the experiment scripts under scripts/ run to completion."""
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -25,3 +27,36 @@ def test_script_runs(name, args):
     res = run_script(name, *args)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip()
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_committed_bench_documents_are_complete():
+    bench = load_bench()
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        doc = json.loads(path.read_text())
+        bench.validate(doc)
+        assert {rec["row"] for rec in doc["rows"]} == set(bench.ROWS), path.name
+
+
+def test_bench_validate_rejects_a_missing_tree_row():
+    bench = load_bench()
+    doc = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
+    doc["rows"] = doc["rows"][1:]
+    with pytest.raises(ValueError, match="missing"):
+        bench.validate(doc)
+
+
+def test_bench_row_runs():
+    res = run_script("bench.py", "--row", "kernel_angle:flagship:64")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
+    assert 0 <= record["result"]["angle"] < 1e-5

@@ -27,8 +27,9 @@ from toepkern import (
     series_inverse,
     symbol_from_samples,
     symbol_mul,
-    symbols_allclose,
 )
+
+from helpers import symbols_allclose
 
 
 # -- independent oracles -----------------------------------------------------

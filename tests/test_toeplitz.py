@@ -1,9 +1,10 @@
 """Toeplitz-section tests: structure, kernels, angles, residual windows."""
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
@@ -12,6 +13,8 @@ from toepkern.fixtures import g_poisson
 from toepkern.hayashi import toeplitz_symbol
 from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
+    _count_below,
+    _gram_blocks,
     _pieces,
     _section,
     basis_from_matrix,
@@ -394,6 +397,62 @@ def test_real_kernel_symbol_carries_no_imaginary_dust():
                           ToleranceConfig().with_degree(64))
     assert phi.coeffs.shape[0] > 1 and np.abs(phi.coeffs.real).max() > 0.1
     assert not phi.coeffs.imag.any()
+
+
+# -- inertia counts -------------------------------------------------------------
+
+@st.composite
+def banded_sections(draw):
+    # a band of at most 12 degrees, real or complex, at degree <= 96, with
+    # the Gram cut at any width that keeps it block tridiagonal
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    n_deg = draw(st.integers(1, 12))
+    coeffs = rng.standard_normal((n_deg, p, q))
+    if draw(st.booleans()):
+        coeffs = coeffs + 1j * rng.standard_normal((n_deg, p, q))
+    phi = MatrixSymbol(p, q, draw(st.integers(-11, 11)), coeffs)
+    width = draw(st.integers(max(n_deg - 1, 1), n_deg + 8))
+    return phi, draw(st.integers(0, 96)), width
+
+
+def coeff_norm_sum(phi):
+    return float(np.linalg.norm(phi.coeffs, 2, axis=(1, 2)).sum())
+
+
+@given(banded_sections(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_inertia_count_matches_dense_svd(case, data):
+    phi, M, width = case
+    mat = build_toeplitz(phi, M).matrix
+    s = np.linalg.svd(mat, compute_uv=False)
+    s = np.sort(np.concatenate([s, np.zeros(mat.shape[1] - s.size)]))
+    # a section with two nonzero values can be a 2 x 2 triangular Toeplitz
+    # block [[a, b], [0, a]] padded by zero columns: s_1 s_2 = |a|^2 is the
+    # squared norm of its first column, so the geometric midpoint below
+    # falls on a zero pivot, where the count declines by design
+    assume(np.count_nonzero(s) > 2)
+    beta = coeff_norm_sum(phi)
+    # tau at the geometric midpoint of a relative gap >= 1e-3, well above
+    # the pivot floor 1e-10 beta^2
+    gaps = [i for i in range(s.size - 1)
+            if s[i + 1] - s[i] >= 1e-3 * s[i + 1] and s[i] * s[i + 1] >= 1e-6 * beta ** 2]
+    assume(gaps)
+    i = data.draw(st.sampled_from(gaps))
+    tau = float(np.sqrt(s[i] * s[i + 1]))
+    assert _count_below(_gram_blocks(phi, M, width), tau, 1e-10 * beta ** 2) == i + 1
+
+
+@pytest.mark.parametrize("k", [-2, 0, 3])
+@pytest.mark.parametrize("width", [1, 64])
+def test_monomial_count_at_one_reads_no_count(k, width):
+    # every singular value of a shift section is 0 or 1: at tau = 1 a pivot
+    # is singular, and the count declines without a warning
+    phi = MatrixSymbol.monomial(k, m=2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _count_below(_gram_blocks(phi, 64, width), 1.0,
+                            1e-10 * coeff_norm_sum(phi) ** 2) is None
 
 
 # -- principal angles ---------------------------------------------------------------
