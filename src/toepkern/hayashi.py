@@ -475,34 +475,3 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     worst = max(kernel_angle(phi, gk_basis(G, U, M, config), config)
                 for M in (N, 2 * N))
     return EmbedResult(np.hstack([t0, comp]), phi, classification, worst)
-
-
-# -- the H(B) inner product ---------------------------------------------------------
-
-def hb_inner(h1: SubspaceBasis, h2: SubspaceBasis, pair: Pair,
-             config: ToleranceConfig = DEFAULT_CONFIG) -> complex:
-    """<h1, h2> + <h1+, h2+> where T_{A*} h+ = T_{B*} h at degree N.
-
-    h1 and h2 are one-column bases.  The companion h+ is found by least
-    squares on the finite sections, cut at rank_tol like kernel_basis; a
-    large solve residual means h is not in H(B) at this truncation.
-    """
-    N = config.trunc_degree
-    TA = build_toeplitz(adjoint_flip(pair.A), N).matrix
-    TB = build_toeplitz(adjoint_flip(pair.B), N).matrix
-
-    def vector(h: SubspaceBasis, n: int) -> np.ndarray:
-        return h.as_symbol().window(0, n).reshape(-1)
-
-    def companion(h: SubspaceBasis) -> np.ndarray:
-        rhs = TB @ vector(h, N)
-        sol, *_ = np.linalg.lstsq(TA, rhs, rcond=config.rank_tol)
-        resid = float(np.linalg.norm(TA @ sol - rhs))
-        if resid > 10 * config.residual_tol * max(1.0, np.linalg.norm(h.matrix)):
-            raise ValueError(
-                f"not in H(B) at this truncation: solve residual {resid:.3e}")
-        return sol
-
-    n = max(h1.degree, h2.degree)
-    p1, p2 = companion(h1), companion(h2)
-    return complex(np.vdot(vector(h2, n), vector(h1, n)) + np.vdot(p2, p1))

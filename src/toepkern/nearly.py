@@ -18,7 +18,7 @@ from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
                       herglotz_taylor, riesz_project, sample_symbol,
                       symbol_mul)
 from .toeplitz import (build_toeplitz, kernel_basis, numerical_rank,
-                       operator_residual, orthonormal_basis, phase_gauge)
+                       orthonormal_basis, phase_gauge)
 from .factor import PreconditionError, divide_inner, garcia_inner, is_inner
 
 
@@ -135,20 +135,6 @@ def sarason_B(G: MatrixSymbol, N: int,
     return cayley(herglotz_taylor(density, N))
 
 
-def dbr_kernel(B: MatrixSymbol, lam: complex, u: np.ndarray,
-               config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
-    """Reproducing kernel of H(B) at lam applied to u, as one column.
-
-    Degree-N truncation of (I - B(z) B(lam)*) u / (1 - conj(lam) z).
-    """
-    if abs(lam) >= 1:
-        raise ValueError("lam must lie in the open unit disc")
-    N = config.trunc_degree
-    core = MatrixSymbol.identity(B.rows) - symbol_mul(
-        B, MatrixSymbol.constant(B.eval_at(lam).conj().T))
-    return apply_symbol(core, _szego_element(lam, np.reshape(u, B.rows), N), N)
-
-
 def _szego_element(lam: complex, u: np.ndarray, N: int) -> SubspaceBasis:
     u = np.asarray(u, complex)
     pows = np.power(np.conj(complex(lam)), np.arange(N + 1))
@@ -219,10 +205,6 @@ class SarasonReport:
     annihilation_defect: float
     verdict: str
 
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "holds"
-
 
 def sarason_equivalence(G: MatrixSymbol, U: MatrixSymbol, N: int,
                         config: ToleranceConfig = DEFAULT_CONFIG) -> SarasonReport:
@@ -251,14 +233,19 @@ def sarason_equivalence(G: MatrixSymbol, U: MatrixSymbol, N: int,
 
 
 def section_defect(G: MatrixSymbol, B: MatrixSymbol, n: int) -> float:
-    """Theorem 3.4 on degree-n sections: S S* against I - T_B T_B* with
-    S = T_{I-B} T_{G*}, read on the inner half-window (operator_residual)."""
+    """Theorem 3.4 on degree-n sections: the spectral norm of
+    S S* - (I - T_B T_B*) with S = T_{I-B} T_{G*}.
+
+    Only the first B.rows (n//2 + 1) columns are read, the inputs of degree
+    <= n/2: a section truncates the products at degree n, so near that edge
+    the identity fails by truncation, not by the operators.
+    """
     ident = MatrixSymbol.identity(B.rows)
     S = (build_toeplitz(ident - B, n).matrix
          @ build_toeplitz(adjoint_flip(G), n).matrix)
     tb = build_toeplitz(B, n).matrix
-    eye = np.eye(tb.shape[0])
-    return operator_residual(S @ S.conj().T, eye - tb @ tb.conj().T, n)
+    diff = S @ S.conj().T - (np.eye(tb.shape[0]) - tb @ tb.conj().T)
+    return float(np.linalg.norm(diff[:, :B.rows * (n // 2 + 1)], 2))
 
 
 def divide_by_G(f: SubspaceBasis, G: MatrixSymbol, B: MatrixSymbol,

@@ -341,23 +341,3 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
         return 0.0
     tq = apply_symbol(phi, Q, M).matrix
     return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
-
-
-def operator_residual(lhs, rhs, N: int) -> float:
-    """Spectral norm of lhs - rhs on the inner half-window of degrees.
-
-    Inputs are dense section matrices of shape rows x q(N+1); the
-    difference is restricted to input polynomials of degree <= N/2 so
-    boundary-of-truncation artifacts do not register.
-    """
-    L, R = np.asarray(lhs, complex), np.asarray(rhs, complex)
-    if L.shape != R.shape:
-        raise ValueError("section shapes disagree")
-    if L.shape[1] % (N + 1):
-        raise ValueError("column count is not a multiple of N+1")
-    q = L.shape[1] // (N + 1)
-    width = q * (N // 2 + 1)
-    diff = (L - R)[:, :width]
-    if diff.size == 0:
-        return 0.0
-    return float(np.linalg.norm(diff, 2))

@@ -41,13 +41,11 @@ from toepkern import toeplitz
 from toepkern.cli import main
 from toepkern.hayashi import (
     ANGLE_TOL,
-    Pair,
     _g0_prime,
     classify_kernel,
     construct_kernel,
     embed_rect,
     gk_basis,
-    hb_inner,
     pair_from_B,
     pair_identity_defect,
     rigidity_test,
@@ -708,55 +706,6 @@ class TestEmbedding:
     def test_rank_mismatch_rejected(self):
         with pytest.raises(PreconditionError):
             embed_rect(column_G(), MatrixSymbol.monomial(2, m=2), 16, CFG)
-
-
-# -- the H(B) inner product ---------------------------------------------------------
-
-
-class TestHbInner:
-    def test_plain_h2_when_B_vanishes(self):
-        pair = Pair(MatrixSymbol.zero(1, 1), MatrixSymbol.identity(1),
-                    0.0, "special")
-        h = column([1.0, 2.0])
-        assert abs(hb_inner(h, h, pair, CFG) - 5.0) < 1e-12
-
-    def test_flagship_norms(self):
-        pair = pair_from_B(MatrixSymbol.scalar([0, 0, 0.5]))
-        one = column([1.0])
-        z2 = column([0, 0, 1.0])
-        assert abs(hb_inner(one, one, pair, CFG) - 1.0) < 1e-10
-        # companion of z^2 solves (sqrt3/2) h+ = 1/2, adding 1/3 to the norm
-        assert abs(hb_inner(z2, z2, pair, CFG) - 4.0 / 3.0) < 1e-10
-        assert abs(hb_inner(one, z2, pair, CFG)) < 1e-10
-        mix = column([1.0, 1j])
-        lhs = hb_inner(mix, z2, pair, CFG)
-        rhs = hb_inner(z2, mix, pair, CFG)
-        assert abs(lhs - np.conj(rhs)) < 1e-10
-
-    def test_outside_space_rejected(self):
-        pair = Pair(MatrixSymbol.monomial(1), MatrixSymbol.zero(1, 1),
-                    float("nan"), "indeterminate")
-        with pytest.raises(ValueError):
-            hb_inner(column([0, 1.0]), column([0, 1.0]), pair, CFG)
-
-    def test_outer_images_always_inside(self):
-        # A H^2 embeds in H(B): the companion solve succeeds for A p
-        b0, a = quotient_pair()
-        pairs = [
-            pair_from_B(MatrixSymbol.scalar([0, 0, 0.5])),
-            pair_from_B(half_signature()),
-            Pair(symbol_mul(MatrixSymbol.monomial(1), b0), a, 0.0, "special"),
-        ]
-        rng = np.random.default_rng(7)
-        for pair in pairs:
-            m = pair.A.rows
-            for _ in range(8):
-                poly = column(rng.standard_normal((6, m))
-                              + 1j * rng.standard_normal((6, m)), dim=m)
-                h = apply_symbol(pair.A, poly, N)
-                val = hb_inner(h, h, pair, CFG)
-                assert val.real >= np.linalg.norm(h.matrix) ** 2 - 1e-8
-                assert abs(val.imag) < 1e-8
 
 
 # -- probes of the contracted isometry ----------------------------------------------

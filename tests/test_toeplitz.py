@@ -21,7 +21,6 @@ from toepkern.toeplitz import (
     build_toeplitz,
     kernel_basis,
     numerical_rank,
-    operator_residual,
     orthonormal_basis,
     singular_values,
     subspace_angle,
@@ -527,35 +526,6 @@ def test_angle_rejects_non_orthonormal_columns():
     a = basis_from_matrix(2 * np.eye(3, 1, dtype=complex), 1, 2)
     with pytest.raises(ValueError, match="orthonormal"):
         subspace_angle(a, a)
-
-
-# -- operator residuals ----------------------------------------------------------------
-
-def test_residual_syntactic_equality():
-    T = build_toeplitz(MatrixSymbol.monomial(-1), 8)
-    assert operator_residual(T.matrix, T.matrix, 8) == 0.0
-
-
-def test_residual_shift_identity():
-    # T_zbar T_z = I exactly, at every degree
-    N = 16
-    down = build_toeplitz(MatrixSymbol.monomial(-1), N)
-    up = build_toeplitz(MatrixSymbol.monomial(1), N)
-    assert operator_residual(down.matrix @ up.matrix, np.eye(N + 1), N) == 0.0
-
-
-def test_residual_sees_genuine_defect():
-    # T_z T_zbar = I - <.,1>1: a real rank-one defect inside the window
-    N = 16
-    down = build_toeplitz(MatrixSymbol.monomial(-1), N)
-    up = build_toeplitz(MatrixSymbol.monomial(1), N)
-    res = operator_residual(up.matrix @ down.matrix, np.eye(N + 1), N)
-    assert abs(res - 1.0) < 1e-12
-
-
-def test_residual_shape_check():
-    with pytest.raises(ValueError):
-        operator_residual(np.eye(4), np.eye(5), 3)
 
 
 def test_orthonormal_basis_collapses_dependent_columns():
