@@ -3,7 +3,10 @@
 A nearly S*-invariant subspace F = G K_U is the kernel of a Toeplitz
 operator exactly when three sub-verdicts align: the contraction B attached
 to G is divisible by U, the quotient pair (B0, A') is special (no singular
-mass), and the square of G0' = (I - B0)^{-1} A' is rigid.  This module
+mass), and the square of G0' = A' (I - B0)^{-1} is rigid.  G is m x r and
+B, B0 and U act on K_U in H2(C^r), so every product puts them on the right
+of G: B = U B0 (divide_inner divides on the left), A' = G (I - U B0) from
+Sarason's G = A' (I - B)^{-1}, and G0' = A' (I - B0)^{-1}.  This module
 implements the sub-tests, the classification pipeline, the constructive
 recipe that runs the argument backwards, and the rectangular embedding.
 Every step reads U through the public model_space_basis and gk_basis, which
@@ -87,12 +90,12 @@ def pair_from_B(B: MatrixSymbol, N: int | None = None,
 
 
 def _g0_prime(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int) -> MatrixSymbol:
-    """G0' = (I - B0)^{-1} A' to degree 2N, the depth the mass-gap Gram reads."""
+    """G0' = A' (I - B0)^{-1} to degree 2N, the depth the mass-gap Gram reads."""
     cond = float(np.linalg.cond(np.eye(B0.rows) - B0.coeff(0)))
     if cond > 1e12:
         raise PreconditionError("I - B0(0) invertible", cond)
     inv = series_inverse(MatrixSymbol.identity(B0.rows) - B0, 2 * N)
-    return symbol_mul(inv, A_prime)
+    return symbol_mul(A_prime, inv)
 
 
 def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
@@ -100,7 +103,7 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
     """Total-mass criterion for specialness of the pair (B0, A').
 
     mass_gap = || Re[(I + B0(0))(I - B0(0))^{-1}] - Gram(G0') || with
-    G0' = (I - B0)^{-1} A'.  The Hermitian part of the Herglotz value at 0
+    G0' = A' (I - B0)^{-1}.  The Hermitian part of the Herglotz value at 0
     carries the full measure; the Gram carries only its absolutely
     continuous part, so a gap certifies singular mass.  The Gram is formed
     at two truncation depths and drift between them yields "indeterminate"
@@ -303,8 +306,8 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     """Decide whether F = G K_U is the kernel of a Toeplitz operator.
 
     Pipeline: B from the Sarason construction; division B = U B0;
-    specialness of (B0, A') with A' = (I - B0 U) G; rigidity of the square
-    of G0' = (I - B0)^{-1} A', formed once to depth 2N for the specialness
+    specialness of (B0, A') with A' = G (I - U B0); rigidity of the square
+    of G0' = A' (I - B0)^{-1}, formed once to depth 2N for the specialness
     Gram and read to degree N by the rigidity ladder (a singular I - B0(0),
     for which G0' does not exist, raises).  The constructed symbol and the
     bound on the subspace angle between its Toeplitz kernel and G K_U
@@ -331,7 +334,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     rig_verdict, sigmas = "skipped", ()
     if div.divisible:
         B0 = div.quotient
-        A_prime = symbol_mul(MatrixSymbol.identity(G.rows) - symbol_mul(B0, U), G)
+        A_prime = symbol_mul(G, MatrixSymbol.identity(G.cols) - symbol_mul(U, B0))
         g0p = _g0_prime(B0, A_prime, N)
         gap, special_verdict = _special_or_undecided(_mass_gap, B0, A_prime,
                                                      g0p, N, config)
@@ -389,10 +392,11 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     """Run the classification backwards from a rigid G0'.
 
     F0 = Herglotz of G0'* G0', B0 = cayley(F0), A' from pair_from_B(B0)
-    (the recovered pair must be special), and G = (I - B0 U)^{-1} A',
-    whose Sarason B is U B0, rescaled on the right so its column Gram is the
-    identity.  Returns G, the orthonormalized F = {p_+(G k)}, the symbol,
-    and the bounds on the kernel agreement angles at N and 2N.
+    (the recovered pair must be special), and G = A' (I - U B0)^{-1},
+    whose Sarason B is U B0 (U inner keeps A'* A' + (U B0)* (U B0) = I),
+    rescaled on the right so its column Gram is the identity.  Returns G,
+    the orthonormalized F = {p_+(G k)}, the symbol, and the bounds on the
+    kernel agreement angles at N and 2N.
     """
     _require_grid(N, config)
     if G0p.rows != G0p.cols:
@@ -410,8 +414,8 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
         raise PreconditionError("recovered pair (B0, A') special", pair.mass_gap)
 
     eye = MatrixSymbol.identity(G0p.rows)
-    g_raw = symbol_mul(series_inverse(eye - symbol_mul(B0, U), N),
-                       pair.A).truncate(0, N)
+    g_raw = symbol_mul(pair.A, series_inverse(eye - symbol_mul(U, B0), N)
+                       ).truncate(0, N)
     scale = _inv_sqrt_hermitian(_gram(g_raw, N))
     G = symbol_mul(g_raw, MatrixSymbol.constant(scale))
 

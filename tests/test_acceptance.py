@@ -17,8 +17,8 @@ from toepkern.hayashi import (DEFAULT_LADDER, classify_kernel,
                               construct_kernel, embed_rect, pair_from_B,
                               pair_identity_defect, rigidity_test,
                               special_test)
-from toepkern.nearly import (counterexample_UBU, sarason_B, sarason_equivalence,
-                             section_defect)
+from toepkern.nearly import (counterexample_UBU, isometry_defect, sarason_B,
+                             sarason_equivalence, section_defect)
 from toepkern.toeplitz import (basis_from_matrix, build_toeplitz, kernel_basis,
                                subspace_angle)
 
@@ -155,6 +155,9 @@ def test_11_matrix_recipe_dimension_matches_kernel():
     ker = kernel_basis(build_toeplitz(res.phi, N), CFG)
     assert ker.size == 3
     assert max(res.angle_N, res.angle_2N) <= 1e-5
+    # U does not commute with B0: the round trip needs them right of G
+    assert classify_kernel(res.G, U, N, CFG).final == "is-kernel"
+    assert isometry_defect(res.G, U, N, CFG) <= 1e-12
 
 
 def test_12_column_embedding_reproduces_ambient_symbol():

@@ -231,6 +231,8 @@ def test_examples_coarse_degree_reports_indeterminate(capsys):
     entries = json.loads(capsys.readouterr().out)["entries"]
     flagship = [e for e in entries if e["name"] == "poisson-flagship"]
     assert flagship[0]["final"] == "indeterminate"
+    recipe = [e for e in entries if e["name"] == "matrix-recipe"]
+    assert recipe[0]["pass"] is True
 
 
 def test_examples_below_degree_24_exit_0(capsys):

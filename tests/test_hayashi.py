@@ -10,7 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toepkern import (
@@ -24,7 +24,7 @@ from toepkern import (
     symbol_from_samples,
     symbol_mul,
 )
-from toepkern.factor import PreconditionError, shift_span
+from toepkern.factor import PreconditionError, garcia_inner, shift_span
 from toepkern.fixtures import (
     column_G,
     g_one_plus_z,
@@ -52,6 +52,7 @@ from toepkern.hayashi import (
     special_test,
     toeplitz_symbol,
 )
+from toepkern.nearly import isometry_defect
 from toepkern.toeplitz import (_pieces, apply_symbol, build_toeplitz, kernel_angle,
                                kernel_basis, numerical_rank, singular_values,
                                subspace_angle)
@@ -454,6 +455,42 @@ class TestRecipe:
         rep = classify_kernel(res.G, MatrixSymbol.monomial(1), N, CFG)
         assert rep.final == "is-kernel"
 
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_matrix_recipe_classifies_back(self, n):
+        # U does not commute with B0 here, so the round trip holds only with
+        # B0 and U on the right of G (acceptance test 11 covers N = 64)
+        config = ToleranceConfig().with_degree(n)
+        seed, U = matrix_recipe()
+        res = construct_kernel(seed, U, n, config)
+        assert classify_kernel(res.G, U, n, config).final == "is-kernel"
+        assert isometry_defect(res.G, U, n, config) <= 1e-12
+
+    @settings(deadline=None, max_examples=12)
+    @given(st.lists(st.floats(-1, 1), min_size=4, max_size=4),
+           st.floats(0.2, 1.35),
+           st.lists(st.floats(-1, 1), min_size=8, max_size=8),
+           st.floats(0, 0.7))
+    def test_noncommuting_recipe_classifies_back(self, uv, t, cv, radius):
+        # U = z garcia_inner(z, p + q z, r + s z) with (p, r) = cos t u and
+        # (q, s) = sin t u_perp, and the constant seed
+        # (I - C)^{-1} (I - C^H C)^{1/2} with ||C|| <= 0.7.  At N = 32 the
+        # symbol band of some draws reaches past the section, so the
+        # cross-check needs N = 64.
+        u = np.array([uv[0] + 1j * uv[1], uv[2] + 1j * uv[3]])
+        assume(np.linalg.norm(u) > 0.1)
+        u /= np.linalg.norm(u)
+        perp = np.array([-np.conj(u[1]), np.conj(u[0])])
+        (p, r), (q, s) = np.cos(t) * u, np.sin(t) * perp
+        core = garcia_inner(MatrixSymbol.monomial(1), MatrixSymbol.scalar([p, q]),
+                            MatrixSymbol.scalar([r, s]))
+        U = symbol_mul(MatrixSymbol.monomial(1, 2), core)
+        C = (np.array(cv[:4]) + 1j * np.array(cv[4:])).reshape(2, 2)
+        C *= min(1.0, radius / max(np.linalg.norm(C, 2), 1e-300))
+        w, v = np.linalg.eigh(np.eye(2) - C.conj().T @ C)
+        seed = np.linalg.solve(np.eye(2) - C, v @ np.diag(np.sqrt(w)) @ v.conj().T)
+        res = construct_kernel(MatrixSymbol.constant(seed), U, N, CFG)
+        assert classify_kernel(res.G, U, N, CFG).final == "is-kernel"
+
     def test_nonrigid_seed_rejected(self):
         with pytest.raises(PreconditionError):
             construct_kernel(g_one_plus_z(), MatrixSymbol.monomial(1), 32, CFG)
@@ -609,7 +646,7 @@ class TestRebuiltPairs:
         a = MatrixSymbol.scalar([0.6, -0.2, 0.1])
         deep = _g0_prime(b0, a, N).truncate(0, N)
         eye = MatrixSymbol.identity(1)
-        direct = symbol_mul(series_inverse(eye - b0, N), a).truncate(0, N)
+        direct = symbol_mul(a, series_inverse(eye - b0, N)).truncate(0, N)
         assert deep.min_deg == direct.min_deg
         assert np.array_equal(deep.coeffs, direct.coeffs)
 
