@@ -9,10 +9,17 @@ A row is named `<call>:<fixture>:<degree>`:
   kernel_angle call at degree M.  Its symbol and G K_U come from the
   construction at degree min(256, M // 2), which runs first, untimed;
 - `construct:flagship:N` and `construct:recipe:N` time construct_kernel at
-  degree N, cross-checks at N and 2N included.
+  degree N, cross-checks at N and 2N included;
+- `classify:flagship:N`, `classify:lindiag:N` and `classify:recipe:N` time
+  classify_kernel at degree N and record its `final` verdict.  The recipe
+  row classifies the G that the construction at degree N returns; that
+  construction runs first, untimed, and leaves U's memoized is_inner
+  certificate in place.
 
-The flagship is the seed g_poisson(N) with U = z; the recipe is the constant
-seed and inner U of fixtures.matrix_recipe().
+The flagship is the seed g_poisson(N) with U = z, and its classify row reads
+g_poisson_double(N), the G that seed constructs; the recipe is the constant
+seed and inner U of fixtures.matrix_recipe(); lindiag is
+fixtures.lin_diag_G() with U = z I2, a G whose span is not a kernel.
 
     python3 scripts/bench.py --tree parent=../parent --tree change=. \\
         --repeat 3 --out BENCH_<n>.json
@@ -45,13 +52,19 @@ ROWS = (
     "kernel_angle:recipe:2048",
     "construct:flagship:2048",
     "construct:recipe:1024",
+    "classify:lindiag:4096",
+    "classify:flagship:2048",
+    "classify:recipe:512",
 )
-ROW_TIMEOUT_S = 600.0  # the slowest parent row takes about 30 s
+ROW_TIMEOUT_S = 600.0  # every row takes about a second; this only stops a hung one
+FIXTURES = {"kernel_angle": ("flagship", "recipe"),
+            "construct": ("flagship", "recipe"),
+            "classify": ("flagship", "lindiag", "recipe")}
 
 
 def parse_row(name: str) -> tuple[str, str, int]:
     call, fixture, degree = name.split(":")
-    if call not in ("kernel_angle", "construct") or fixture not in ("flagship", "recipe"):
+    if fixture not in FIXTURES.get(call, ()):
         raise ValueError(f"unknown row {name!r}")
     return call, fixture, int(degree)
 
@@ -61,8 +74,10 @@ def run_row(name: str) -> dict:
     call, fixture, degree = parse_row(name)
     import numpy as np
 
-    from toepkern import MatrixSymbol, ToleranceConfig, construct_kernel
-    from toepkern.fixtures import g_poisson, matrix_recipe
+    from toepkern import (MatrixSymbol, ToleranceConfig, classify_kernel,
+                          construct_kernel)
+    from toepkern.fixtures import (g_poisson, g_poisson_double, lin_diag_G,
+                                   matrix_recipe)
     from toepkern.hayashi import gk_basis
     from toepkern.toeplitz import kernel_angle
 
@@ -78,6 +93,19 @@ def run_row(name: str) -> dict:
         res = construct_kernel(seed, U, degree, config)
         wall = time.perf_counter() - start
         result = {"dim_F": res.F.size, "angle_N": res.angle_N, "angle_2N": res.angle_2N}
+    elif call == "classify":
+        config = ToleranceConfig().with_degree(degree)
+        if fixture == "flagship":
+            G, U = g_poisson_double(degree), MatrixSymbol.monomial(1)
+        elif fixture == "lindiag":
+            G, U = lin_diag_G(), MatrixSymbol.monomial(1, 2)
+        else:
+            seed, U = inputs(degree)
+            G = construct_kernel(seed, U, degree, config).G
+        start = time.perf_counter()
+        rep = classify_kernel(G, U, degree, config)
+        wall = time.perf_counter() - start
+        result = {"final": rep.final, "cross_check_angle": rep.cross_check_angle}
     else:
         n = min(256, degree // 2)
         config = ToleranceConfig().with_degree(n)

@@ -191,7 +191,7 @@ def _gram_defect(G: MatrixSymbol, basis: SubspaceBasis) -> float:
 
 @dataclass(frozen=True)
 class SarasonReport:
-    """Three routes to the same verdict, with a consistency flag.
+    """Three routes to the same verdict, and the verdict they give together.
 
     isometry_defect: Gram deviation of T_G on K_U; divisibility_defect:
     anti-analytic mass of U*B; annihilation_defect: max of ||T_{B*} h||

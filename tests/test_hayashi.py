@@ -485,7 +485,8 @@ class TestRecipe:
                             MatrixSymbol.scalar([r, s]))
         U = symbol_mul(MatrixSymbol.monomial(1, 2), core)
         C = (np.array(cv[:4]) + 1j * np.array(cv[4:])).reshape(2, 2)
-        C *= min(1.0, radius / max(np.linalg.norm(C, 2), 1e-300))
+        assume(np.linalg.norm(C, 2) > 0.1)
+        C *= radius / np.linalg.norm(C, 2)
         w, v = np.linalg.eigh(np.eye(2) - C.conj().T @ C)
         seed = np.linalg.solve(np.eye(2) - C, v @ np.diag(np.sqrt(w)) @ v.conj().T)
         res = construct_kernel(MatrixSymbol.constant(seed), U, N, CFG)

@@ -36,19 +36,28 @@ def load_bench():
     return module
 
 
+def bench_paths():
+    """Committed bench documents, oldest first (BENCH_<n>.json by n)."""
+    return sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+
+
 def test_committed_bench_documents_are_complete():
+    # rows only ever join ROWS, so an older document holds a subset of them
+    # and the newest holds every one
     bench = load_bench()
-    paths = sorted(ROOT.glob("BENCH_*.json"))
+    paths = bench_paths()
     assert paths
     for path in paths:
         doc = json.loads(path.read_text())
         bench.validate(doc)
-        assert {rec["row"] for rec in doc["rows"]} == set(bench.ROWS), path.name
+        rows = {rec["row"] for rec in doc["rows"]}
+        assert rows <= set(bench.ROWS), path.name
+    assert rows == set(bench.ROWS), path.name
 
 
 def test_bench_validate_rejects_a_missing_tree_row():
     bench = load_bench()
-    doc = json.loads(sorted(ROOT.glob("BENCH_*.json"))[-1].read_text())
+    doc = json.loads(bench_paths()[-1].read_text())
     doc["rows"] = doc["rows"][1:]
     with pytest.raises(ValueError, match="missing"):
         bench.validate(doc)
@@ -60,3 +69,11 @@ def test_bench_row_runs():
     record = json.loads(res.stdout)
     assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
     assert 0 <= record["result"]["angle"] < 1e-5
+
+
+def test_bench_classify_row_runs():
+    res = run_script("bench.py", "--row", "classify:lindiag:32")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
+    assert record["result"]["final"] == "not-kernel"
