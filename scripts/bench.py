@@ -14,7 +14,11 @@ A row is named `<call>:<fixture>:<degree>`:
   classify_kernel at degree N and record its `final` verdict.  The recipe
   row classifies the G that the construction at degree N returns; that
   construction runs first, untimed, and leaves U's memoized is_inner
-  certificate in place.
+  certificate in place;
+- `startup:flagship:N` times a cold start: from before `import toepkern`
+  (numpy is not loaded yet) to a finished flagship classify_kernel at degree
+  N, and records `final` and `scipy_loaded`, whether any scipy module was
+  loaded by then.
 
 The flagship is the seed g_poisson(N) with U = z, and its classify row reads
 g_poisson_double(N), the G that seed constructs; the recipe is the constant
@@ -55,11 +59,13 @@ ROWS = (
     "classify:lindiag:4096",
     "classify:flagship:2048",
     "classify:recipe:512",
+    "startup:flagship:64",
 )
 ROW_TIMEOUT_S = 600.0  # every row takes about a second; this only stops a hung one
 FIXTURES = {"kernel_angle": ("flagship", "recipe"),
             "construct": ("flagship", "recipe"),
-            "classify": ("flagship", "lindiag", "recipe")}
+            "classify": ("flagship", "lindiag", "recipe"),
+            "startup": ("flagship",)}
 
 
 def parse_row(name: str) -> tuple[str, str, int]:
@@ -72,8 +78,7 @@ def parse_row(name: str) -> tuple[str, str, int]:
 def run_row(name: str) -> dict:
     """Run one row in this process and return its record."""
     call, fixture, degree = parse_row(name)
-    import numpy as np
-
+    cold = time.perf_counter()  # a --row interpreter has not loaded numpy yet
     from toepkern import (MatrixSymbol, ToleranceConfig, classify_kernel,
                           construct_kernel)
     from toepkern.fixtures import (g_poisson, g_poisson_double, lin_diag_G,
@@ -86,7 +91,13 @@ def run_row(name: str) -> dict:
             return g_poisson(n), MatrixSymbol.monomial(1)
         return matrix_recipe()
 
-    if call == "construct":
+    if call == "startup":
+        config = ToleranceConfig().with_degree(degree)
+        rep = classify_kernel(g_poisson_double(degree), MatrixSymbol.monomial(1),
+                              degree, config)
+        wall = time.perf_counter() - cold
+        result = {"final": rep.final, "scipy_loaded": "scipy" in sys.modules}
+    elif call == "construct":
         config = ToleranceConfig().with_degree(degree)
         seed, U = inputs(degree)
         start = time.perf_counter()
@@ -117,6 +128,8 @@ def run_row(name: str) -> dict:
         wall = time.perf_counter() - start
         result = {"angle": angle}
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    import numpy as np
+
     return {"wall_s": wall, "max_rss_mb": rss_mb, "result": result,
             "numpy": np.__version__}
 
@@ -174,7 +187,9 @@ def validate(doc: dict) -> None:
         raise ValueError("no trees or no repeats")
     seen = set()
     for rec in doc["rows"]:
-        parse_row(rec["row"])
+        call, _, _ = parse_row(rec["row"])
+        if call == "startup" and not isinstance(rec["result"].get("scipy_loaded"), bool):
+            raise ValueError(f"{rec['row']} {rec['tree']}: no scipy_loaded flag")
         if rec["tree"] not in trees:
             raise ValueError(f"row {rec['row']} from unknown tree {rec['tree']!r}")
         for key in ("wall_s", "max_rss_mb"):

@@ -8,7 +8,10 @@ and tolerates boundary zeros (the offset grid never lands on them). Genuinely
 matricial symbols go through Bauer's method: Cholesky of a large block
 Toeplitz moment matrix, reading the factor off the last block row. A density
 of degree d makes that matrix banded, and its Cholesky factor keeps the band,
-so only the band is stored and factored (LAPACK banded Cholesky). The
+so only the band is stored and factored (LAPACK banded Cholesky). That
+call is the module's one use of scipy, and scipy.linalg is imported there,
+on first use: importing it costs more than all of `import toepkern`
+(numpy included), and the diagonal and scalar routes never need it. The
 exp-log formula is refused for non-diagonal densities, since for
 non-commuting values it does not reproduce the factor.
 """
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from .symbols import (
     DEFAULT_CONFIG,
@@ -401,6 +403,7 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     M = moment_rows if moment_rows is not None else max(4 * N, 256)
     ab = _moment_band(phi, M)
     kd = ab.shape[0] - 1
+    import scipy.linalg  # scipy stays off `import toepkern`: see the module docstring
     L = scipy.linalg.cholesky_banded(ab, lower=True)
     # A_s is block (M, M - s) of the factor, transposed; entry (a, b) of that
     # block sits s m + a - b below the diagonal, zero outside the band
@@ -409,7 +412,8 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     r = s * m + a - b
     X = np.where((r >= 0) & (r <= kd), L[np.clip(r, 0, kd), (M - s) * m + b], 0)
     A = MatrixSymbol(m, m, 0, np.transpose(X, (0, 2, 1)))
-    W, _ = scipy.linalg.polar(A.coeff(0))
+    u, _, vh = np.linalg.svd(A.coeff(0))
+    W = u @ vh  # unitary polar factor of A_0
     gauged = np.matmul(np.conj(W.T)[None], A.coeffs)
     return MatrixSymbol(m, m, 0, gauged)
 

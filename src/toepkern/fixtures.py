@@ -6,7 +6,6 @@ so tests can compare library output against independent expansions.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import binom
 
 from .factor import garcia_inner
 from .symbols import MatrixSymbol, adjoint_flip, riesz_project, symbol_mul
@@ -48,8 +47,10 @@ def phi_poisson_double(N: int) -> MatrixSymbol:
 
 def sqrt_binomial(sign: int, N: int) -> MatrixSymbol:
     """(1 + sign z)^(1/2) by the binomial series, truncated at N."""
-    coeffs = np.array([binom(0.5, k) * (sign ** k) for k in range(N + 1)])
-    return MatrixSymbol.scalar(coeffs)
+    from scipy.special import binom  # scipy stays off `import toepkern`
+
+    k = np.arange(N + 1)
+    return MatrixSymbol.scalar(binom(0.5, k) * sign ** k)
 
 
 def sqrt_diag_G(N: int) -> MatrixSymbol:

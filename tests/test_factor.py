@@ -3,7 +3,12 @@
 Oracles: binomial/geometric series expansions (fixtures module), quadrature
 boundary moduli, and exact rational long division for quotients.
 """
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +51,7 @@ from toepkern.toeplitz import build_toeplitz
 from helpers import symbols_allclose
 
 CFG = ToleranceConfig()
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # -- inner certification -------------------------------------------------------
@@ -403,6 +409,47 @@ def test_bauer_rejects_indefinite():
     phi = MatrixSymbol.constant(np.diag([1.0, -1.0]))
     with pytest.raises(PreconditionError):
         bauer_factorize(phi, 8, CFG)
+
+
+def run_fresh(code):
+    """Run code in a fresh interpreter importing the library from src/; this
+    process has scipy loaded already, so only a new one can see what loads it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                         capture_output=True, text=True, env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
+    return res.stdout.split()
+
+
+def test_scipy_stays_unloaded_off_the_matricial_bauer_route():
+    out = run_fresh("""
+        import sys
+        import toepkern, toepkern.cli, toepkern.fixtures
+        from toepkern import MatrixSymbol, ToleranceConfig, classify_kernel
+        from toepkern.fixtures import column_G, g_poisson_double, lin_diag_G
+        from toepkern.hayashi import embed_rect
+        cfg = ToleranceConfig().with_degree(64)
+        print(classify_kernel(g_poisson_double(64), MatrixSymbol.monomial(1), 64, cfg).final)
+        print(classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, 2), 64, cfg).final)
+        embed_rect(column_G(), MatrixSymbol.monomial(2), 64, cfg)
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+    """)
+    assert out == ["is-kernel", "not-kernel", "[]"]
+
+
+def test_matricial_bauer_route_loads_scipy_on_first_use():
+    out = run_fresh("""
+        import sys
+        from toepkern import ToleranceConfig
+        from toepkern.cli import _pair_fixtures
+        from toepkern.hayashi import pair_from_B, pair_identity_defect
+        cfg = ToleranceConfig().with_degree(16)
+        print("scipy.linalg" in sys.modules)
+        pair = pair_from_B(dict(_pair_fixtures())["twisted"], 16, cfg)
+        print("scipy.linalg" in sys.modules, pair_identity_defect(pair.B, pair.A, cfg))
+    """)
+    assert out[:2] == ["False", "True"]
+    assert float(out[2]) <= 1e-8
 
 
 # -- division by inner functions -----------------------------------------------------------

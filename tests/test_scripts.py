@@ -77,3 +77,20 @@ def test_bench_classify_row_runs():
     record = json.loads(res.stdout)
     assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
     assert record["result"]["final"] == "not-kernel"
+
+
+def test_bench_startup_row_runs():
+    res = run_script("bench.py", "--row", "startup:flagship:64")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
+    assert record["result"] == {"final": "is-kernel", "scipy_loaded": False}
+
+
+def test_bench_validate_rejects_a_startup_row_without_scipy_flag():
+    bench = load_bench()
+    doc = json.loads(bench_paths()[-1].read_text())
+    rec = next(r for r in doc["rows"] if r["row"].startswith("startup:"))
+    del rec["result"]["scipy_loaded"]
+    with pytest.raises(ValueError, match="scipy_loaded"):
+        bench.validate(doc)
