@@ -10,8 +10,9 @@ Usage: python3 scripts/residual_ladders.py [--ladder 8,16,32,64,128]
 
 import argparse
 
-from toepkern import MatrixSymbol, series_inverse, symbol_mul
-from toepkern.fixtures import g_one_plus_z, g_poisson, g_poisson_double
+from toepkern import MatrixSymbol
+from toepkern.fixtures import (g_one_plus_z, g_poisson, g_poisson_double,
+                               sarason_B_closed_form)
 from toepkern.nearly import section_defect
 
 
@@ -23,9 +24,7 @@ def main():
     top = max(ladder)
 
     fixtures = [
-        ("one-plus-z", g_one_plus_z(),
-         symbol_mul(MatrixSymbol.monomial(1),
-                    series_inverse(MatrixSymbol.scalar([2.0, 1.0]), 4 * top))),
+        ("one-plus-z", g_one_plus_z(), sarason_B_closed_form(4 * top + 1).compress()),
         ("poisson", g_poisson(4 * top), MatrixSymbol.scalar([0.0, 0.5])),
         ("poisson-double", g_poisson_double(4 * top),
          MatrixSymbol.scalar([0.0, 0.0, 0.5])),

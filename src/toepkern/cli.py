@@ -11,8 +11,11 @@ Exit codes: 0 on success (mathematical verdicts such as "not-kernel" are
 results, not failures), 2 on invalid input (bad files, bad flags, violated
 preconditions, unknown verify name), 3 when the classification is still
 indeterminate at the top of the ladder, including a truncation too coarse
-to decide.  Output is deterministic: JSON is emitted with sorted keys and
-CSV floats use a fixed format, so repeat runs are byte-identical.
+to decide.  Exit 2 is decided once, in main: every invalid input surfaces
+as a ValueError (PreconditionError and LinAlgError are subclasses) and any
+other exception is a tool failure, exit 1.  Output is deterministic: every
+JSON document and file goes through _render_json (sorted keys) and CSV
+floats use a fixed format, so repeat runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,42 +23,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from .factor import PreconditionError
 from .fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
-                       half_signature, lin_diag_G, matrix_recipe, sqrt_diag_G,
-                       twisted_contraction)
+                       half_signature, lin_diag_G, matrix_recipe,
+                       sarason_B_closed_form, sqrt_diag_G, twisted_contraction)
 from .hayashi import (DEFAULT_LADDER, classify_kernel, construct_kernel,
                       embed_rect, gk_basis, pair_from_B,
                       pair_identity_defect, special_test)
 from .nearly import (counterexample_UBU, is_nearly_invariant,
                      sarason_equivalence, section_defect, verify_lemma31)
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, ToleranceConfig,
-                      adjoint_flip, grid_points, series_inverse, symbol_mul)
+                      adjoint_flip, grid_points, symbol_mul)
 from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
                        kernel_basis, subspace_angle)
-
-
-class CliError(Exception):
-    """Invocation-level failure carrying the process exit code."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-        self.message = message
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: numerical policy plus ladder and output routing."""
-
-    tolerance: ToleranceConfig
-    ladder: tuple
-    out: str | None
-    compact: bool
 
 
 # ---------------------------------------------------------------------------
@@ -66,26 +49,23 @@ def _parse_ladder(text: str) -> tuple:
     try:
         vals = tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise CliError(2, f"ladder must be comma-separated integers: {text!r}")
+        raise ValueError(f"ladder must be comma-separated integers: {text!r}")
     if len(vals) < 2 or vals[0] < 0 or any(b <= a for a, b in zip(vals, vals[1:])):
-        raise CliError(2, "ladder needs at least two strictly increasing "
-                          "non-negative degrees")
+        raise ValueError("ladder needs at least two strictly increasing "
+                         "non-negative degrees")
     return vals
 
 
-def _run_config(args) -> RunConfig:
-    try:
-        grid = args.grid
-        if grid is None:
-            grid = DEFAULT_CONFIG.with_degree(args.degree).grid_size
-        tol = ToleranceConfig(args.degree, grid, args.rank_tol,
-                              args.residual_tol)
-    except ValueError as exc:
-        raise CliError(2, str(exc))
-    ladder = _parse_ladder(args.ladder)
-    if ladder[-1] > tol.trunc_degree:
-        raise CliError(2, "ladder top exceeds the working degree")
-    return RunConfig(tol, ladder, args.out, args.compact)
+def _run_config(args) -> None:
+    """Replace args.ladder by its parsed degrees and add args.tolerance."""
+    grid = args.grid
+    if grid is None:
+        grid = DEFAULT_CONFIG.with_degree(args.degree).grid_size
+    args.tolerance = ToleranceConfig(args.degree, grid, args.rank_tol,
+                                     args.residual_tol)
+    args.ladder = _parse_ladder(args.ladder)
+    if args.ladder[-1] > args.tolerance.trunc_degree:
+        raise ValueError("ladder top exceeds the working degree")
 
 
 def _load_symbol(path: str) -> MatrixSymbol:
@@ -93,9 +73,9 @@ def _load_symbol(path: str) -> MatrixSymbol:
         with open(path) as fh:
             return MatrixSymbol.from_json_dict(json.load(fh))
     except FileNotFoundError:
-        raise CliError(2, f"no such file: {path}")
+        raise ValueError(f"no such file: {path}")
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise CliError(2, f"bad symbol file {path}: {exc}")
+        raise ValueError(f"bad symbol file {path}: {exc}")
 
 
 def _jsonable(x):
@@ -122,11 +102,6 @@ def _render_json(doc, compact: bool) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write_symbol(path: str, sym: MatrixSymbol) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(sym.to_json_dict(), sort_keys=True, indent=2) + "\n")
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -139,34 +114,36 @@ def _emit(text: str, out: str | None) -> None:
 # classify / construct
 
 
-def cmd_classify(args, run: RunConfig) -> int:
+def cmd_classify(args) -> int:
     G = _load_symbol(args.G)
     U = _load_symbol(args.U)
-    try:
-        rep = classify_kernel(G, U, run.tolerance.trunc_degree, run.tolerance,
-                              run.ladder)
-    except (PreconditionError, ValueError) as exc:
-        raise CliError(2, str(exc))
+    rep = classify_kernel(G, U, args.tolerance.trunc_degree, args.tolerance,
+                          args.ladder)
     symbol_ref = None
-    if rep.symbol is not None and run.out is not None:
-        side = run.out + ".symbol.json"
-        _write_symbol(side, rep.symbol)
-        symbol_ref = side
-    doc = rep.to_json_dict(symbol_ref)
-    _emit(_render_json(doc, run.compact), run.out)
+    if rep.symbol is not None and args.out is not None:
+        symbol_ref = args.out + ".symbol.json"
+        _emit(_render_json(rep.symbol.to_json_dict(), False), symbol_ref)
+    doc = {
+        "divisibility": {"verdict": rep.divisibility,
+                         "defect": rep.divisibility_defect},
+        "special": {"verdict": rep.special, "mass_gap": rep.mass_gap},
+        "rigidity": {"verdict": rep.rigidity, "sigma_min": rep.sigma_ladder},
+        "final": rep.final,
+        "symbol_ref": symbol_ref,
+        "cross_check_angle": rep.cross_check_angle,
+        "ladder": {"N": args.ladder},
+    }
+    _emit(_render_json(doc, args.compact), args.out)
     return 3 if rep.final == "indeterminate" else 0
 
 
-def cmd_construct(args, run: RunConfig) -> int:
+def cmd_construct(args) -> int:
     G0p = _load_symbol(args.G0prime)
     U = _load_symbol(args.U)
-    tol = run.tolerance
-    try:
-        res = construct_kernel(G0p, U, tol.trunc_degree, tol, run.ladder)
-        angles = {str(n): kernel_angle(res.phi, gk_basis(res.G, U, n, tol), tol)
-                  for n in run.ladder}
-    except (PreconditionError, ValueError) as exc:
-        raise CliError(2, str(exc))
+    tol = args.tolerance
+    res = construct_kernel(G0p, U, tol.trunc_degree, tol, args.ladder)
+    angles = {str(n): kernel_angle(res.phi, gk_basis(res.G, U, n, tol), tol)
+              for n in args.ladder}
     doc = {
         "dim_F": res.F.size,
         "cross_check_angle": {"per_N": angles, "refined": res.angle_2N},
@@ -174,27 +151,26 @@ def cmd_construct(args, run: RunConfig) -> int:
         "rigidity": {"verdict": res.rigidity.verdict,
                      "sigma_min": list(res.rigidity.sigma_ladder)},
         "scale": MatrixSymbol.constant(res.scale).to_json_dict(),
-        "ladder": {"N": list(run.ladder)},
+        "ladder": {"N": args.ladder},
     }
-    if run.out is not None:
-        _write_symbol(run.out + ".G.json", res.G)
-        _write_symbol(run.out + ".phi.json", res.phi)
+    if args.out is not None:
         basis_doc = {
             "dim": res.F.dim,
             "degree": res.F.degree,
-            "elements": [[[float(v.real), float(v.imag)] for v in col]
+            "elements": [[[v.real, v.imag] for v in col]
                          for col in res.F.matrix.T],
         }
-        with open(run.out + ".basis.json", "w") as fh:
-            fh.write(json.dumps(basis_doc, sort_keys=True, indent=2) + "\n")
+        _emit(_render_json(res.G.to_json_dict(), False), args.out + ".G.json")
+        _emit(_render_json(res.phi.to_json_dict(), False), args.out + ".phi.json")
+        _emit(_render_json(basis_doc, False), args.out + ".basis.json")
         doc["artifacts"] = {
-            "G": run.out + ".G.json",
-            "phi": run.out + ".phi.json",
-            "basis": run.out + ".basis.json",
+            "G": args.out + ".G.json",
+            "phi": args.out + ".phi.json",
+            "basis": args.out + ".basis.json",
         }
-        _emit(_render_json(doc, run.compact), run.out + ".report.json")
+        _emit(_render_json(doc, args.compact), args.out + ".report.json")
     else:
-        _emit(_render_json(doc, run.compact), None)
+        _emit(_render_json(doc, args.compact), None)
     return 0
 
 
@@ -211,41 +187,38 @@ def _lemma31_points(m: int):
             (-0.35, v, 0.15 + 0.25j, u)]
 
 
-def _check_kernel_identity(run: RunConfig):
-    n_top = run.ladder[-1]
+def _check_kernel_identity(args):
+    n_top = args.ladder[-1]
     fixtures = [
         ("unit-disc", MatrixSymbol.identity(1), MatrixSymbol.zero(1, 1)),
-        ("one-plus-z", g_one_plus_z(),
-         symbol_mul(MatrixSymbol.monomial(1),
-                    series_inverse(MatrixSymbol.scalar([2.0, 1.0]), n_top))),
+        ("one-plus-z", g_one_plus_z(), sarason_B_closed_form(n_top + 1).compress()),
         ("poisson-double", g_poisson_double(n_top),
          MatrixSymbol.scalar([0.0, 0.0, 0.5])),
     ]
     rows = []
     for name, G, B in fixtures:
         pts = _lemma31_points(G.rows)
-        for n in run.ladder:
-            res = verify_lemma31(G, B, pts, run.tolerance.with_degree(n))
+        for n in args.ladder:
+            res = verify_lemma31(G, B, pts, args.tolerance.with_degree(n))
             rows.append((name, n, res, 1e-6))
     return rows
 
 
-def _check_section_identity(run: RunConfig):
-    n_top = run.ladder[-1]
+def _check_section_identity(args):
+    n_top = args.ladder[-1]
     fixtures = [
         ("one-plus-z", g_one_plus_z(),
-         symbol_mul(MatrixSymbol.monomial(1),
-                    series_inverse(MatrixSymbol.scalar([2.0, 1.0]), 4 * n_top))),
+         sarason_B_closed_form(4 * n_top + 1).compress()),
         ("poisson", g_poisson(4 * n_top), MatrixSymbol.scalar([0.0, 0.5])),
     ]
     rows = []
     for name, G, B in fixtures:
-        for n in run.ladder:
+        for n in args.ladder:
             rows.append((name, n, section_defect(G, B, n), 1e-6))
     return rows
 
 
-def _check_equivalence(run: RunConfig):
+def _check_equivalence(args):
     """Positive fixtures: the three criteria agree near zero.  The negative
     fixture pins the isometry defect at exactly one half."""
     fixtures = [
@@ -257,8 +230,8 @@ def _check_equivalence(run: RunConfig):
     ]
     rows = []
     for name, G, U, pinned in fixtures:
-        for n in run.ladder:
-            rep = sarason_equivalence(G, U, n, run.tolerance)
+        for n in args.ladder:
+            rep = sarason_equivalence(G, U, n, args.tolerance)
             if pinned is None:
                 defects = (rep.isometry_defect, rep.divisibility_defect,
                            rep.annihilation_defect)
@@ -278,17 +251,17 @@ def _pair_fixtures():
     ]
 
 
-def _check_pair_identity(run: RunConfig):
+def _check_pair_identity(args):
     rows = []
-    for n in run.ladder:
+    for n in args.ladder:
         for name, B in _pair_fixtures():
-            pair = pair_from_B(B, n, run.tolerance)
+            pair = pair_from_B(B, n, args.tolerance)
             rows.append((name, n, pair_identity_defect(pair.B, pair.A,
-                                                       run.tolerance), 1e-8))
+                                                       args.tolerance), 1e-8))
     return rows
 
 
-def _check_rebuilt_pair(run: RunConfig):
+def _check_rebuilt_pair(args):
     fixtures = [
         ("scalar-shift", MatrixSymbol.monomial(1),
          MatrixSymbol.scalar([0.0, 0.5]),
@@ -298,27 +271,22 @@ def _check_rebuilt_pair(run: RunConfig):
     ]
     rows = []
     for name, U, B0, A in fixtures:
-        for n in run.ladder:
-            gap, _ = special_test(symbol_mul(U, B0), A, n, run.tolerance)
+        for n in args.ladder:
+            gap, _ = special_test(symbol_mul(U, B0), A, n, args.tolerance)
             rows.append((name, n, gap, 1e-7))
     return rows
 
 
-def _check_outer_image(run: RunConfig):
-    fixtures = [
-        ("quadratic", MatrixSymbol.scalar([0.0, 0.0, 0.5])),
-        ("signature", half_signature()),
-        ("one-plus-z", None),
+def _check_outer_image(args):
+    fixtures = [  # B at ladder degree n
+        ("quadratic", lambda n: MatrixSymbol.scalar([0.0, 0.0, 0.5])),
+        ("signature", lambda n: half_signature()),
+        ("one-plus-z", lambda n: sarason_B_closed_form(n + 1).compress()),
     ]
     rows = []
     for name, B in fixtures:
-        for n in run.ladder:
-            if B is None:
-                b0 = series_inverse(MatrixSymbol.scalar([2.0, 1.0]), n)
-                pair_B = symbol_mul(MatrixSymbol.monomial(1), b0)
-                pair = pair_from_B(pair_B, n, run.tolerance)
-            else:
-                pair = pair_from_B(B, n, run.tolerance)
+        for n in args.ladder:
+            pair = pair_from_B(B(n), n, args.tolerance)
             m = pair.A.rows
             ta = build_toeplitz(adjoint_flip(pair.A), n).matrix
             tb = build_toeplitz(adjoint_flip(pair.B), n).matrix
@@ -330,7 +298,7 @@ def _check_outer_image(run: RunConfig):
                          axis=2)
             h = symbol_mul(pair.A, MatrixSymbol(m, 8, 0, c[:n + 1])).window(0, n)
             rhs = tb @ h.reshape(-1, 8)
-            sol = np.linalg.lstsq(ta, rhs, rcond=run.tolerance.rank_tol)[0]
+            sol = np.linalg.lstsq(ta, rhs, rcond=args.tolerance.rank_tol)[0]
             worst = float(np.max(np.linalg.norm(ta @ sol - rhs, axis=0)))
             rows.append((name, n, worst, 1e-8))
     return rows
@@ -354,20 +322,17 @@ VERIFY_ALIASES = {
 }
 
 
-def cmd_verify(args, run: RunConfig) -> int:
+def cmd_verify(args) -> int:
     name = VERIFY_ALIASES.get(args.check, args.check)
     if name not in VERIFY_CHECKS:
         known = ", ".join(sorted(set(VERIFY_CHECKS) | set(VERIFY_ALIASES)))
-        raise CliError(2, f"unknown check {args.check!r}; choose from: {known}")
-    try:
-        rows = VERIFY_CHECKS[name](run)
-    except (PreconditionError, ValueError) as exc:
-        raise CliError(2, str(exc))
+        raise ValueError(f"unknown check {args.check!r}; choose from: {known}")
+    rows = VERIFY_CHECKS[name](args)
     lines = ["fixture,N,residual,tolerance,pass"]
     for fixture, n, residual, tol in rows:
         ok = "true" if residual <= tol else "false"
         lines.append(f"{fixture},{n},{residual:.12e},{tol:.12e},{ok}")
-    _emit("\n".join(lines) + "\n", run.out)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
@@ -397,33 +362,33 @@ def _halfpower_containment(K: int) -> float:
     return worst
 
 
-def _entry_halfpower(run: RunConfig) -> dict:
-    K = run.tolerance.grid_size
+def _entry_halfpower(args) -> dict:
+    K = args.tolerance.grid_size
     coarse = _halfpower_containment(K)
     fine = _halfpower_containment(2 * K)
-    n = run.tolerance.trunc_degree
+    n = args.tolerance.trunc_degree
     basis = basis_from_matrix(sqrt_diag_G(n).window(0, n).reshape(-1, 2), 2, n)
-    nearly = is_nearly_invariant(basis, run.tolerance)
+    nearly = is_nearly_invariant(basis, args.tolerance)
     ok = bool(nearly) and coarse <= 1e-4 and fine <= coarse
     return {"name": "halfpower-diagonal", "nearly_invariant": bool(nearly),
             "containment_residual": coarse, "containment_refined": fine,
             "tolerance": 1e-4, "pass": ok}
 
 
-def _entry_linear_diagonal(run: RunConfig) -> dict:
+def _entry_linear_diagonal(args) -> dict:
     rep = classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, 2),
-                          run.tolerance.trunc_degree, run.tolerance,
-                          run.ladder)
+                          args.tolerance.trunc_degree, args.tolerance,
+                          args.ladder)
     ok = rep.final == "not-kernel" and rep.cross_check_angle > 0.5
     return {"name": "linear-diagonal", "final": rep.final,
             "divisibility": rep.divisibility, "mass_gap": rep.mass_gap,
             "cross_check_angle": rep.cross_check_angle, "pass": bool(ok)}
 
 
-def _entry_column_embedding(run: RunConfig) -> dict:
+def _entry_column_embedding(args) -> dict:
     emb = embed_rect(column_G(), MatrixSymbol.monomial(2),
-                     run.tolerance.trunc_degree, run.tolerance, run.ladder)
-    ker = kernel_basis(build_toeplitz(emb.phi, 8), run.tolerance)
+                     args.tolerance.trunc_degree, args.tolerance, args.ladder)
+    ker = kernel_basis(build_toeplitz(emb.phi, 8), args.tolerance)
     target = np.zeros((18, 2))
     target[0, 0] = 1.0
     target[2, 1] = 1.0
@@ -435,28 +400,28 @@ def _entry_column_embedding(run: RunConfig) -> dict:
             "pass": bool(ok)}
 
 
-def _entry_twisted(run: RunConfig) -> dict:
+def _entry_twisted(args) -> dict:
     theta = MatrixSymbol.monomial(1)
     mass_const = counterexample_UBU(theta, MatrixSymbol.scalar([0.5]),
-                                    MatrixSymbol.scalar([0.0]), run.tolerance)
+                                    MatrixSymbol.scalar([0.0]), args.tolerance)
     mass_shift = counterexample_UBU(theta, MatrixSymbol.scalar([0.0, 0.5]),
-                                    MatrixSymbol.scalar([0.0]), run.tolerance)
+                                    MatrixSymbol.scalar([0.0]), args.tolerance)
     ok = abs(mass_const - 0.5) <= 1e-10 and mass_shift <= 1e-10
     return {"name": "twisted-counterexample", "mass_constant": mass_const,
             "mass_shifted": mass_shift, "pass": bool(ok)}
 
 
-def _entry_flagship(run: RunConfig) -> dict:
-    n = run.tolerance.trunc_degree
+def _entry_flagship(args) -> dict:
+    n = args.tolerance.trunc_degree
     try:
         rep = classify_kernel(g_poisson_double(n), MatrixSymbol.monomial(1), n,
-                              run.tolerance, run.ladder)
+                              args.tolerance, args.ladder)
         final, gap = rep.final, rep.mass_gap
     except PreconditionError:
         # below degree ~24 the truncated G is not orthonormal enough to test
         final, gap = "indeterminate", float("nan")
     res = construct_kernel(g_poisson(n), MatrixSymbol.monomial(1), n,
-                           run.tolerance, run.ladder)
+                           args.tolerance, args.ladder)
     g_err = (res.G - g_poisson_double(n)).norm_l2()
     angle = max(res.angle_N, res.angle_2N)
     ok = (final == "is-kernel" and g_err <= 1e-8 and angle <= 1e-5)
@@ -465,30 +430,27 @@ def _entry_flagship(run: RunConfig) -> dict:
             "cross_check_angle": angle, "pass": bool(ok)}
 
 
-def _entry_matrix_recipe(run: RunConfig) -> dict:
+def _entry_matrix_recipe(args) -> dict:
     seed, U = matrix_recipe()
-    res = construct_kernel(seed, U, run.tolerance.trunc_degree, run.tolerance,
-                           run.ladder)
+    res = construct_kernel(seed, U, args.tolerance.trunc_degree, args.tolerance,
+                           args.ladder)
     angle = max(res.angle_N, res.angle_2N)
     ok = res.F.size == 3 and angle <= 1e-5
     return {"name": "matrix-recipe", "dim_F": res.F.size,
             "cross_check_angle": angle, "pass": bool(ok)}
 
 
-def cmd_examples(args, run: RunConfig) -> int:
-    try:
-        entries = [
-            _entry_halfpower(run),
-            _entry_linear_diagonal(run),
-            _entry_column_embedding(run),
-            _entry_twisted(run),
-            _entry_flagship(run),
-            _entry_matrix_recipe(run),
-        ]
-    except (PreconditionError, ValueError) as exc:
-        raise CliError(2, str(exc))
-    doc = {"degree": run.tolerance.trunc_degree, "entries": entries}
-    _emit(_render_json(doc, run.compact), run.out)
+def cmd_examples(args) -> int:
+    entries = [
+        _entry_halfpower(args),
+        _entry_linear_diagonal(args),
+        _entry_column_embedding(args),
+        _entry_twisted(args),
+        _entry_flagship(args),
+        _entry_matrix_recipe(args),
+    ]
+    doc = {"degree": args.tolerance.trunc_degree, "entries": entries}
+    _emit(_render_json(doc, args.compact), args.out)
     return 0
 
 
@@ -553,11 +515,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        run = _run_config(args)
-        return _COMMANDS[args.command](args, run)
-    except CliError as exc:
-        print(f"error: {exc.message}", file=sys.stderr)
-        return exc.code
+        _run_config(args)
+        return _COMMANDS[args.command](args)
+    except ValueError as exc:  # invalid input or a violated precondition
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # tool failure, not a mathematical verdict
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

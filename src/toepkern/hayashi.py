@@ -258,24 +258,6 @@ class ClassificationReport:
     final: str
     symbol: MatrixSymbol | None
     cross_check_angle: float
-    ladder: tuple
-
-    def to_json_dict(self, symbol_ref: str = "inline") -> dict:
-        def clean(x):
-            if x is None or (isinstance(x, float) and not np.isfinite(x)):
-                return None
-            return x
-        return {
-            "divisibility": {"verdict": self.divisibility,
-                             "defect": clean(self.divisibility_defect)},
-            "special": {"verdict": self.special, "mass_gap": clean(self.mass_gap)},
-            "rigidity": {"verdict": self.rigidity,
-                         "sigma_min": [clean(s) for s in self.sigma_ladder]},
-            "final": self.final,
-            "symbol_ref": symbol_ref if self.symbol is not None else None,
-            "cross_check_angle": clean(self.cross_check_angle),
-            "ladder": {"N": list(self.ladder)},
-        }
 
 
 def gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
@@ -360,7 +342,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     return ClassificationReport(div_verdict, float(div.defect),
                                 special_verdict, gap,
                                 rig_verdict, sigmas,
-                                final, phi, angle, tuple(ladder))
+                                final, phi, angle)
 
 
 # -- the constructive recipe --------------------------------------------------------

@@ -13,8 +13,8 @@ import pytest
 from toepkern import MatrixSymbol
 from toepkern.cli import main
 from toepkern.factor import is_inner
-from toepkern.fixtures import (column_G, g_poisson, g_poisson_double, lin_diag_G,
-                               matrix_recipe)
+from toepkern.fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
+                               lin_diag_G, matrix_recipe)
 from toepkern.hayashi import ClassificationReport
 
 
@@ -168,6 +168,27 @@ def test_classify_out_writes_report_and_sidecar(tmp_path, capsys):
     assert phi.min_deg < 0 <= phi.max_deg
 
 
+def test_classify_undivisible_report_layout(tmp_path, capsys):
+    # skipped sub-tests leave NaN and () in the report; the layout writes
+    # null and [] and the side file path only with --out
+    g = dump(tmp_path, "g.json", g_one_plus_z())
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(2))
+    assert main(["classify", g, u]) == 0
+    text = capsys.readouterr().out
+    assert "NaN" not in text
+    doc = json.loads(text)
+    assert doc["divisibility"]["verdict"] == "not-divisible"
+    assert doc["special"] == {"verdict": "skipped", "mass_gap": None}
+    assert doc["rigidity"] == {"verdict": "skipped", "sigma_min": []}
+    assert doc["ladder"] == {"N": [16, 32, 64]}
+    assert doc["symbol_ref"] is None
+    out = str(tmp_path / "r")
+    assert main(["classify", g, u, "--out", out]) == 0
+    text = Path(out).read_text()
+    assert "NaN" not in text
+    assert json.loads(text)["symbol_ref"] == out + ".symbol.json"
+
+
 def test_classify_rank_deficient_U_exits_2(tmp_path, capsys):
     g = dump(tmp_path, "g.json", lin_diag_G())
     u = dump(tmp_path, "u.json",
@@ -200,7 +221,7 @@ def test_classify_corrupt_file_exits_2(tmp_path, capsys):
 def test_indeterminate_final_exits_3(tmp_path, capsys, monkeypatch):
     rep = ClassificationReport("divisible", 1e-12, "indeterminate", 5e-6,
                                "skipped", (), "indeterminate", None,
-                               float("nan"), (16, 32, 64))
+                               float("nan"))
     monkeypatch.setattr("toepkern.cli.classify_kernel", lambda *a, **k: rep)
     g = dump(tmp_path, "g.json", g_poisson_double(16))
     u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
@@ -307,6 +328,14 @@ def test_construct_rejects_non_rigid_seed(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # examples and flag validation
+
+
+def test_examples_failed_precondition_exits_2(capsys):
+    assert main(["examples", "--degree", "3", "--ladder", "1,2,3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: precondition failed: recovered pair (B0, A') special")
 
 
 def test_examples_bundle(capsys):

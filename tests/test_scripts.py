@@ -94,3 +94,21 @@ def test_bench_validate_rejects_a_startup_row_without_scipy_flag():
     del rec["result"]["scipy_loaded"]
     with pytest.raises(ValueError, match="scipy_loaded"):
         bench.validate(doc)
+
+
+def test_cli_snapshot_records_each_command(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "cli_snapshot", ROOT / "scripts" / "cli_snapshot.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.snapshot(ROOT, tmp_path, [
+        ("ok", ["verify", "pair-identity", "--degree", "16", "--ladder", "4,8",
+                "--out", "ok.csv"]),
+        ("bad", ["verify", "nope"]),
+    ])
+    assert (tmp_path / "ok.rc").read_text() == "0\n"
+    assert (tmp_path / "ok.out").read_text() == ""
+    assert (tmp_path / "ok.csv").read_text().startswith("fixture,N,residual")
+    assert (tmp_path / "bad.rc").read_text() == "2\n"
+    assert (tmp_path / "bad.err").read_text().startswith("error: unknown check")
+    assert (tmp_path / "z.json").exists()
