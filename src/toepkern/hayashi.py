@@ -273,6 +273,14 @@ def _require_grid(N: int, config: ToleranceConfig) -> None:
                          f"N = {N}: pass config.with_degree({N})")
 
 
+def _require_U_shape(name: str, G: MatrixSymbol, U: MatrixSymbol) -> None:
+    """U acts on K_U in H2(C^r) with r = G.cols, so it must be r x r."""
+    r = G.cols
+    if (U.rows, U.cols) != (r, r):
+        raise ValueError(f"U is {U.rows} x {U.cols} but {name} is "
+                         f"{G.rows} x {G.cols}: U must be {r} x {r}")
+
+
 def _require_inner_U(U: MatrixSymbol, config: ToleranceConfig) -> None:
     """U inner of full rank with U(0) = 0, as classify and construct need."""
     cert = is_inner(U, config)
@@ -301,6 +309,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     _require_grid(N, config)
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
+    _require_U_shape("G", G, U)
     _require_inner_U(U, config)
 
     B = sarason_B(G, N, config)
@@ -383,6 +392,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     _require_grid(N, config)
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")
+    _require_U_shape("G0'", G0p, U)
     rig = rigidity_test(G0p, ladder, config)
     if rig.verdict != "rigid":
         raise PreconditionError("G0' square rigid", rig.sigma_ladder[-1]
@@ -438,10 +448,11 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     m, r = G.rows, G.cols
     if r >= m:
         raise ValueError("square input: use classify_kernel")
+    _require_U_shape("G", G, U)
     span = shift_span(G, config)
     if span.verdict != "outer":
         raise PreconditionError("G outer", span.eta_fine)
-    if span.rank != r or U.rows != r:
+    if span.rank != r:
         raise PreconditionError("shift span dimension equals r", float(span.rank))
 
     t0 = span.theta0

@@ -197,6 +197,18 @@ def test_classify_rank_deficient_U_exits_2(tmp_path, capsys):
     assert "full rank" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,G,shape", [
+    ("classify", g_poisson_double(64), "G is 1 x 1"),
+    ("construct", g_poisson(64), "G0' is 1 x 1"),
+])
+def test_mismatched_U_shape_exits_2(tmp_path, capsys, command, G, shape):
+    g = dump(tmp_path, "g.json", G)
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1, 2))
+    assert main([command, g, u]) == 2
+    assert capsys.readouterr().err == (
+        f"error: U is 2 x 2 but {shape}: U must be 1 x 1\n")
+
+
 def test_classify_rectangular_redirects(tmp_path, capsys):
     g = dump(tmp_path, "g.json", column_G())
     u = dump(tmp_path, "u.json", MatrixSymbol.monomial(2))

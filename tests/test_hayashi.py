@@ -378,6 +378,18 @@ class TestClassification:
         with pytest.raises(ValueError):
             classify_kernel(column_G(), MatrixSymbol.monomial(2), 16, CFG)
 
+    @pytest.mark.parametrize("run,shapes", [
+        (lambda: classify_kernel(g_poisson_double(32), MatrixSymbol.monomial(1, 2),
+                                 32, CFG.with_degree(32)), "G is 1 x 1"),
+        (lambda: construct_kernel(g_poisson(32), MatrixSymbol.monomial(1, 2), 32,
+                                  CFG.with_degree(32)), "G0' is 1 x 1"),
+    ], ids=["classify", "construct"])
+    def test_U_shape_gate_names_both_shapes(self, run, shapes):
+        # U must be r x r with r = G.cols
+        with pytest.raises(ValueError, match=f"U is 2 x 2 but {shapes}: "
+                                             "U must be 1 x 1"):
+            run()
+
     def test_inner_preconditions(self):
         with pytest.raises(PreconditionError):
             classify_kernel(g_poisson_double(N), g_one_plus_z(), N, CFG)
@@ -735,7 +747,9 @@ class TestEmbedding:
             embed_rect(lin_diag_G(), MatrixSymbol.monomial(1, m=2), 16, CFG)
 
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(PreconditionError):
+        # U must be r x r with r = G.cols
+        with pytest.raises(ValueError, match="U is 2 x 2 but G is 2 x 1: "
+                                             "U must be 1 x 1"):
             embed_rect(column_G(), MatrixSymbol.monomial(2, m=2), 16, CFG)
 
 
