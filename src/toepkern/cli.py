@@ -38,7 +38,9 @@ from .nearly import (counterexample_UBU, is_nearly_invariant,
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, ToleranceConfig,
                       adjoint_flip, grid_points, symbol_mul)
 from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
-                       kernel_basis, subspace_angle)
+                       kernel_basis, phase_gauge, subspace_angle)
+
+PIVOT_COND = 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +112,26 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
+def _span_frame(F: np.ndarray) -> np.ndarray:
+    """Orthonormal frame fixed by the span of F's columns, not by F itself.
+
+    Pivot rows I are taken in coefficient order, skipping any row that
+    would lift the condition number of F[I] above PIVOT_COND.  B = F F[I]^-1
+    is the same for every basis of the span (B[I] is the identity), and its
+    QR factor in the phase gauge is the frame, so roundoff that rotates F
+    inside its span moves the frame only by roundoff times cond(F[I]).
+    """
+    piv = []
+    for i in range(len(F)):
+        if len(piv) == F.shape[1]:
+            break
+        s = np.linalg.svd(F[piv + [i]], compute_uv=False)
+        if s[-1] * PIVOT_COND > s[0]:
+            piv.append(i)
+    q, _ = np.linalg.qr(F @ np.linalg.inv(F[piv]))
+    return phase_gauge(q)
+
+
 # ---------------------------------------------------------------------------
 # classify / construct
 
@@ -158,7 +180,7 @@ def cmd_construct(args) -> int:
             "dim": res.F.dim,
             "degree": res.F.degree,
             "elements": [[[v.real, v.imag] for v in col]
-                         for col in res.F.matrix.T],
+                         for col in _span_frame(res.F.matrix).T],
         }
         _emit(_render_json(res.G.to_json_dict(), False), args.out + ".G.json")
         _emit(_render_json(res.phi.to_json_dict(), False), args.out + ".phi.json")

@@ -10,12 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toepkern import MatrixSymbol
+from toepkern import MatrixSymbol, ToleranceConfig
 from toepkern.cli import main
 from toepkern.factor import is_inner
 from toepkern.fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
                                lin_diag_G, matrix_recipe)
-from toepkern.hayashi import ClassificationReport
+from toepkern.hayashi import ClassificationReport, construct_kernel
 
 
 def dump(tmp_path, name, sym):
@@ -310,6 +310,30 @@ def test_construct_writes_artifacts(tmp_path, capsys):
     assert phi.min_deg < 0
     basis = json.loads(Path(pre + ".basis.json").read_text())
     assert basis["dim"] == 1 and len(basis["elements"]) == 1
+
+
+def test_construct_basis_file_frame_fixed_by_span(tmp_path, capsys):
+    # roundoff in the seed rotates F inside its span; the written frame
+    # depends on the span only, so it moves by roundoff
+    seed, U = matrix_recipe()
+    u = dump(tmp_path, "u.json", U)
+    rng = np.random.default_rng(0)
+    frames = []
+    for k in range(3):
+        noise = 1e-15 * (rng.standard_normal(seed.coeffs.shape)
+                         + 1j * rng.standard_normal(seed.coeffs.shape))
+        G0p = MatrixSymbol(2, 2, 0, seed.coeffs + (noise if k else 0))
+        pre = str(tmp_path / f"run{k}")
+        assert main(["construct", dump(tmp_path, f"seed{k}.json", G0p), u,
+                     "--out", pre]) == 0
+        doc = json.loads(Path(pre + ".basis.json").read_text())
+        frames.append(np.array([[re + 1j * im for re, im in col]
+                                for col in doc["elements"]]).T)
+    assert all(np.max(np.abs(f - frames[0])) <= 1e-12 for f in frames[1:])
+    F = construct_kernel(seed, U, 64, ToleranceConfig().with_degree(64)).F.matrix
+    q = frames[0]
+    assert np.linalg.norm(q.conj().T @ q - np.eye(3)) <= 1e-12
+    assert np.linalg.norm(q - F @ (F.conj().T @ q)) <= 1e-12
 
 
 def test_construct_certifies_U_once(tmp_path, capsys):
