@@ -175,24 +175,20 @@ def cmd_construct(args) -> int:
         "scale": MatrixSymbol.constant(res.scale).to_json_dict(),
         "ladder": {"N": args.ladder},
     }
+    report = None
     if args.out is not None:
-        basis_doc = {
-            "dim": res.F.dim,
-            "degree": res.F.degree,
-            "elements": [[[v.real, v.imag] for v in col]
-                         for col in _span_frame(res.F.matrix).T],
+        files = {
+            "G": res.G.to_json_dict(),
+            "phi": res.phi.to_json_dict(),
+            "basis": {"dim": res.F.dim, "degree": res.F.degree,
+                      "elements": [[[v.real, v.imag] for v in col]
+                                   for col in _span_frame(res.F.matrix).T]},
         }
-        _emit(_render_json(res.G.to_json_dict(), False), args.out + ".G.json")
-        _emit(_render_json(res.phi.to_json_dict(), False), args.out + ".phi.json")
-        _emit(_render_json(basis_doc, False), args.out + ".basis.json")
-        doc["artifacts"] = {
-            "G": args.out + ".G.json",
-            "phi": args.out + ".phi.json",
-            "basis": args.out + ".basis.json",
-        }
-        _emit(_render_json(doc, args.compact), args.out + ".report.json")
-    else:
-        _emit(_render_json(doc, args.compact), None)
+        doc["artifacts"] = {key: f"{args.out}.{key}.json" for key in files}
+        for key, part in files.items():
+            _emit(_render_json(part, False), doc["artifacts"][key])
+        report = args.out + ".report.json"
+    _emit(_render_json(doc, args.compact), report)
     return 0
 
 
