@@ -15,10 +15,17 @@ A row is named `<call>:<fixture>:<degree>`:
   row classifies the G that the construction at degree N returns; that
   construction runs first, untimed, and leaves U's memoized is_inner
   certificate in place;
-- `startup:flagship:N` times a cold start: from before `import toepkern`
-  (numpy is not loaded yet) to a finished flagship classify_kernel at degree
-  N, and records `final` and `scipy_loaded`, whether any scipy module was
-  loaded by then.
+- `startup:flagship:N` and `startup:recipe:N` time a cold start: from
+  before `import toepkern` (numpy is not loaded yet) to a finished flagship
+  classify_kernel, or matrix-recipe construct_kernel, at degree N.  They
+  record `final` (flagship) or `dim_F` (recipe), and `scipy_loaded`,
+  whether any scipy module was loaded by then;
+- `bauer:twisted:N` times bauer_factorize at degree N on the density
+  I - B^H B of the twisted contraction B that `verify pair-identity` reads,
+  with the default moment rows.  One untimed call runs first, so the timed
+  one pays no first-use import; the peak memory still includes it.  The
+  row records `defect`, the largest entry of A^H A - phi on the configured
+  sample grid.
 
 The flagship is the seed g_poisson(N) with U = z, and its classify row reads
 g_poisson_double(N), the G that seed constructs; the recipe is the constant
@@ -60,12 +67,15 @@ ROWS = (
     "classify:flagship:2048",
     "classify:recipe:512",
     "startup:flagship:64",
+    "startup:recipe:64",
+    "bauer:twisted:512",
 )
 ROW_TIMEOUT_S = 600.0  # every row takes about a second; this only stops a hung one
 FIXTURES = {"kernel_angle": ("flagship", "recipe"),
             "construct": ("flagship", "recipe"),
             "classify": ("flagship", "lindiag", "recipe"),
-            "startup": ("flagship",)}
+            "startup": ("flagship", "recipe"),
+            "bauer": ("twisted",)}
 
 
 def parse_row(name: str) -> tuple[str, str, int]:
@@ -79,8 +89,12 @@ def run_row(name: str) -> dict:
     """Run one row in this process and return its record."""
     call, fixture, degree = parse_row(name)
     cold = time.perf_counter()  # a --row interpreter has not loaded numpy yet
-    from toepkern import (MatrixSymbol, ToleranceConfig, classify_kernel,
-                          construct_kernel)
+    import numpy as np
+
+    from toepkern import (MatrixSymbol, ToleranceConfig, adjoint_flip,
+                          classify_kernel, construct_kernel, sample_symbol,
+                          symbol_mul)
+    from toepkern.factor import bauer_factorize
     from toepkern.fixtures import (g_poisson, g_poisson_double, lin_diag_G,
                                    matrix_recipe)
     from toepkern.hayashi import gk_basis
@@ -93,10 +107,27 @@ def run_row(name: str) -> dict:
 
     if call == "startup":
         config = ToleranceConfig().with_degree(degree)
-        rep = classify_kernel(g_poisson_double(degree), MatrixSymbol.monomial(1),
-                              degree, config)
+        if fixture == "flagship":
+            rep = classify_kernel(g_poisson_double(degree), MatrixSymbol.monomial(1),
+                                  degree, config)
+            result = {"final": rep.final}
+        else:
+            result = {"dim_F": construct_kernel(*inputs(degree), degree, config).F.size}
         wall = time.perf_counter() - cold
-        result = {"final": rep.final, "scipy_loaded": "scipy" in sys.modules}
+        result["scipy_loaded"] = "scipy" in sys.modules
+    elif call == "bauer":
+        from toepkern.cli import _pair_fixtures  # off the startup rows' clock
+
+        config = ToleranceConfig().with_degree(degree)
+        B = dict(_pair_fixtures())["twisted"]
+        phi = MatrixSymbol.identity(2) - symbol_mul(adjoint_flip(B), B)
+        bauer_factorize(phi, degree, config)
+        start = time.perf_counter()
+        A = bauer_factorize(phi, degree, config)
+        wall = time.perf_counter() - start
+        av = sample_symbol(A, config.grid_size)
+        rec = np.conj(np.transpose(av, (0, 2, 1))) @ av
+        result = {"defect": float(np.max(np.abs(rec - sample_symbol(phi, config.grid_size))))}
     elif call == "construct":
         config = ToleranceConfig().with_degree(degree)
         seed, U = inputs(degree)
@@ -128,8 +159,6 @@ def run_row(name: str) -> dict:
         wall = time.perf_counter() - start
         result = {"angle": angle}
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    import numpy as np
-
     return {"wall_s": wall, "max_rss_mb": rss_mb, "result": result,
             "numpy": np.__version__}
 
@@ -190,6 +219,8 @@ def validate(doc: dict) -> None:
         call, _, _ = parse_row(rec["row"])
         if call == "startup" and not isinstance(rec["result"].get("scipy_loaded"), bool):
             raise ValueError(f"{rec['row']} {rec['tree']}: no scipy_loaded flag")
+        if call == "bauer" and not isinstance(rec["result"].get("defect"), float):
+            raise ValueError(f"{rec['row']} {rec['tree']}: no defect")
         if rec["tree"] not in trees:
             raise ValueError(f"row {rec['row']} from unknown tree {rec['tree']!r}")
         for key in ("wall_s", "max_rss_mb"):

@@ -7,13 +7,13 @@ exp-of-Herglotz-of-log formula, which is pointwise exact on the sample grid
 and tolerates boundary zeros (the offset grid never lands on them). Genuinely
 matricial symbols go through Bauer's method: Cholesky of a large block
 Toeplitz moment matrix, reading the factor off the last block row. A density
-of degree d makes that matrix banded, and its Cholesky factor keeps the band,
-so only the band is stored and factored (LAPACK banded Cholesky). That
-call is the module's one use of scipy, and scipy.linalg is imported there,
-on first use: importing it costs more than all of `import toepkern`
-(numpy included), and the diagonal and scalar routes never need it. The
-exp-log formula is refused for non-diagonal densities, since for
-non-commuting values it does not reproduce the factor.
+of degree d makes that matrix banded, so cut into panels of P >= d + 1
+block rows it is block tridiagonal with one repeated diagonal block and one
+repeated coupling block, and its Cholesky factor is a Schur-complement
+recursion over the panels in numpy alone: O((Pm)^2) memory, and an exact
+early stop once a Schur complement repeats bitwise. The exp-log formula is
+refused for non-diagonal densities, since for non-commuting values it does
+not reproduce the factor.
 """
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from .symbols import (
     symbol_from_samples,
     symbol_mul,
 )
-from .toeplitz import orthonormal_basis
+from .toeplitz import build_toeplitz, orthonormal_basis
 
 
 class PreconditionError(ValueError):
@@ -334,25 +334,6 @@ def outer_exp_log(phi: MatrixSymbol, N: int,
     return MatrixSymbol(m, m, 0, out)
 
 
-def _moment_band(phi: MatrixSymbol, M: int) -> np.ndarray:
-    """Lower band storage of Bauer's moment matrix with M + 1 block rows.
-
-    Block (j, k) of the moment matrix is phi_{j-k} transposed, so entry
-    (j m + a, k m + b) is phi_{j-k}[b, a], and it vanishes for j - k > d =
-    deg phi: the lower bandwidth is (d + 1) m - 1.  Row r of the result is
-    the r-th subdiagonal, ab[r, c] = T[c + r, c], zero past the last row.
-    """
-    m = phi.rows
-    n = (M + 1) * m
-    d = phi.max_deg
-    # degrees 0..d, then a zero block for the entries outside the band
-    low = phi.window(0, d + 1)
-    c = np.arange(n)
-    i = c + np.arange(min((d + 1) * m, n))[:, None]
-    deg = np.where(i < n, np.minimum(i // m - c // m, d + 1), d + 1)
-    return low[deg, c % m, i % m]
-
-
 def bauer_factorize(phi: MatrixSymbol, N: int,
                     config: ToleranceConfig = DEFAULT_CONFIG,
                     moment_rows: int | None = None) -> MatrixSymbol:
@@ -363,10 +344,16 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     method: Cholesky of the moment block Toeplitz matrix with M + 1 block
     rows (M = moment_rows, default max(4N, 256), at least N), reading A off
     the last block row, which converges geometrically for densities bounded
-    away from zero.  For phi of degree d the moment matrix and its factor
-    vanish more than (d + 1) m - 1 places below the diagonal, so only that
-    band is filled and factored: O(M ((d + 1) m)^2) work and O(M (d + 1) m^2)
-    memory.  Gauge: A(0) is Hermitian positive definite.
+    away from zero.  Block (j, k) of the moment matrix is phi_{j-k}
+    transposed, and it vanishes for j - k > d = deg phi.  Cut into panels of
+    P >= d + 1 block rows, each panel couples only to its neighbours, so the
+    Cholesky factor is a Schur-complement recursion over panels: every full
+    panel has the same diagonal block D and coupling block E, read from one
+    section of 2P block rows; the first panel takes the remaining
+    (M + 1) mod P rows.  The recursion stops early once a Schur complement
+    repeats bitwise, since every later panel would repeat it exactly.  At
+    most (M + 1) / P panel steps of O((Pm)^3) work, in O((Pm)^2) memory.
+    Gauge: A(0) is Hermitian positive definite.
     """
     if phi.rows != phi.cols:
         raise ValueError("density must be square")
@@ -401,20 +388,32 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
         raise PreconditionError("matricial density positive on the grid", min_eig)
     m = phi.rows
     M = moment_rows if moment_rows is not None else max(4 * N, 256)
-    ab = _moment_band(phi, M)
-    kd = ab.shape[0] - 1
-    import scipy.linalg  # scipy stays off `import toepkern`: see the module docstring
-    L = scipy.linalg.cholesky_banded(ab, lower=True)
-    # A_s is block (M, M - s) of the factor, transposed; entry (a, b) of that
-    # block sits s m + a - b below the diagonal, zero outside the band
-    s = np.arange(N + 1)[:, None, None]
-    a, b = np.arange(m)[:, None], np.arange(m)
-    r = s * m + a - b
-    X = np.where((r >= 0) & (r <= kd), L[np.clip(r, 0, kd), (M - s) * m + b], 0)
-    A = MatrixSymbol(m, m, 0, np.transpose(X, (0, 2, 1)))
-    u, _, vh = np.linalg.svd(A.coeff(0))
+    P = max(phi.max_deg + 1, 32 // m)
+    n = P * m
+    phi_t = MatrixSymbol(m, m, phi.min_deg, np.transpose(phi.coeffs, (0, 2, 1)))
+    T = build_toeplitz(phi_t, 2 * P - 1).matrix
+    D, E = T[:n, :n], T[n:, :n]
+    k = ((M + 1) % P or P) * m  # rows of the first panel
+    S = D[:k, :k]
+    L = np.linalg.cholesky(S)
+    X = np.zeros((k, 0), complex)
+    for _ in range((M + 1) // P - (k == n)):
+        X = np.conj(np.linalg.solve(L, np.conj(E[:, n - k:].T)).T)
+        S_next = D - X @ np.conj(X.T)
+        if np.array_equal(S_next, S):
+            break  # L = cholesky(S_next) already, and every later panel repeats
+        S, k = S_next, n
+        L = np.linalg.cholesky(S)
+    # row[a, s, b] is entry (a, b) of block (M, M - s) of the factor, read
+    # off the last block row of [X | L]; A_s is that block transposed, zero
+    # past the row's start
+    row = np.concatenate([X, L], axis=1)[-m:].reshape(m, -1, m)[:, ::-1]
+    t = min(N + 1, row.shape[1])
+    coeffs = np.zeros((N + 1, m, m), complex)
+    coeffs[:t] = np.transpose(row[:, :t], (1, 2, 0))
+    u, _, vh = np.linalg.svd(coeffs[0])
     W = u @ vh  # unitary polar factor of A_0
-    gauged = np.matmul(np.conj(W.T)[None], A.coeffs)
+    gauged = np.matmul(np.conj(W.T)[None], coeffs)
     return MatrixSymbol(m, m, 0, gauged)
 
 

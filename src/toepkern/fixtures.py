@@ -46,11 +46,12 @@ def phi_poisson_double(N: int) -> MatrixSymbol:
 
 
 def sqrt_binomial(sign: int, N: int) -> MatrixSymbol:
-    """(1 + sign z)^(1/2) by the binomial series, truncated at N."""
-    from scipy.special import binom  # scipy stays off `import toepkern`
+    """(1 + sign z)^(1/2) by the binomial series, truncated at N.
 
-    k = np.arange(N + 1)
-    return MatrixSymbol.scalar(binom(0.5, k) * sign ** k)
+    binom(1/2, k) = binom(1/2, k - 1) (3/2 - k) / k, one running product.
+    """
+    k = np.arange(1, N + 1)
+    return MatrixSymbol.scalar(np.concatenate([[1.0], np.cumprod(sign * (1.5 - k) / k)]))
 
 
 def sqrt_diag_G(N: int) -> MatrixSymbol:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,7 @@ from toepkern.fixtures import (
     model_inner_det_z,
     rank2_partial_isometry,
     sarason_B_closed_form,
+    sqrt_binomial,
     sqrt_diag_G,
 )
 from toepkern.toeplitz import build_toeplitz
@@ -161,6 +163,18 @@ def test_garcia_rejects_outside_model_space():
 
 
 # -- outer detection ----------------------------------------------------------------
+
+@pytest.mark.parametrize("N", [64, 512])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_sqrt_binomial_matches_exact_recurrence(sign, N):
+    exact = [Fraction(1)]
+    for k in range(1, N + 1):
+        exact.append(exact[-1] * Fraction(sign * (3 - 2 * k), 2 * k))
+    want = np.array([float(c) for c in exact])
+    got = sqrt_binomial(sign, N).coeffs[:, 0, 0]
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 4e-15
+
 
 def test_sqrt_diag_outer_with_identity_carrier():
     rep = shift_span(sqrt_diag_G(48), CFG)
@@ -351,21 +365,28 @@ def _twisted_density():
     return MatrixSymbol.identity(2) - symbol_mul(adjoint_flip(B), B)
 
 
-@st.composite
-def matricial_density_case(draw):
-    """phi = A*A for a random m x m polynomial A of degree `band` whose
-    constant term dominates, so A(xi) is invertible and phi > 0; moment
-    rows M on both sides of the band, N <= M."""
-    m = draw(st.sampled_from([2, 3]))
-    band = draw(st.integers(1, 6))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _random_density(m, band, seed):
+    """phi = A*A for a seeded random m x m polynomial A of degree `band`
+    whose constant term dominates, so A(xi) is invertible and phi > 0."""
+    rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal((band + 1, m, m))
               + 1j * rng.standard_normal((band + 1, m, m)))
     coeffs[0] += (1.0 + np.sum(np.linalg.norm(coeffs[1:], 2, axis=(1, 2)))) * np.eye(m)
     A = MatrixSymbol(m, m, 0, coeffs)
-    M = draw(st.integers(0, 4 * band))
+    return symbol_mul(adjoint_flip(A), A)
+
+
+@st.composite
+def matricial_density_case(draw):
+    """A random density of degree 2 band; moment rows M from a partial
+    first panel to several panels (16 block rows for m = 2, 10 for m = 3),
+    N <= M."""
+    m = draw(st.sampled_from([2, 3]))
+    band = draw(st.integers(1, 6))
+    phi = _random_density(m, band, draw(st.integers(0, 2 ** 32 - 1)))
+    M = draw(st.integers(0, 80))
     N = draw(st.integers(0, M))
-    return symbol_mul(adjoint_flip(A), A), N, M
+    return phi, N, M
 
 
 @settings(max_examples=150, deadline=None)
@@ -385,6 +406,69 @@ def test_banded_bauer_matches_dense_cholesky_twisted(N):
     want = dense_bauer(dens, N, max(4 * N, 256))
     got = bauer_factorize(dens, N, CFG.with_degree(N)).coeffs
     assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
+
+
+def _panel_rows(phi):
+    return max(phi.max_deg + 1, 32 // phi.rows)
+
+
+def _cholesky_calls(monkeypatch, phi, N, M):
+    """bauer_factorize's coefficients and how many panels it factored."""
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "cholesky", counted)
+        got = bauer_factorize(phi, N, CFG, moment_rows=M).coeffs
+    return got, len(calls)
+
+
+@pytest.mark.parametrize("density", ["noncommuting", "degree11"])
+@pytest.mark.parametrize("panels,extra", [(1, -1), (1, 0), (1, 1), (3, 0), (3, 1)],
+                         ids=["P-1", "P", "P+1", "3P", "3P+1"])
+def test_bauer_panel_boundaries_match_dense_cholesky(monkeypatch, density, panels,
+                                                     extra):
+    # M + 1 = panels * P + extra block rows; P = 16 for the 2 x 2 degree-1
+    # density, and P = d + 1 = 12 (above 32 // m = 10) for the 3 x 3
+    # degree-11 one
+    phi = (_noncommuting_density() if density == "noncommuting"
+           else _random_density(3, 11, seed=7))
+    P = _panel_rows(phi)
+    M = panels * P + extra - 1
+    N = min(M, 20)
+    got, calls = _cholesky_calls(monkeypatch, phi, N, M)
+    want = dense_bauer(phi, N, M)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
+    assert 1 <= calls <= -(-(M + 1) // P)
+
+
+def test_bauer_without_a_fixed_point_runs_every_panel(monkeypatch):
+    # det A0 has a zero at |z| ≈ 1.05, so the Schur complements converge
+    # too slowly to repeat bitwise within 16 panels
+    A0 = MatrixSymbol(2, 2, 0, np.array([[[1, 0.3], [0, 1]],
+                                         [[0.995, 0], [0.2, -0.4]]], dtype=complex))
+    phi = symbol_mul(adjoint_flip(A0), A0)
+    M = 16 * _panel_rows(phi) - 1
+    got, calls = _cholesky_calls(monkeypatch, phi, 24, M)
+    assert calls == 16
+    want = dense_bauer(phi, 24, M)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.linalg.norm(want)
+
+
+def test_bauer_stops_at_a_bitwise_fixed_point(monkeypatch):
+    # twisted density, 2049 block rows: a first panel of one block row, then
+    # 128 full ones, and the second full panel's Schur complement already
+    # repeats the first's.  The stop is exact: other moment sizes, with
+    # other first panels, give the same factor bit for bit
+    dens = _twisted_density()
+    got, calls = _cholesky_calls(monkeypatch, dens, 64, 2048)
+    assert calls == 3
+    for M in (64, 4095):
+        assert np.array_equal(got, bauer_factorize(dens, 64, CFG, moment_rows=M).coeffs)
 
 
 @pytest.mark.parametrize("M", [0, 2, 4, 7])
@@ -437,19 +521,26 @@ def test_scipy_stays_unloaded_off_the_matricial_bauer_route():
     assert out == ["is-kernel", "not-kernel", "[]"]
 
 
-def test_matricial_bauer_route_loads_scipy_on_first_use():
+def test_matricial_routes_and_cli_load_no_scipy():
     out = run_fresh("""
-        import sys
-        from toepkern import ToleranceConfig
-        from toepkern.cli import _pair_fixtures
+        import contextlib, io, sys
+        from toepkern import ToleranceConfig, construct_kernel
+        from toepkern.cli import VERIFY_CHECKS, _pair_fixtures, main
+        from toepkern.fixtures import matrix_recipe
         from toepkern.hayashi import pair_from_B, pair_identity_defect
         cfg = ToleranceConfig().with_degree(16)
-        print("scipy.linalg" in sys.modules)
         pair = pair_from_B(dict(_pair_fixtures())["twisted"], 16, cfg)
-        print("scipy.linalg" in sys.modules, pair_identity_defect(pair.B, pair.A, cfg))
+        print(pair_identity_defect(pair.B, pair.A, cfg))
+        res = construct_kernel(*matrix_recipe(), 64, ToleranceConfig().with_degree(64))
+        print(res.F.size)
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [main(["examples", "--degree", "64"])]
+            codes += [main(["verify", check]) for check in VERIFY_CHECKS]
+        print(*codes, sep=",")
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     """)
-    assert out[:2] == ["False", "True"]
-    assert float(out[2]) <= 1e-8
+    assert float(out[0]) <= 1e-8
+    assert out[1:] == ["3", "0,0,0,0,0,0,0", "[]"]
 
 
 # -- division by inner functions -----------------------------------------------------------

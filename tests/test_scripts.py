@@ -96,6 +96,29 @@ def test_bench_validate_rejects_a_startup_row_without_scipy_flag():
         bench.validate(doc)
 
 
+@pytest.mark.parametrize("row,check", [
+    ("startup:recipe:32", lambda r: r == {"dim_F": 3, "scipy_loaded": False}),
+    ("bauer:twisted:16", lambda r: 0 <= r["defect"] <= 1e-12),
+])
+def test_bench_recipe_startup_and_bauer_rows_run(row, check):
+    res = run_script("bench.py", "--row", row)
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
+    assert check(record["result"]), record["result"]
+
+
+@pytest.mark.parametrize("prefix,key", [("startup:recipe:", "scipy_loaded"),
+                                        ("bauer:twisted:", "defect")])
+def test_bench_validate_rejects_a_row_without_its_result_field(prefix, key):
+    bench = load_bench()
+    doc = json.loads(bench_paths()[-1].read_text())
+    rec = next(r for r in doc["rows"] if r["row"].startswith(prefix))
+    del rec["result"][key]
+    with pytest.raises(ValueError, match=key):
+        bench.validate(doc)
+
+
 def test_cli_snapshot_records_each_command(tmp_path):
     spec = importlib.util.spec_from_file_location(
         "cli_snapshot", ROOT / "scripts" / "cli_snapshot.py")
