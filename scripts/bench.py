@@ -11,7 +11,8 @@ A row is named `<call>:<fixture>:<degree>`:
 - `construct:flagship:N` and `construct:recipe:N` time construct_kernel at
   degree N, cross-checks at N and 2N included;
 - `classify:flagship:N`, `classify:lindiag:N` and `classify:recipe:N` time
-  classify_kernel at degree N and record its `final` verdict.  The recipe
+  classify_kernel at degree N and record its `final` verdict; flagship and
+  lindiag run at N = 64, 128, 256 and 512 and at one large N.  The recipe
   row classifies the G that the construction at degree N returns; that
   construction runs first, untimed, and leaves U's memoized is_inner
   certificate in place;
@@ -66,6 +67,8 @@ ROWS = (
     "classify:lindiag:4096",
     "classify:flagship:2048",
     "classify:recipe:512",
+    *(f"classify:{fixture}:{n}" for fixture in ("flagship", "lindiag")
+      for n in (64, 128, 256, 512)),
     "startup:flagship:64",
     "startup:recipe:64",
     "bauer:twisted:512",
@@ -221,6 +224,8 @@ def validate(doc: dict) -> None:
             raise ValueError(f"{rec['row']} {rec['tree']}: no scipy_loaded flag")
         if call == "bauer" and not isinstance(rec["result"].get("defect"), float):
             raise ValueError(f"{rec['row']} {rec['tree']}: no defect")
+        if call == "classify" and not isinstance(rec["result"].get("final"), str):
+            raise ValueError(f"{rec['row']} {rec['tree']}: no final verdict")
         if rec["tree"] not in trees:
             raise ValueError(f"row {rec['row']} from unknown tree {rec['tree']!r}")
         for key in ("wall_s", "max_rss_mb"):

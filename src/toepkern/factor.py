@@ -27,6 +27,8 @@ from .symbols import (
     MatrixSymbol,
     SubspaceBasis,
     ToleranceConfig,
+    _det,
+    _eigvalsh,
     _pow2_at_least,
     adjoint_flip,
     riesz_project,
@@ -165,11 +167,11 @@ class OuterReport:
 
 def _szego_eta(g_tilde: MatrixSymbol, K: int) -> float:
     vals = sample_symbol(g_tilde, K)
-    dets = np.abs(np.linalg.det(vals))
+    dets = np.abs(_det(vals))
     if np.min(dets) <= 0:
         return 1.0
     gm = float(np.exp(np.mean(np.log(dets))))
-    at0 = abs(np.linalg.det(g_tilde.coeff(0)))
+    at0 = abs(_det(g_tilde.coeff(0)))
     return max(0.0, 1.0 - at0 / gm)
 
 
@@ -367,7 +369,7 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     peak = float(np.max(np.linalg.norm(phi.coeffs, axis=(1, 2)))) if phi.coeffs.size else 0.0
     phi = phi.compress(1e-13 * max(peak, 1e-300))
     vals = sample_symbol(phi, config.grid_size)
-    eigs = np.linalg.eigvalsh((vals + np.conj(np.transpose(vals, (0, 2, 1)))) / 2)
+    eigs = _eigvalsh((vals + np.conj(np.transpose(vals, (0, 2, 1)))) / 2)
     min_eig = float(np.min(eigs))
     if min_eig < -1e-9 * max(1.0, float(np.max(np.abs(eigs)))):
         raise PreconditionError("density positive semidefinite", min_eig)

@@ -21,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
-                      ToleranceConfig, adjoint_flip, apply_symbol, cayley,
-                      herglotz_taylor, sample_symbol, series_inverse,
-                      symbol_from_samples, symbol_mul)
+                      ToleranceConfig, _eigvalsh, _inv, _norm2, adjoint_flip,
+                      apply_symbol, cayley, herglotz_taylor, sample_symbol,
+                      series_inverse, symbol_from_samples, symbol_mul)
 from .toeplitz import (build_toeplitz, kernel_angle, kernel_basis,
                        numerical_rank, orthonormal_basis, singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
@@ -56,7 +56,7 @@ def pair_identity_defect(B: MatrixSymbol, A: MatrixSymbol,
     acc = np.einsum("kij,kil->kjl", sa.conj(), sa) \
         + np.einsum("kij,kil->kjl", sb.conj(), sb)
     acc -= np.eye(B.cols)[None]
-    return float(np.max(np.linalg.norm(acc, 2, axis=(1, 2))))
+    return _hermitian_norm(acc)
 
 
 def pair_from_B(B: MatrixSymbol, N: int | None = None,
@@ -72,12 +72,12 @@ def pair_from_B(B: MatrixSymbol, N: int | None = None,
     N = config.trunc_degree if N is None else N
     m = B.rows
     samples = sample_symbol(B, config.grid_size)
-    top = float(np.max(np.linalg.norm(samples, 2, axis=(1, 2))))
+    top = float(np.max(_norm2(samples)))
     if top > 1.0 + 10 * config.residual_tol:
         raise PreconditionError("B in the unit ball on the circle", top)
     density = MatrixSymbol.identity(m) - symbol_mul(adjoint_flip(B), B)
     dens_samples = sample_symbol(density, config.grid_size)
-    min_eig = float(np.min(np.linalg.eigvalsh(
+    min_eig = float(np.min(_eigvalsh(
         (dens_samples + dens_samples.conj().transpose(0, 2, 1)) / 2)))
     if min_eig < 1e-12:
         raise PreconditionError("I - B*B positive on grid samples", min_eig)
@@ -124,9 +124,9 @@ def _mass_gap(B0: MatrixSymbol, A_prime: MatrixSymbol, g0p: MatrixSymbol,
     X = (eye + b00) @ np.linalg.inv(eye - b00)
     herm = (X + X.conj().T) / 2
     gram_lo, gram_hi = _gram(g0p, N), _gram(g0p, 2 * N)
-    drift = float(np.linalg.norm(gram_hi - gram_lo, 2))
-    gap = float(np.linalg.norm(herm - gram_hi, 2))
-    if drift > max(100 * config.residual_tol, 1e-3 * np.linalg.norm(gram_hi, 2)):
+    drift = _hermitian_norm(gram_hi - gram_lo)
+    gap = _hermitian_norm(herm - gram_hi)
+    if drift > max(100 * config.residual_tol, 1e-3 * _hermitian_norm(gram_hi)):
         return gap, "indeterminate"
     if gap <= 10 * config.residual_tol:
         return gap, "special"
@@ -141,6 +141,12 @@ def _special_or_undecided(test, *args) -> tuple[float, str]:
         return test(*args)
     except (PreconditionError, np.linalg.LinAlgError):
         return float("nan"), "indeterminate"
+
+
+def _hermitian_norm(h: np.ndarray) -> float:
+    """Largest spectral norm over a Hermitian matrix, or a stack of them:
+    the largest eigenvalue modulus."""
+    return float(np.max(np.abs(_eigvalsh(h))))
 
 
 def _gram(g: MatrixSymbol, depth: int) -> np.ndarray:
@@ -212,6 +218,9 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
 
     G must be square (a rectangular G goes through embed_rect); the symbol
     is formed on the boundary samples and read back as Fourier coefficients.
+    G^{-1} is taken once per sample, and G counts as invertible there when
+    smin = 1 / max ||G(xi)^{-1}||_2, its smallest singular value over the
+    grid, is at least 1e-12; an exactly singular sample reads smin = 0.
     The real and imaginary part of every coefficient entry are read
     separately: a part of modulus below 1e-13 is roundoff dust and is set
     to zero before the band is compressed at the same tolerance.  Dust in
@@ -224,12 +233,15 @@ def toeplitz_symbol(G: MatrixSymbol, U: MatrixSymbol,
         raise ValueError("rectangular G: use embed_rect")
     K = config.grid_size
     sg = sample_symbol(G, K)
-    smin = float(np.min(np.linalg.svd(sg, compute_uv=False)))
-    if smin < 1e-12:
-        raise PreconditionError("G invertible on grid samples", smin)
+    try:
+        inv = _inv(sg)
+    except np.linalg.LinAlgError:
+        raise PreconditionError("G invertible on grid samples", 0.0) from None
+    inv_norm = float(np.max(_norm2(inv)))  # 1 / smin
+    if not inv_norm <= 1e12:  # a nan norm fails too
+        raise PreconditionError("G invertible on grid samples", 1 / inv_norm)
     core = np.einsum("kji,kjl->kil", sg.conj(),
-                     np.einsum("kji,kjl->kil", sample_symbol(U, K).conj(),
-                               np.linalg.inv(sg)))
+                     np.einsum("kji,kjl->kil", sample_symbol(U, K).conj(), inv))
     if not np.all(np.isfinite(core)):
         raise PreconditionError("bounded boundary samples", float("inf"))
     phi = symbol_from_samples(core, -(K // 2), K // 2 - 1)

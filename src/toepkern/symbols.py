@@ -8,7 +8,10 @@ MatrixSymbol.window(lo, hi) reads the coefficients on any degree range,
 zero-filled outside the band; apply_symbol acts on every column at once.
 Boundary sampling uses the offset grid xi_j = exp(2 pi i (j+1/2)/K) so that
 real-axis zeros of the standard fixtures (1 +- z) never coincide with a
-sample point.
+sample point.  The pointwise statements on the circle (the pair identity,
+the unit ball, positivity, invertibility) are read from the sample stack by
+the kernels _eigvalsh, _norm2, _det and _inv: a closed form over the whole
+stack for m <= 2 and the batched LAPACK call otherwise.
 """
 from __future__ import annotations
 
@@ -323,6 +326,73 @@ def symbol_from_samples(values: np.ndarray, min_deg: int, max_deg: int) -> Matri
     degs = np.arange(min_deg, max_deg + 1)
     arr = hat[degs % K] * np.exp(-1j * np.pi * degs / K)[:, None, None]
     return MatrixSymbol(values.shape[1], values.shape[2], min_deg, arr)
+
+
+# -- pointwise kernels on sample stacks ----------------------------------------
+# A stacked np.linalg call pays a per-matrix overhead that dwarfs the work on
+# the m x m samples (m <= 2 in every pipeline), so m <= 2 gets a closed form
+# over the whole stack; m >= 3 keeps the batched LAPACK call.
+
+def _eig2(a: np.ndarray, d: np.ndarray, b: np.ndarray) -> tuple:
+    """Eigenvalues (low, high) of the Hermitian [[a, conj(b)], [b, d]]."""
+    mid, rad = (a + d) / 2, np.hypot((a - d) / 2, np.abs(b))
+    return mid - rad, mid + rad
+
+
+def _eigvalsh(h: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of each Hermitian matrix of a (K, m, m) stack,
+    read from the lower triangle as np.linalg.eigvalsh reads them."""
+    m = h.shape[-1]
+    if m == 1:
+        return h[..., 0].real
+    if m == 2:
+        return np.stack(_eig2(h[..., 0, 0].real, h[..., 1, 1].real, h[..., 1, 0]),
+                        axis=-1)
+    return np.linalg.eigvalsh(h)
+
+
+def _norm2(a: np.ndarray) -> np.ndarray:
+    """Spectral norm of each matrix of a (K, p, q) stack: the square root of
+    the top eigenvalue of the smaller Gram.  A matrix with one row or one
+    column (or none) is its Euclidean norm."""
+    k = min(a.shape[-2:])
+    if k <= 1:
+        return np.linalg.norm(a, axis=(-2, -1))
+    if k > 2:
+        return np.linalg.norm(a, 2, axis=(-2, -1))
+    u, v = (a[..., 0, :], a[..., 1, :]) if a.shape[-2] == 2 else (a[..., 0], a[..., 1])
+
+    def dot(x, y):
+        return np.einsum("...j,...j->...", x, y.conj())
+
+    return np.sqrt(_eig2(dot(u, u).real, dot(v, v).real, dot(v, u))[1])
+
+
+def _det(a: np.ndarray) -> np.ndarray:
+    """Determinant of each matrix of a (K, m, m) stack."""
+    m = a.shape[-1]
+    if m == 1:
+        return a[..., 0, 0]
+    if m == 2:
+        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+    return np.linalg.det(a)
+
+
+def _inv(a: np.ndarray) -> np.ndarray:
+    """Inverse of each matrix of a (K, m, m) stack; LinAlgError when a
+    determinant is exactly zero, as np.linalg.inv raises on a zero pivot."""
+    m = a.shape[-1]
+    if m > 2:
+        return np.linalg.inv(a)
+    with np.errstate(all="ignore"):  # quiet on overflow and nan, as LAPACK is
+        det = _det(a)[..., None, None]
+        if not np.all(det):
+            raise np.linalg.LinAlgError("Singular matrix")
+        if m == 1:
+            return 1 / det
+        adj = np.stack([a[..., 1, 1], -a[..., 0, 1], -a[..., 1, 0], a[..., 0, 0]],
+                       axis=-1).reshape(a.shape)
+        return adj / det
 
 
 # -- analytic columns ---------------------------------------------------------

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis, ToleranceConfig,
-                      apply_symbol, sample_symbol)
+                      _norm2, apply_symbol, sample_symbol)
 
 
 def _section(phi: MatrixSymbol, N: int) -> np.ndarray:
@@ -165,7 +165,10 @@ def _piece_values(phi: MatrixSymbol, N: int, row_lab: np.ndarray,
         stack = section[rows // p, rows % p, cols // q, cols % q]
         if not stack.imag.any():
             stack = stack.real
-        s = np.linalg.svd(stack, compute_uv=False)
+        if min(a, b) <= 1:  # a row or a column: its norm is its one value
+            s = _norm2(stack)[:, None]
+        else:
+            s = np.linalg.svd(stack, compute_uv=False)
         padded = np.zeros((sel.size, b))
         padded[:, :s.shape[1]] = s
         values.append(padded.ravel())
@@ -247,9 +250,8 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
     r = float(np.linalg.norm(apply_symbol(phi, Q, M).matrix, 2))
     if r > config.rank_tol * c_max:
         return None
-    beta = float(np.linalg.norm(phi.coeffs, 2, axis=(1, 2)).sum())
-    samples = sample_symbol(phi, 4 * phi.coeffs.shape[0])
-    tau = 0.45 * float(np.linalg.svd(samples, compute_uv=False).max())
+    beta = float(_norm2(phi.coeffs).sum())
+    tau = 0.45 * float(_norm2(sample_symbol(phi, 4 * phi.coeffs.shape[0])).max())
     for _ in range(4):
         if tau < 1e-6 * beta or tau <= config.rank_tol * beta:
             return None

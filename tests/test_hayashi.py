@@ -23,7 +23,8 @@ from toepkern import (
     symbol_from_samples,
     symbol_mul,
 )
-from toepkern.factor import PreconditionError, garcia_inner, shift_span
+from toepkern.factor import (PreconditionError, bauer_factorize, garcia_inner,
+                             shift_span)
 from toepkern.fixtures import (
     column_G,
     g_one_plus_z,
@@ -51,7 +52,7 @@ from toepkern.hayashi import (
     special_test,
     toeplitz_symbol,
 )
-from toepkern.nearly import isometry_defect
+from toepkern.nearly import counterexample_UBU, isometry_defect
 from toepkern.toeplitz import (_pieces, apply_symbol, build_toeplitz, kernel_angle,
                                kernel_basis, numerical_rank, singular_values,
                                subspace_angle)
@@ -311,6 +312,52 @@ class TestBoundarySymbol:
         with pytest.raises(PreconditionError):
             toeplitz_symbol(MatrixSymbol.constant(np.diag([1.0, 0.0])),
                             MatrixSymbol.monomial(1, m=2), config=CFG)
+
+
+# -- grid preconditions -------------------------------------------------------------
+
+# G = [[1, z], [0, 0]] has orthonormal columns in H2(C^2) and a zero second
+# row, so every boundary sample is singular
+RANK_ONE_G = MatrixSymbol(2, 2, 0, np.array([[[1, 0], [0, 0]], [[0, 1], [0, 0]]],
+                                            complex))
+
+
+@pytest.mark.parametrize("run,check", [
+    (lambda: toeplitz_symbol(MatrixSymbol.constant(np.ones((2, 2))),
+                             MatrixSymbol.monomial(1, m=2), CFG),
+     "G invertible on grid samples"),
+    (lambda: toeplitz_symbol(RANK_ONE_G, MatrixSymbol.monomial(1, m=2), CFG),
+     "G invertible on grid samples"),
+    (lambda: pair_from_B(MatrixSymbol.constant(np.array([[1.5]])), N, CFG),
+     "B in the unit ball on the circle"),
+    (lambda: pair_from_B(twisted_contraction(MatrixSymbol.scalar([0.0, 1.0]),
+                                             MatrixSymbol.scalar([0.5])), N, CFG),
+     "B in the unit ball on the circle"),
+    (lambda: pair_from_B(MatrixSymbol.monomial(1), N, CFG),
+     "I - B*B positive on grid samples"),
+    (lambda: pair_from_B(MatrixSymbol.monomial(1, m=2), N, CFG),
+     "I - B*B positive on grid samples"),
+    (lambda: counterexample_UBU(MatrixSymbol.monomial(1),
+                                MatrixSymbol.scalar([0.0, 0.9]),
+                                MatrixSymbol.scalar([0.5]), CFG),
+     "B contraction on the circle"),
+    (lambda: bauer_factorize(MatrixSymbol(2, 2, -1, np.array(
+        [[[0, 0.5], [0, 0]], [[1, 0], [0, -1]], [[0, 0], [0.5, 0]]])), 8, CFG),
+     "density positive semidefinite"),
+])
+def test_grid_check_raises_by_name(run, check):
+    with pytest.raises(PreconditionError) as info:
+        run()
+    assert info.value.check == check
+
+
+def test_singular_G_leaves_no_symbol_in_the_report():
+    # U = z^2 I does not divide B = [[0, z], [0, 0]], so nothing runs between
+    # the division and the symbol, whose precondition fails
+    rep = classify_kernel(RANK_ONE_G, MatrixSymbol.monomial(2, m=2), 16,
+                          CFG.with_degree(16), ladder=(4, 8, 16))
+    assert rep.divisibility == "not-divisible" and rep.final == "not-kernel"
+    assert rep.symbol is None and np.isnan(rep.cross_check_angle)
 
 
 # -- classification -----------------------------------------------------------------

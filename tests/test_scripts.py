@@ -99,6 +99,8 @@ def test_bench_validate_rejects_a_startup_row_without_scipy_flag():
 @pytest.mark.parametrize("row,check", [
     ("startup:recipe:32", lambda r: r == {"dim_F": 3, "scipy_loaded": False}),
     ("bauer:twisted:16", lambda r: 0 <= r["defect"] <= 1e-12),
+    ("classify:flagship:64", lambda r: r["final"] == "is-kernel"
+     and 0 <= r["cross_check_angle"] < 1e-5),
 ])
 def test_bench_recipe_startup_and_bauer_rows_run(row, check):
     res = run_script("bench.py", "--row", row)
@@ -109,7 +111,8 @@ def test_bench_recipe_startup_and_bauer_rows_run(row, check):
 
 
 @pytest.mark.parametrize("prefix,key", [("startup:recipe:", "scipy_loaded"),
-                                        ("bauer:twisted:", "defect")])
+                                        ("bauer:twisted:", "defect"),
+                                        ("classify:flagship:", "final")])
 def test_bench_validate_rejects_a_row_without_its_result_field(prefix, key):
     bench = load_bench()
     doc = json.loads(bench_paths()[-1].read_text())

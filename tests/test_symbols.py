@@ -28,6 +28,7 @@ from toepkern import (
     symbol_from_samples,
     symbol_mul,
 )
+from toepkern.symbols import _det, _eigvalsh, _inv, _norm2
 
 from helpers import symbols_allclose
 
@@ -442,6 +443,101 @@ def test_series_inverse_of_singular_constant_raises():
     with pytest.raises(np.linalg.LinAlgError):
         series_inverse(MatrixSymbol(2, 2, 0, np.array([[[1.0, 1.0], [1.0, 1.0]],
                                                        [[1.0, 0.0], [0.0, 1.0]]])), 8)
+
+
+# -- pointwise kernels on sample stacks -----------------------------------------------
+
+EPS = np.finfo(float).eps
+
+
+def complex_stack(rng, shape, K=32):
+    return rng.standard_normal((K, *shape)) + 1j * rng.standard_normal((K, *shape))
+
+
+def unitary_stack(rng, m, K):
+    q, _ = np.linalg.qr(complex_stack(rng, (m, m), K))
+    return q
+
+
+def with_singular_values(rng, s):
+    """U diag(s) V^H for each row of s, U and V seeded random unitaries."""
+    K, m = s.shape
+    return unitary_stack(rng, m, K) @ (s[:, :, None] * unitary_stack(rng, m, K))
+
+
+def exact_abs_det2(a):
+    """|det| of each 2 x 2 matrix of a stack, from exact rational products."""
+    out = []
+    for (p, q), (r, s) in a:
+        p, q, r, s = ((Fraction(v.real), Fraction(v.imag)) for v in (p, q, r, s))
+        re = p[0] * s[0] - p[1] * s[1] - q[0] * r[0] + q[1] * r[1]
+        im = p[0] * s[1] + p[1] * s[0] - q[0] * r[1] - q[1] * r[0]
+        out.append(np.hypot(float(re), float(im)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_eigvalsh_reads_the_lower_triangle_as_lapack(m):
+    rng = np.random.default_rng(m)
+    a = complex_stack(rng, (m, m))
+    h = 1e-2 * (a + a.conj().transpose(0, 2, 1)) + 1e-17 * complex_stack(rng, (m, m))
+    assert np.any(h != h.conj().transpose(0, 2, 1))  # the roundoff survives
+    want = np.linalg.eigvalsh(h)
+    got = _eigvalsh(h)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 8 * EPS * np.abs(want).max(axis=1, keepdims=True))
+    assert np.all(np.diff(got, axis=1) >= 0)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (2, 2), (3, 3), (1, 3), (3, 1), (2, 3),
+                                   (3, 2), (0, 2)])
+@pytest.mark.parametrize("real", [False, True])
+def test_norm2_matches_the_svd(shape, real):
+    a = complex_stack(np.random.default_rng(sum(shape)), shape)
+    if real:
+        a = a.real
+    want = np.linalg.norm(a, 2, axis=(1, 2)) if min(shape) else np.zeros(len(a))
+    assert np.allclose(_norm2(a), want, rtol=8 * EPS, atol=0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_det_and_inverse_match_lapack_up_to_conditioning(m):
+    # both are forward stable: each carries an error of about eps * cond
+    rng = np.random.default_rng(10 + m)
+    s = np.exp(rng.uniform(np.log(1e-6), 0.0, (64, m)))
+    s[:, 0] = 1.0  # cond <= 1e6
+    a = with_singular_values(rng, s)
+    cond = 1 / s.min(axis=1)
+    want = np.linalg.det(a)
+    assert np.all(np.abs(_det(a) - want) <= 10 * EPS * cond * np.abs(want))
+    want = np.linalg.inv(a)
+    err = np.linalg.norm(_inv(a) - want, axis=(1, 2)) / np.linalg.norm(want, axis=(1, 2))
+    assert np.all(err <= 10 * EPS * cond)
+    assert np.all(err[cond <= 1e3] <= 1e-12)
+
+
+def test_near_singular_inverse_reads_the_smallest_singular_value():
+    # sigma_min = 1e-13 is read as 1 / ||G^{-1}||_2, as toeplitz_symbol reads
+    # it.  The SVD's own error there is about eps sigma_max / sigma_min =
+    # 2e-3 relative, so the reference is exact: |det| / sigma_max
+    rng = np.random.default_rng(3)
+    a = with_singular_values(rng, np.tile([1.0, 1e-13], (32, 1)))
+    s = np.linalg.svd(a, compute_uv=False)
+    exact = exact_abs_det2(a) / s[:, 0]
+    smin = 1 / _norm2(_inv(a))
+    assert np.all(np.abs(smin - exact) <= 1e-3 * exact)
+    assert np.all(np.abs(smin - s[:, 1]) <= 1e-2 * s[:, 1])
+
+
+@pytest.mark.parametrize("a", [np.zeros((4, 1, 1)),
+                               np.array([[[1.0, 2.0], [0.5, 1.0]]] * 3),
+                               np.ones((2, 3, 3))])
+def test_inverse_of_an_exactly_singular_sample_raises(a):
+    stack = np.concatenate([np.eye(a.shape[1])[None], a])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(stack)
+    with pytest.raises(np.linalg.LinAlgError):
+        _inv(stack)
 
 
 # -- analytic columns -----------------------------------------------------------------

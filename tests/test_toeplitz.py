@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse.csgraph import connected_components
 
-from toepkern import MatrixSymbol, SubspaceBasis, ToleranceConfig, apply_symbol
-from toepkern.fixtures import g_poisson
+from toepkern import (MatrixSymbol, SubspaceBasis, ToleranceConfig, adjoint_flip,
+                      apply_symbol)
+from toepkern.fixtures import g_poisson, lin_diag_G
 from toepkern.hayashi import toeplitz_symbol
 from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
@@ -387,6 +388,30 @@ def test_real_symbol_gets_real_svd(phi, monkeypatch):
     dtypes.clear()
     singular_values(phi.scale(1j), 16)
     assert dtypes and all(d == np.complex128 for d in dtypes)
+
+
+LIN_DIAG_PHI = toeplitz_symbol(lin_diag_G(), MatrixSymbol.monomial(1, m=2),
+                               ToleranceConfig().with_degree(64))
+
+
+@pytest.mark.parametrize("phi", [
+    LIN_DIAG_PHI,  # one column per piece
+    adjoint_flip(LIN_DIAG_PHI),  # one column per piece, two with no row
+    MatrixSymbol(1, 2, 1, np.array([[[1.0, 2.0j]], [[0.0, 0.0]], [[0.0, 0.0]]])),
+    MatrixSymbol(2, 1, -1, np.array([[[0.5], [-3.0]]])),  # one column, two rows
+], ids=["lin-diag", "lin-diag-adjoint", "one-row", "one-column"])
+def test_row_and_column_pieces_match_dense_svd_without_one(phi, monkeypatch):
+    N = 64
+    T = build_toeplitz(phi, N).matrix
+    s = np.linalg.svd(T, compute_uv=False)
+    want = np.concatenate([s, np.zeros(T.shape[1] - s.size)])
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a one-row or one-column piece was sent to the SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    values = singular_values(phi, N)
+    assert np.allclose(values, want, rtol=0, atol=4 * np.finfo(float).eps * want[0])
 
 
 def test_real_kernel_symbol_carries_no_imaginary_dust():
