@@ -9,7 +9,9 @@ A row is named `<call>:<fixture>:<degree>`:
   kernel_angle call at degree M.  Its symbol and G K_U come from the
   construction at degree min(256, M // 2), which runs first, untimed;
 - `construct:flagship:N` and `construct:recipe:N` time construct_kernel at
-  degree N, cross-checks at N and 2N included;
+  degree N, cross-checks at N and 2N included, and record `dim_F` and both
+  cross-check angles; they run at N = 64, 128, 256 and 512 and at one large
+  N;
 - `classify:flagship:N`, `classify:lindiag:N` and `classify:recipe:N` time
   classify_kernel at degree N and record its `final` verdict; flagship and
   lindiag run at N = 64, 128, 256 and 512 and at one large N.  The recipe
@@ -68,6 +70,8 @@ ROWS = (
     "classify:flagship:2048",
     "classify:recipe:512",
     *(f"classify:{fixture}:{n}" for fixture in ("flagship", "lindiag")
+      for n in (64, 128, 256, 512)),
+    *(f"construct:{fixture}:{n}" for fixture in ("flagship", "recipe")
       for n in (64, 128, 256, 512)),
     "startup:flagship:64",
     "startup:recipe:64",

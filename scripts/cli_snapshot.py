@@ -59,6 +59,11 @@ COMMANDS = [
                               "--out", "recipe"]),
     ("construct-flagship-json", ["construct", "flagship-seed.json", "z.json",
                                  "--json"]),
+    # degree 256 certifies the cross-check angle by inertia counts
+    ("construct-flagship-256", ["construct", "flagship-seed.json", "z.json",
+                                "--degree", "256"]),
+    ("construct-recipe-256", ["construct", "recipe-seed.json", "recipe-U.json",
+                              "--degree", "256"]),
     # invalid input (exit 2) and truncations too coarse to decide
     ("err-non-inner-U", ["classify", "flagship-G.json", "one-plus-z.json"]),
     ("err-classify-shapes", ["classify", "flagship-G.json", "z2.json"]),

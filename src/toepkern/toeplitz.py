@@ -16,8 +16,10 @@ When those pieces are large against the symbol's band, kernel_angle
 certifies its bound by inertia counts instead: the Gram T^H T, cut into
 band-wide blocks read from the view, is block tridiagonal, and Sylvester's
 law of inertia counts the singular values below a threshold from its
-Schur-complement pivots (spectrum slicing); a count that certifies nothing
-falls back to the singular values.
+Schur-complement pivots (spectrum slicing).  The equal blocks of the
+interior cuts are built once, a pivot that repeats its predecessor bitwise
+is not factored again, and a count stops once it exceeds the kernel
+dimension; a count that certifies nothing falls back to the singular values.
 """
 from __future__ import annotations
 
@@ -176,23 +178,37 @@ def _piece_values(phi: MatrixSymbol, N: int, row_lab: np.ndarray,
 
 
 def _gram_blocks(phi: MatrixSymbol, N: int, width: int) -> list:
-    """The Gram T^H T of the degree-N section, cut every `width` block columns.
+    """The Gram T^H T of the degree-N section, cut every `width` block
+    columns, one entry per run of equal consecutive cuts.
 
-    Returns one (D_i, C_i) per cut: D_i the diagonal block, C_i the coupling
-    (T^H T)[i-1, i] (None for the first).  Block column k meets only block
-    rows k + min_deg .. k + max_deg, so each cut's columns are gathered from
-    the strided view (_section) on those rows alone; with width at least
-    the band length minus one, cuts two apart share no row and the Gram is
-    block tridiagonal.  A real symbol gets real blocks.
+    Returns one (D, C, run) per run: D the diagonal block of each cut in
+    it, C the coupling (T^H T)[i-1, i] of each (None for the first cut),
+    run how many consecutive cuts share them.  Block column k meets only
+    block rows k + min_deg .. k + max_deg, so each cut's columns are
+    gathered from the strided view (_section) on those rows alone; with
+    width at least the band length minus one, cuts two apart share no row
+    and the Gram is block tridiagonal.  By shift invariance a cut's slab
+    depends only on its offsets (j0 - k0, j1 - j0, k1 - k0), and its
+    coupling only on those and the previous cut's, so a cut whose offsets,
+    and the previous cut's, equal those of the cut before repeats the
+    previous cut exactly: it lengthens the run and nothing is rebuilt.
+    Only the cuts where the section's edges clip the rows, and a partial
+    last cut, start a new run.  A real symbol gets real blocks.
     """
     section = _section(phi, N)
     p, q = phi.rows, phi.cols
     real = not phi.coeffs.imag.any()
-    blocks, prev = [], None
+    blocks, prev, offsets = [], None, []
     for k0 in range(0, N + 1, width):
         k1 = min(k0 + width, N + 1)
         j0 = min(max(k0 + phi.min_deg, 0), N + 1)
         j1 = max(min(k1 - 1 + phi.max_deg, N) + 1, j0)
+        offsets.append((j0 - k0, j1 - j0, k1 - k0))
+        if offsets[-3:] == [offsets[-1]] * 3:
+            diag, coupling, run = blocks[-1]
+            blocks[-1] = diag, coupling, run + 1
+            prev = j0, j1, prev[2]
+            continue
         slab = section[j0:j1, :, k0:k1].reshape((j1 - j0) * p, (k1 - k0) * q)
         if real:
             slab = slab.real
@@ -203,31 +219,53 @@ def _gram_blocks(phi: MatrixSymbol, N: int, width: int) -> list:
             b = max(min(j1, pj1), a)
             coupling = (pslab[(a - pj0) * p:(b - pj0) * p].conj().T
                         @ slab[(a - j0) * p:(b - j0) * p])
-        blocks.append((slab.conj().T @ slab, coupling))
+        blocks.append((slab.conj().T @ slab, coupling, 1))
         prev = j0, j1, slab
     return blocks
 
 
-def _count_below(blocks: list, tau: float, tiny: float) -> int | None:
+def _count_below(blocks: list, tau: float, tiny: float, stop: float) -> int | None:
     """Number of singular values below tau of the section whose Gram
-    blocks are given (_gram_blocks), or None when it cannot be read.
+    blocks are given (_gram_blocks), or None when it cannot be read; any
+    count above stop may be returned as soon as it is reached.
 
     Sylvester's law of inertia with the Haynsworth recursion: the count is
     the number of negative eigenvalues of T^H T - tau^2 I, summed over the
     pivots S_i = D_i - tau^2 I - C_i^H S_{i-1}^{-1} C_i.  None when a pivot
     has an eigenvalue of modulus below tiny, so no near-singular pivot is
-    ever solved with.
+    ever solved with.  Each pivot is first screened by a Cholesky
+    factorization of S_i - tiny I: when it succeeds every eigenvalue lies
+    above tiny, the pivot adds nothing and eigvalsh is not called.
+
+    Within a run of equal blocks every pivot is the same map applied to the
+    one before, so once a pivot equals its predecessor bitwise all the rest
+    of the run do too, and its count is added for each without factoring.
+    The pivots so far give the inertia of a leading principal block of
+    T^H T - tau^2 I, which by Cauchy interlacing has no more negative
+    eigenvalues than the whole: once the running count exceeds stop it is
+    returned, and the whole count exceeds stop too.
     """
     count, prev = 0, None
-    for diag, coupling in blocks:
-        pivot = diag - tau ** 2 * np.eye(diag.shape[0])
-        if prev is not None:
-            pivot -= coupling.conj().T @ np.linalg.solve(prev, coupling)
-        lam = np.linalg.eigvalsh(pivot)
-        if lam.size and np.abs(lam).min() < tiny:
-            return None
-        count += int(np.sum(lam < 0))
-        prev = pivot
+    for diag, coupling, run in blocks:
+        shifted = diag - tau ** 2 * np.eye(diag.shape[0])
+        while run:
+            pivot = shifted
+            if prev is not None:
+                pivot = shifted - coupling.conj().T @ np.linalg.solve(prev, coupling)
+            try:
+                np.linalg.cholesky(pivot - tiny * np.eye(pivot.shape[0]))
+                negative = 0
+            except np.linalg.LinAlgError:
+                lam = np.linalg.eigvalsh(pivot)
+                if np.abs(lam).min() < tiny:
+                    return None
+                negative = int(np.sum(lam < 0))
+            repeats = run if prev is not None and np.array_equal(pivot, prev) else 1
+            count += negative * repeats
+            if count > stop:
+                return count
+            run -= repeats
+            prev = pivot
     return count
 
 
@@ -246,7 +284,7 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
     """
     M, k = Q.degree, Q.size
     blocks = _gram_blocks(phi, M, width)
-    c_max = np.sqrt(max(diag.diagonal().real.max() for diag, _ in blocks))
+    c_max = np.sqrt(max(diag.diagonal().real.max() for diag, _, _ in blocks))
     r = float(np.linalg.norm(apply_symbol(phi, Q, M).matrix, 2))
     if r > config.rank_tol * c_max:
         return None
@@ -255,7 +293,7 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
     for _ in range(4):
         if tau < 1e-6 * beta or tau <= config.rank_tol * beta:
             return None
-        count = _count_below(blocks, tau, 1e-10 * beta ** 2)
+        count = _count_below(blocks, tau, 1e-10 * beta ** 2, k)
         if count is None or count < k:
             return None
         if count == k:
@@ -319,8 +357,10 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
     A section whose pieces (_pieces) hold more than 4 n w^2 of cubic work,
     n its column count and w = q * max(L - 1, ceil(64 / q)) for a band of L
     degrees, is certified by inertia counts on its block tridiagonal Gram
-    (_certified_angle, O(n w^2)): s is the count's tau, about 2.25x below
-    the singular value it stands for at worst.  Otherwise, or when the count
+    (_certified_angle: O(w^3) per distinct pivot, O(band) of them when the
+    pivots reach a bitwise fixed point, plus the O(M * band * k) product
+    T_phi Q): s is the count's tau, about 2.25x below the singular value it
+    stands for at worst.  Otherwise, or when the count
     certifies nothing, the singular values of the section are taken (values
     only, no vectors, split into pieces): pi/2 when the numerical kernel
     (the values below the rank cut) does not have dimension k, 0 when

@@ -79,6 +79,14 @@ def test_bench_classify_row_runs():
     assert record["result"]["final"] == "not-kernel"
 
 
+def test_bench_construct_row_runs():
+    res = run_script("bench.py", "--row", "construct:recipe:32")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
+    assert record["result"]["dim_F"] == 3
+
+
 def test_bench_startup_row_runs():
     res = run_script("bench.py", "--row", "startup:flagship:64")
     assert res.returncode == 0, res.stderr

@@ -444,13 +444,18 @@ def coeff_norm_sum(phi):
     return float(np.linalg.norm(phi.coeffs, 2, axis=(1, 2)).sum())
 
 
+def dense_values(phi, M):
+    """Singular values of the section, ascending, one per column."""
+    mat = build_toeplitz(phi, M).matrix
+    s = np.linalg.svd(mat, compute_uv=False)
+    return np.sort(np.concatenate([s, np.zeros(mat.shape[1] - s.size)]))
+
+
 @given(banded_sections(), st.data())
 @settings(max_examples=100, deadline=None)
 def test_inertia_count_matches_dense_svd(case, data):
     phi, M, width = case
-    mat = build_toeplitz(phi, M).matrix
-    s = np.linalg.svd(mat, compute_uv=False)
-    s = np.sort(np.concatenate([s, np.zeros(mat.shape[1] - s.size)]))
+    s = dense_values(phi, M)
     # a section with two nonzero values can be a 2 x 2 triangular Toeplitz
     # block [[a, b], [0, a]] padded by zero columns: s_1 s_2 = |a|^2 is the
     # squared norm of its first column, so the geometric midpoint below
@@ -464,7 +469,8 @@ def test_inertia_count_matches_dense_svd(case, data):
     assume(gaps)
     i = data.draw(st.sampled_from(gaps))
     tau = float(np.sqrt(s[i] * s[i + 1]))
-    assert _count_below(_gram_blocks(phi, M, width), tau, 1e-10 * beta ** 2) == i + 1
+    assert _count_below(_gram_blocks(phi, M, width), tau, 1e-10 * beta ** 2,
+                        np.inf) == i + 1
 
 
 @pytest.mark.parametrize("k", [-2, 0, 3])
@@ -476,7 +482,113 @@ def test_monomial_count_at_one_reads_no_count(k, width):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert _count_below(_gram_blocks(phi, 64, width), 1.0,
-                            1e-10 * coeff_norm_sum(phi) ** 2) is None
+                            1e-10 * coeff_norm_sum(phi) ** 2, np.inf) is None
+
+
+def pivot_counts(blocks, tau, tiny):
+    """The plain Haynsworth loop, every cut factored: the negative count of
+    each pivot in turn, and None in place of the first pivot with an
+    eigenvalue of modulus below tiny, where it stops."""
+    counts, prev = [], None
+    for diag, coupling, run in blocks:
+        for _ in range(run):
+            pivot = diag - tau ** 2 * np.eye(diag.shape[0])
+            if prev is not None:
+                pivot -= coupling.conj().T @ np.linalg.solve(prev, coupling)
+            lam = np.linalg.eigvalsh(pivot)
+            if np.abs(lam).min() < tiny:
+                return counts + [None]
+            counts.append(int(np.sum(lam < 0)))
+            prev = pivot
+    return counts
+
+
+@given(banded_sections(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_count_matches_plain_haynsworth_loop(case, data):
+    # tau at a singular value makes T^H T - tau^2 I singular, so some pivot
+    # is too and the loop declines; the stop runs over 0, 1, the count and
+    # no stop at all
+    phi, M, width = case
+    s = dense_values(phi, M)
+    beta = coeff_norm_sum(phi)
+    tiny = 1e-10 * beta ** 2
+    tau = data.draw(st.one_of(
+        st.sampled_from([float(v) for v in s if v > 1e-3 * beta] or [beta]),
+        st.floats(1e-3, 1.0).map(lambda u: u * beta)))
+    k = int(np.sum(s < tau))
+    stop = data.draw(st.sampled_from([0, 1, k, np.inf]))
+    blocks = _gram_blocks(phi, M, width)
+    counts = pivot_counts(blocks, tau, tiny)
+    count = _count_below(blocks, tau, tiny, stop)
+    running = np.cumsum([c for c in counts if c is not None])
+    if running.size and running[-1] > stop:
+        assert count > stop
+    elif counts and counts[-1] is None:
+        assert count is None
+    else:
+        assert count == running[-1]
+
+
+@pytest.mark.parametrize("min_deg, M, width", [(-2, 50, 4), (1, 45, 6), (-6, 40, 5)])
+def test_gram_runs_expand_to_the_dense_gram(min_deg, M, width):
+    # a band of 5 degrees clipped at the first cuts, the last ones, or
+    # neither, and a partial last cut in each
+    rng = np.random.default_rng(M)
+    coeffs = rng.standard_normal((5, 2, 3)) + 1j * rng.standard_normal((5, 2, 3))
+    phi = MatrixSymbol(2, 3, min_deg, coeffs)
+    blocks = _gram_blocks(phi, M, width)
+    cuts = [(diag, coupling) for diag, coupling, run in blocks for _ in range(run)]
+    assert len(blocks) < len(cuts) == -(-(M + 1) // width)
+    assert (M + 1) % width
+    T = build_toeplitz(phi, M).matrix
+    gram = T.conj().T @ T
+    scale = np.abs(gram).max()
+    w = width * phi.cols
+    for i, (diag, coupling) in enumerate(cuts):
+        lo, hi = i * w, min((i + 1) * w, gram.shape[1])
+        assert np.abs(diag - gram[lo:hi, lo:hi]).max() <= 1e-12 * scale
+        if i == 0:
+            assert coupling is None
+        else:
+            assert np.abs(coupling - gram[lo - w:lo, lo:hi]).max() <= 1e-12 * scale
+        assert np.abs(gram[:max(lo - w, 0), lo:hi]).max(initial=0) <= 1e-12 * scale
+
+
+def test_flagship_count_factors_as_many_pivots_at_every_degree(monkeypatch):
+    # the interior cuts of a Toeplitz section share one block pair, and the
+    # pivots they give reach a fixed point, so the pivots factored (one
+    # solve each after the first) do not grow with M
+    phi = toeplitz_symbol(g_poisson(64), MatrixSymbol.monomial(1),
+                          ToleranceConfig().with_degree(64))
+    width = max(phi.coeffs.shape[0] - 1, 64)
+    beta = coeff_norm_sum(phi)
+    tiny = 1e-10 * beta ** 2
+    tau = 0.45 * np.abs(np.fft.fft(phi.coeffs[:, 0, 0], 4 * phi.coeffs.shape[0])).max()
+    solves = []
+    solve = np.linalg.solve
+
+    def spy(a, b):
+        solves[-1] += 1
+        return solve(a, b)
+
+    for M in (1024, 2048, 4096):
+        blocks = _gram_blocks(phi, M, width)
+        solves.append(0)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "solve", spy)
+            count = _count_below(blocks, tau, tiny, 1)
+        assert count == sum(pivot_counts(blocks, tau, tiny)) == 1
+    assert solves[0] == solves[1] == solves[2] < 8
+
+
+def test_pivot_just_above_zero_declines():
+    # T^H T = I, so every pivot is 1 - tau^2, here inside (0, tiny): too
+    # close to singular to count, though positive definite
+    tiny = 1e-10
+    tau = np.sqrt(1 - tiny / 2)
+    assert _count_below(_gram_blocks(MatrixSymbol.identity(1), 8, 4), tau, tiny,
+                        np.inf) is None
 
 
 # -- principal angles ---------------------------------------------------------------
