@@ -18,6 +18,10 @@ A row is named `<call>:<fixture>:<degree>`:
   row classifies the G that the construction at degree N returns; that
   construction runs first, untimed, and leaves U's memoized is_inner
   certificate in place;
+- `singular_values:flagship:N` and `singular_values:lindiag:N` time one
+  singular_values call at degree N on the fixture's toeplitz_symbol, built
+  first, untimed, and record the value count, the smallest value and a
+  digest of the values' bytes; they run at N = 64 and 1024;
 - `startup:flagship:N` and `startup:recipe:N` time a cold start: from
   before `import toepkern` (numpy is not loaded yet) to a finished flagship
   classify_kernel, or matrix-recipe construct_kernel, at degree N.  They
@@ -48,6 +52,7 @@ prints its record as JSON.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -66,6 +71,7 @@ ROWS = (
     "kernel_angle:recipe:2048",
     "construct:flagship:2048",
     "construct:recipe:1024",
+    "construct:recipe:4096",
     "classify:lindiag:4096",
     "classify:flagship:2048",
     "classify:recipe:512",
@@ -73,6 +79,8 @@ ROWS = (
       for n in (64, 128, 256, 512)),
     *(f"construct:{fixture}:{n}" for fixture in ("flagship", "recipe")
       for n in (64, 128, 256, 512)),
+    *(f"singular_values:{fixture}:{n}" for fixture in ("flagship", "lindiag")
+      for n in (64, 1024)),
     "startup:flagship:64",
     "startup:recipe:64",
     "bauer:twisted:512",
@@ -81,6 +89,7 @@ ROW_TIMEOUT_S = 600.0  # every row takes about a second; this only stops a hung 
 FIXTURES = {"kernel_angle": ("flagship", "recipe"),
             "construct": ("flagship", "recipe"),
             "classify": ("flagship", "lindiag", "recipe"),
+            "singular_values": ("flagship", "lindiag"),
             "startup": ("flagship", "recipe"),
             "bauer": ("twisted",)}
 
@@ -104,8 +113,8 @@ def run_row(name: str) -> dict:
     from toepkern.factor import bauer_factorize
     from toepkern.fixtures import (g_poisson, g_poisson_double, lin_diag_G,
                                    matrix_recipe)
-    from toepkern.hayashi import gk_basis
-    from toepkern.toeplitz import kernel_angle
+    from toepkern.hayashi import gk_basis, toeplitz_symbol
+    from toepkern.toeplitz import kernel_angle, singular_values
 
     def inputs(n):
         if fixture == "flagship":
@@ -155,6 +164,18 @@ def run_row(name: str) -> dict:
         rep = classify_kernel(G, U, degree, config)
         wall = time.perf_counter() - start
         result = {"final": rep.final, "cross_check_angle": rep.cross_check_angle}
+    elif call == "singular_values":
+        config = ToleranceConfig().with_degree(degree)
+        if fixture == "flagship":
+            G, U = g_poisson_double(degree), MatrixSymbol.monomial(1)
+        else:
+            G, U = lin_diag_G(), MatrixSymbol.monomial(1, 2)
+        phi = toeplitz_symbol(G, U, config)
+        start = time.perf_counter()
+        s = singular_values(phi, degree)
+        wall = time.perf_counter() - start
+        result = {"count": s.size, "smallest": float(s[-1]),
+                  "digest": hashlib.sha256(s.tobytes()).hexdigest()}
     else:
         n = min(256, degree // 2)
         config = ToleranceConfig().with_degree(n)
@@ -230,6 +251,8 @@ def validate(doc: dict) -> None:
             raise ValueError(f"{rec['row']} {rec['tree']}: no defect")
         if call == "classify" and not isinstance(rec["result"].get("final"), str):
             raise ValueError(f"{rec['row']} {rec['tree']}: no final verdict")
+        if call == "singular_values" and not isinstance(rec["result"].get("digest"), str):
+            raise ValueError(f"{rec['row']} {rec['tree']}: no digest")
         if rec["tree"] not in trees:
             raise ValueError(f"row {rec['row']} from unknown tree {rec['tree']!r}")
         for key in ("wall_s", "max_rss_mb"):

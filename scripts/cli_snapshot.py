@@ -54,6 +54,11 @@ COMMANDS = [
     ("classify-flagship-16", ["classify", "flagship-G16.json", "z.json",
                               "--degree", "16", "--ladder", "4,8,16"]),
     ("classify-lindiag", ["classify", "lindiag-G.json", "z2.json"]),
+    # degree 512 reads lin-diag's one-column pieces and the flagship's two
+    # lacunary residue classes
+    ("classify-lindiag-512", ["classify", "lindiag-G.json", "z2.json",
+                              "--degree", "512"]),
+    ("classify-flagship-512", ["classify", *FLAGSHIP, "--degree", "512"]),
     ("construct-flagship", ["construct", "flagship-seed.json", "z.json"]),
     ("construct-recipe-out", ["construct", "recipe-seed.json", "recipe-U.json",
                               "--out", "recipe"]),

@@ -9,8 +9,9 @@ Every section is read from one strided view of its symbol (_section).
 build_toeplitz fills the dense matrix when the section is built, and
 `kernel_basis` takes one dense SVD of it.  `singular_values(phi, N)` and
 `kernel_angle(phi, Q)`, which need no vectors, build no section: the
-symbol's nonzero pattern tells whether the section is an exact direct sum (a
-diagonal or lacunary symbol), and each independent piece, or the whole
+symbol's live degrees give the section's direct sum in closed form (_pieces:
+by channel for a diagonal symbol, by residue class of the block index modulo
+the gcd of the degree gaps for a lacunary one), and each piece, or the whole
 section, is gathered from the view and asked for its singular values only.
 When those pieces are large against the symbol's band, kernel_angle
 certifies its bound by inertia counts instead: the Gram T^H T, cut into
@@ -97,81 +98,75 @@ def orthonormal_basis(Q: SubspaceBasis,
                              Q.dim, Q.degree)
 
 
-def _pieces(phi: MatrixSymbol, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Connected-component labels of the rows and columns of the section.
+def _pieces(phi: MatrixSymbol, N: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The section split into a direct sum, pieces of one shape stacked.
 
-    Row i and column k are joined when entry (i, k) is nonzero, read from
-    the symbol: a nonzero entry (a, b) of the coefficient at degree d joins
-    row j p + a to column (j - d) q + b for every block row j whose column
-    block lies in the section, O(N nnz) edges.  Each round hooks the
-    larger root of every edge whose ends disagree onto the smaller one, then
-    jumps pointers (label = label[label]) until every label is a root.
-    Labels only decrease and every round merges at least two components, so
-    the loop ends when each component carries its smallest node index.
+    Returns one (rows, cols) per shape: rows (n, a) and cols (n, b) hold the
+    ascending row and column indices of each of its n pieces.  A square
+    symbol with no live off-diagonal entry is split by channel; any other
+    is one group of all channels.  Let a group's live degrees within
+    |d| <= N be d0 < d1 < ... and g the gcd of the d - d0 (2N + 2, past
+    every section degree, for one degree or none).  Block column k meets
+    only the block rows k + d, all congruent to k + d0 (mod g), so for each
+    r < min(g, N + 1) the block columns k = r (mod g) and the block rows
+    j = r + d0 (mod g) are one piece, with no rows when r + d0 (mod g) > N.
+    Near the section's edges a piece may itself be a direct sum of smaller
+    ones, with the same singular values; a row in no piece is zero.
     """
-    r = phi.rows * (N + 1)
-    deg, a, b = np.nonzero(phi.coeffs)
-    j = np.arange(N + 1)
-    k = j - (deg[:, None] + phi.min_deg)  # column block of row block j
-    live = (k >= 0) & (k <= N)
-    ii = (j * phi.rows + a[:, None])[live]
-    kk = (k * phi.cols + b[:, None])[live] + r
-    label = np.arange(r + phi.cols * (N + 1))
-    while True:
-        lu, lv = label[ii], label[kk]
-        apart = lu != lv
-        if not apart.any():
-            return label[:r], label[r:]
-        lo, hi = np.minimum(lu, lv)[apart], np.maximum(lu, lv)[apart]
-        np.minimum.at(label, hi, lo)
-        while True:
-            jumped = label[label]
-            if np.array_equal(jumped, label):
-                break
-            label = jumped
+    p, q = phi.rows, phi.cols
+    live = phi.coeffs != 0
+    degrees = phi.min_deg + np.arange(live.shape[0])
+    if p == q and not (live & ~np.eye(p, dtype=bool)).any():
+        groups = [(np.array([a]), np.array([a])) for a in range(p)]
+    else:
+        groups = [(np.arange(p), np.arange(q))]
+    stacks: dict = {}
+    for row_chans, col_chans in groups:
+        on = live[:, row_chans[:, None], col_chans].any(axis=(1, 2))
+        d = degrees[on & (abs(degrees) <= N)]
+        d0 = d[0] if d.size else N + 1
+        g = int(np.gcd.reduce(d - d0)) or 2 * N + 2
+        r = np.arange(min(g, N + 1))
+        s = (r + d0) % g
+        n_rows = np.where(s > N, 0, (N - s) // g + 1)
+        n_cols = (N - r) // g + 1
+        for a, b in set(zip(n_rows.tolist(), n_cols.tolist())):
+            sel = (n_rows == a) & (n_cols == b)
+            j = s[sel, None, None] + g * np.arange(a)[:, None]
+            k = r[sel, None, None] + g * np.arange(b)[:, None]
+            rows = (j * p + row_chans).reshape(j.shape[0], -1)
+            cols = (k * q + col_chans).reshape(k.shape[0], -1)
+            stacks.setdefault((rows.shape[1], cols.shape[1]), []).append((rows, cols))
+    return [tuple(np.concatenate(parts) for parts in zip(*stacks[shape]))
+            for shape in sorted(stacks)]
 
 
 def singular_values(phi: MatrixSymbol, N: int) -> np.ndarray:
     """Singular values of the degree-N section, one per column, descending.
 
-    The section is split into the connected pieces of its row/column
-    coupling (_pieces); a direct sum's singular values are the union of its
-    pieces', so each piece gets its own values-only SVD, pieces of one shape
-    in one stacked call.  Every piece, an unsplit section included, is
-    gathered from the strided view (_section).  Each piece's values are
-    zero-padded to its column count (a piece with no rows is a zero column),
-    so a section with more columns than rows gets zeros for the columns
-    beyond its rank, as kernel_basis counts them.  A stack with no imaginary
-    part gets a real SVD.
+    The section is split into the pieces of its direct sum (_pieces); a
+    direct sum's singular values are the union of its pieces', so each
+    piece gets its own values-only SVD, pieces of one shape in one stacked
+    call.  Every piece, an unsplit section included, is gathered from the
+    strided view (_section).  Each piece's values are zero-padded to its
+    column count (a piece with no rows is zero columns), so a section with
+    more columns than rows gets zeros for the columns beyond its rank, as
+    kernel_basis counts them.  A stack with no imaginary part gets a real
+    SVD.
     """
-    return _piece_values(phi, N, *_pieces(phi, N))
-
-
-def _piece_values(phi: MatrixSymbol, N: int, row_lab: np.ndarray,
-                  col_lab: np.ndarray) -> np.ndarray:
-    """singular_values of the section split by the labels of _pieces."""
     p, q = phi.rows, phi.cols
     section = _section(phi, N)
-    row_order = np.argsort(row_lab, kind="stable")
-    col_order = np.argsort(col_lab, kind="stable")
-    sorted_rows = row_lab[row_order]
-    labels, col_start, n_cols = np.unique(col_lab[col_order], return_index=True,
-                                          return_counts=True)
-    row_start = np.searchsorted(sorted_rows, labels, "left")
-    n_rows = np.searchsorted(sorted_rows, labels, "right") - row_start
     values = []
-    for a, b in sorted(set(zip(n_rows.tolist(), n_cols.tolist()))):
-        sel = np.flatnonzero((n_rows == a) & (n_cols == b))
-        rows = row_order[row_start[sel, None] + np.arange(a)][:, :, None]
-        cols = col_order[col_start[sel, None] + np.arange(b)][:, None, :]
-        stack = section[rows // p, rows % p, cols // q, cols % q]
+    for rows, cols in _pieces(phi, N):
+        i, k = rows[:, :, None], cols[:, None, :]
+        stack = section[i // p, i % p, k // q, k % q]
         if not stack.imag.any():
             stack = stack.real
-        if min(a, b) <= 1:  # a row or a column: its norm is its one value
+        if min(stack.shape[1:]) <= 1:  # a row or a column: its norm is its one value
             s = _norm2(stack)[:, None]
         else:
             s = np.linalg.svd(stack, compute_uv=False)
-        padded = np.zeros((sel.size, b))
+        padded = np.zeros(cols.shape)
         padded[:, :s.shape[1]] = s
         values.append(padded.ravel())
     return np.sort(np.concatenate(values))[::-1]
@@ -367,15 +362,14 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
     k = 0, and otherwise s is the last value above the cut.
     """
     M = Q.degree
-    pieces = _pieces(phi, M)
     width = max(phi.coeffs.shape[0] - 1, -(-64 // phi.cols))
     n, w = phi.cols * (M + 1), phi.cols * width
-    cubes = np.sum(np.bincount(pieces[1]).astype(float) ** 3)
+    cubes = sum(cols.shape[0] * cols.shape[1] ** 3 for _, cols in _pieces(phi, M))
     if Q.size and cubes > 4 * n * w * w:
         angle = _certified_angle(phi, Q, width, config)
         if angle is not None:
             return angle
-    s = _piece_values(phi, M, *pieces)
+    s = singular_values(phi, M)
     cut = numerical_rank(s, config.rank_tol)
     if s.size - cut != Q.size:
         return float(np.pi / 2)

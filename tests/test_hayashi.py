@@ -53,9 +53,11 @@ from toepkern.hayashi import (
     toeplitz_symbol,
 )
 from toepkern.nearly import counterexample_UBU, isometry_defect
-from toepkern.toeplitz import (_pieces, apply_symbol, build_toeplitz, kernel_angle,
+from toepkern.toeplitz import (apply_symbol, build_toeplitz, kernel_angle,
                                kernel_basis, numerical_rank, singular_values,
                                subspace_angle)
+
+from helpers import component_pieces, section_pieces
 
 CFG = ToleranceConfig()
 N = 64
@@ -666,8 +668,50 @@ class TestCrossCheck:
             return set((phi.min_deg + np.flatnonzero(live)).tolist())
 
         assert degrees(built) == degrees(classified)
-        labels = np.concatenate(_pieces(built, 2 * n))
-        assert np.unique(labels).size == 2
+        assert len(section_pieces(built, 2 * n)) == 2
+
+    def test_pipeline_pieces_are_the_components(self, monkeypatch):
+        # on every symbol the pipelines read, the pieces read from the
+        # symbol's degrees are exactly the components of the section's
+        # nonzero entries: no piece is a coarser direct sum, so no SVD grows
+        seen = {}
+        pieces = toeplitz._pieces
+
+        def spy(phi, n):
+            seen[phi.min_deg, phi.coeffs.tobytes(), n] = phi, n
+            return pieces(phi, n)
+
+        monkeypatch.setattr(toeplitz, "_pieces", spy)
+        z = MatrixSymbol.monomial(1)
+        for n in (64, 128, 256, 512):
+            config = ToleranceConfig().with_degree(n)
+            classify_kernel(g_poisson_double(n), z, n, config)
+            construct_kernel(g_poisson(n), z, n, config)
+        config = ToleranceConfig().with_degree(64)
+        construct_kernel(*matrix_recipe(), 64, config)
+        lin = classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, m=2), 64, config)
+        embed_rect(column_G(), MatrixSymbol.monomial(2), 64, config)
+        monkeypatch.undo()
+        degrees = {n for _, n in seen.values()}
+        assert {16, 32, 64, 128, 512, 1024} <= degrees  # ladder, N and 2N
+        cases = [*seen.values(), (adjoint_flip(lin.symbol), 64),
+                 (adjoint_flip(lin.symbol), 128)]
+        for phi, n in cases:
+            want = component_pieces(build_toeplitz(phi, n).matrix)
+            assert set(section_pieces(phi, n)) == want
+
+    def test_recipe_angle_holds_no_edge_arrays(self):
+        # the recipe's section at M = 2048 is one piece; telling so takes
+        # no per-entry arrays, and the count route reads band-wide blocks
+        phi, G, U, config = cross_check_case("matrix-recipe", 256)
+        Q = gk_basis(G, U, 2048, config)
+        tracemalloc.start()
+        try:
+            kernel_angle(phi, Q, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
 
     def test_cross_check_fills_no_section(self):
         # linear-diagonal at N = 512: one dense section at 2N is 67 MB, but

@@ -87,6 +87,17 @@ def test_bench_construct_row_runs():
     assert record["result"]["dim_F"] == 3
 
 
+def test_bench_singular_values_row_runs():
+    # linear-diagonal's symbol is diag(1, -1) z^-2: at degree 32 each
+    # channel's two lowest columns are null
+    res = run_script("bench.py", "--row", "singular_values:lindiag:32")
+    assert res.returncode == 0, res.stderr
+    record = json.loads(res.stdout)
+    assert record["wall_s"] > 0 and record["max_rss_mb"] > 0
+    assert record["result"]["count"] == 66 and record["result"]["smallest"] == 0
+    assert len(record["result"]["digest"]) == 64
+
+
 def test_bench_startup_row_runs():
     res = run_script("bench.py", "--row", "startup:flagship:64")
     assert res.returncode == 0, res.stderr

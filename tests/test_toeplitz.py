@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.sparse.csgraph import connected_components
 
 from toepkern import (MatrixSymbol, SubspaceBasis, ToleranceConfig, adjoint_flip,
                       apply_symbol)
@@ -16,7 +15,6 @@ from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
     _count_below,
     _gram_blocks,
-    _pieces,
     _section,
     basis_from_matrix,
     build_toeplitz,
@@ -26,6 +24,8 @@ from toepkern.toeplitz import (
     singular_values,
     subspace_angle,
 )
+
+from helpers import section_components, section_pieces
 
 CFG = ToleranceConfig()
 
@@ -297,19 +297,6 @@ def test_split_kernel_matches_dense_svd(case, N):
     assert np.allclose(values, s, rtol=1e-10, atol=err)
 
 
-def dense_pieces(T):
-    """Oracle: components of the nonzero entries of the dense section, each
-    labelled by its smallest node index (rows first, then columns)."""
-    A = T.matrix
-    r, n = A.shape
-    adj = np.zeros((r + n, r + n), bool)
-    adj[:r, r:] = A != 0
-    count, lab = connected_components(adj, directed=False)
-    least = np.full(count, r + n)
-    np.minimum.at(least, lab, np.arange(r + n))
-    return least[lab[:r]], least[lab[r:]]
-
-
 @st.composite
 def sparse_symbols(draw):
     # random band with most entries zeroed: pieces of every shape
@@ -325,11 +312,25 @@ def sparse_symbols(draw):
                  rectangular_symbols(), zero_symbols()),
        st.integers(0, 12))
 @settings(max_examples=200, deadline=None)
-def test_pieces_from_symbol_match_dense_nonzeros(case, N):
+def test_pieces_partition_the_section(case, N):
+    # every column in one piece, every row in one piece or zero, and no
+    # component of the nonzero entries split between pieces; a piece may
+    # be coarser than a component (a direct sum of smaller ones)
     phi, _ = case
-    rows, cols = _pieces(phi, N)
-    want_rows, want_cols = dense_pieces(build_toeplitz(phi, N))
-    assert np.array_equal(rows, want_rows) and np.array_equal(cols, want_cols)
+    A = build_toeplitz(phi, N).matrix
+    r, n = A.shape
+    node_piece = np.full(r + n, -1)
+    for label, (rows, cols) in enumerate(section_pieces(phi, N)):
+        nodes = list(rows) + [r + k for k in cols]
+        assert np.all(node_piece[nodes] == -1)
+        node_piece[nodes] = label
+    assert np.all(node_piece[r:] >= 0)
+    assert not A[node_piece[:r] < 0].any()
+    count, lab = section_components(A)
+    for comp in range(count):
+        nodes = np.flatnonzero(lab == comp)
+        if nodes[-1] >= r:
+            assert np.unique(node_piece[nodes]).size == 1
 
 
 def test_split_section_is_never_filled():
