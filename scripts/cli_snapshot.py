@@ -80,6 +80,11 @@ COMMANDS = [
     ("err-unknown-check", ["verify", "nope"]),
     ("err-missing-file", ["classify", "absent.json", "z.json"]),
     ("err-grid", ["verify", "pair-identity", "--grid", "100"]),
+    # a power-of-two grid one step below 4*(N+1), at two degrees
+    ("err-grid-256", ["verify", "pair-identity", "--grid", "256"]),
+    ("err-grid-512-128", ["verify", "pair-identity", "--grid", "512",
+                          "--degree", "128", "--ladder", "32,64,128"]),
+    ("err-degree", ["verify", "lemma31", "--degree", "0"]),
     ("err-ladder", ["verify", "pair-identity", "--ladder", "64,16"]),
 ]
 

@@ -41,6 +41,7 @@ from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
                        kernel_basis, phase_gauge, subspace_angle)
 
 PIVOT_COND = 1e6
+DEFAULT_DEGREE = 64
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +61,16 @@ def _parse_ladder(text: str) -> tuple:
 
 def _run_config(args) -> None:
     """Replace args.ladder by its parsed degrees and add args.tolerance."""
+    if args.degree < 1:
+        raise ValueError("--degree must be positive")
     grid = args.grid
     if grid is None:
         grid = DEFAULT_CONFIG.with_degree(args.degree).grid_size
-    args.tolerance = ToleranceConfig(args.degree, grid, args.rank_tol,
-                                     args.residual_tol)
+    elif grid & (grid - 1) or grid < 4 * (args.degree + 1):
+        raise ValueError("grid_size must be a power of two >= 4*(N+1)")
+    args.tolerance = ToleranceConfig(grid, args.rank_tol, args.residual_tol)
     args.ladder = _parse_ladder(args.ladder)
-    if args.ladder[-1] > args.tolerance.trunc_degree:
+    if args.ladder[-1] > args.degree:
         raise ValueError("ladder top exceeds the working degree")
 
 
@@ -139,8 +143,7 @@ def _span_frame(F: np.ndarray) -> np.ndarray:
 def cmd_classify(args) -> int:
     G = _load_symbol(args.G)
     U = _load_symbol(args.U)
-    rep = classify_kernel(G, U, args.tolerance.trunc_degree, args.tolerance,
-                          args.ladder)
+    rep = classify_kernel(G, U, args.degree, args.tolerance, args.ladder)
     symbol_ref = None
     if rep.symbol is not None and args.out is not None:
         symbol_ref = args.out + ".symbol.json"
@@ -163,7 +166,7 @@ def cmd_construct(args) -> int:
     G0p = _load_symbol(args.G0prime)
     U = _load_symbol(args.U)
     tol = args.tolerance
-    res = construct_kernel(G0p, U, tol.trunc_degree, tol, args.ladder)
+    res = construct_kernel(G0p, U, args.degree, tol, args.ladder)
     angles = {str(n): kernel_angle(res.phi, gk_basis(res.G, U, n, tol), tol)
               for n in args.ladder}
     doc = {
@@ -217,8 +220,7 @@ def _check_kernel_identity(args):
     for name, G, B in fixtures:
         pts = _lemma31_points(G.rows)
         for n in args.ladder:
-            res = verify_lemma31(G, B, pts, args.tolerance.with_degree(n))
-            rows.append((name, n, res, 1e-6))
+            rows.append((name, n, verify_lemma31(G, B, pts, n), 1e-6))
     return rows
 
 
@@ -384,7 +386,7 @@ def _entry_halfpower(args) -> dict:
     K = args.tolerance.grid_size
     coarse = _halfpower_containment(K)
     fine = _halfpower_containment(2 * K)
-    n = args.tolerance.trunc_degree
+    n = args.degree
     basis = basis_from_matrix(sqrt_diag_G(n).window(0, n).reshape(-1, 2), 2, n)
     nearly = is_nearly_invariant(basis, args.tolerance)
     ok = bool(nearly) and coarse <= 1e-4 and fine <= coarse
@@ -395,8 +397,7 @@ def _entry_halfpower(args) -> dict:
 
 def _entry_linear_diagonal(args) -> dict:
     rep = classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, 2),
-                          args.tolerance.trunc_degree, args.tolerance,
-                          args.ladder)
+                          args.degree, args.tolerance, args.ladder)
     ok = rep.final == "not-kernel" and rep.cross_check_angle > 0.5
     return {"name": "linear-diagonal", "final": rep.final,
             "divisibility": rep.divisibility, "mass_gap": rep.mass_gap,
@@ -404,8 +405,8 @@ def _entry_linear_diagonal(args) -> dict:
 
 
 def _entry_column_embedding(args) -> dict:
-    emb = embed_rect(column_G(), MatrixSymbol.monomial(2),
-                     args.tolerance.trunc_degree, args.tolerance, args.ladder)
+    emb = embed_rect(column_G(), MatrixSymbol.monomial(2), args.degree,
+                     args.tolerance, args.ladder)
     ker = kernel_basis(build_toeplitz(emb.phi, 8), args.tolerance)
     target = np.zeros((18, 2))
     target[0, 0] = 1.0
@@ -430,7 +431,7 @@ def _entry_twisted(args) -> dict:
 
 
 def _entry_flagship(args) -> dict:
-    n = args.tolerance.trunc_degree
+    n = args.degree
     try:
         rep = classify_kernel(g_poisson_double(n), MatrixSymbol.monomial(1), n,
                               args.tolerance, args.ladder)
@@ -450,8 +451,7 @@ def _entry_flagship(args) -> dict:
 
 def _entry_matrix_recipe(args) -> dict:
     seed, U = matrix_recipe()
-    res = construct_kernel(seed, U, args.tolerance.trunc_degree, args.tolerance,
-                           args.ladder)
+    res = construct_kernel(seed, U, args.degree, args.tolerance, args.ladder)
     angle = max(res.angle_N, res.angle_2N)
     ok = res.F.size == 3 and angle <= 1e-5
     return {"name": "matrix-recipe", "dim_F": res.F.size,
@@ -467,7 +467,7 @@ def cmd_examples(args) -> int:
         _entry_flagship(args),
         _entry_matrix_recipe(args),
     ]
-    doc = {"degree": args.tolerance.trunc_degree, "entries": entries}
+    doc = {"degree": args.degree, "entries": entries}
     _emit(_render_json(doc, args.compact), args.out)
     return 0
 
@@ -484,8 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--degree", type=int,
-                        default=DEFAULT_CONFIG.trunc_degree,
+        sp.add_argument("--degree", type=int, default=DEFAULT_DEGREE,
                         help="working truncation degree N")
         sp.add_argument("--grid", type=int, default=None,
                         help="boundary sample count (power of two; default: "

@@ -70,7 +70,8 @@ def is_inner(U: MatrixSymbol,
     """Certify that boundary values are partial isometries of constant rank.
 
     Memoized on (U, config): a MatrixSymbol is immutable and hashes by
-    identity (eq=False), a ToleranceConfig is frozen and hashes by value.
+    identity (eq=False), a ToleranceConfig is frozen and hashes by value and
+    holds no degree, so pipelines at any degree on one grid share an entry.
     """
     if U.rows != U.cols:
         raise ValueError("inner certification needs a square symbol")

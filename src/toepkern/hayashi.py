@@ -11,7 +11,9 @@ implements the sub-tests, the classification pipeline, the constructive
 recipe that runs the argument backwards, and the rectangular embedding.
 Every step reads U through the public model_space_basis and gk_basis, which
 toeplitz.kernel_angle(phi, Q) compares with ker T_phi without building a
-section; the memoized is_inner certifies U once per pipeline call.
+section; the memoized is_inner certifies U once per pipeline call.  N is
+an argument of every step, and the three pipelines fit a grid below
+4(N+1) to N (config.with_degree(N)).
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def pair_identity_defect(B: MatrixSymbol, A: MatrixSymbol,
     return _hermitian_norm(acc)
 
 
-def pair_from_B(B: MatrixSymbol, N: int | None = None,
+def pair_from_B(B: MatrixSymbol, N: int,
                 config: ToleranceConfig = DEFAULT_CONFIG) -> Pair:
     """Complete a unit-ball analytic B to a pair by factoring I - B*B.
 
@@ -69,7 +71,6 @@ def pair_from_B(B: MatrixSymbol, N: int | None = None,
     """
     if B.rows != B.cols:
         raise ValueError("B must be square")
-    N = config.trunc_degree if N is None else N
     m = B.rows
     samples = sample_symbol(B, config.grid_size)
     top = float(np.max(_norm2(samples)))
@@ -98,7 +99,7 @@ def _g0_prime(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int) -> MatrixSymbol:
     return symbol_mul(A_prime, inv)
 
 
-def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
+def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, str]:
     """Total-mass criterion for specialness of the pair (B0, A').
 
@@ -109,7 +110,6 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int | None = None,
     at two truncation depths and drift between them yields "indeterminate"
     (divergence cannot be ruled out at this N).
     """
-    N = config.trunc_degree if N is None else N
     return _mass_gap(B0, A_prime, _g0_prime(B0, A_prime, N), N, config)
 
 
@@ -279,10 +279,10 @@ def gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
                              config)
 
 
-def _require_grid(N: int, config: ToleranceConfig) -> None:
-    if config.grid_size < 4 * (N + 1):  # the bound ToleranceConfig keeps
-        raise ValueError(f"grid_size {config.grid_size} is below 4*(N+1) for "
-                         f"N = {N}: pass config.with_degree({N})")
+def _fit_grid(N: int, config: ToleranceConfig) -> ToleranceConfig:
+    """config when its grid is alias-free at degree N (grid_size >= 4(N+1)),
+    else the same policy on the smallest grid that is."""
+    return config if config.grid_size >= 4 * (N + 1) else config.with_degree(N)
 
 
 def _require_U_shape(name: str, G: MatrixSymbol, U: MatrixSymbol) -> None:
@@ -318,7 +318,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     resolved by majority.  A specialness test whose precondition fails at
     this truncation reads as indeterminate.
     """
-    _require_grid(N, config)
+    config = _fit_grid(N, config)
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
     _require_U_shape("G", G, U)
@@ -401,7 +401,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     the orthonormalized F = {p_+(G k)}, the symbol, and the bounds on the
     kernel agreement angles at N and 2N.
     """
-    _require_grid(N, config)
+    config = _fit_grid(N, config)
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")
     _require_U_shape("G0'", G0p, U)
@@ -456,7 +456,7 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     and as the identity on its complement.  The kernel of the ambient
     symbol is cross-checked against G K_U directly.
     """
-    _require_grid(N, config)
+    config = _fit_grid(N, config)
     m, r = G.rows, G.cols
     if r >= m:
         raise ValueError("square input: use classify_kernel")

@@ -4,7 +4,7 @@ Model spaces K_U, extraction of the isometric multiplier W = F cap (F cap
 zH2)^perp, the Herglotz/Cayley construction of the contraction B attached to
 an orthonormal-columned G, de Branges-Rovnyak reproducing kernels, and the
 equivalence tests tying divisibility of B by U to T_G acting isometrically
-on K_U.
+on K_U.  Every truncating step takes the degree N as an argument.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
 from .toeplitz import (build_toeplitz, kernel_basis, numerical_rank,
                        orthonormal_basis, phase_gauge)
 from .factor import PreconditionError, divide_inner, garcia_inner, is_inner
+from .fixtures import twisted_contraction
 
 
 # -- model spaces -------------------------------------------------------------------
@@ -141,8 +142,7 @@ def _szego_element(lam: complex, u: np.ndarray, N: int) -> SubspaceBasis:
     return SubspaceBasis(u.size, N, (pows[:, None] * u[None, :]).reshape(-1, 1))
 
 
-def verify_lemma31(G: MatrixSymbol, B: MatrixSymbol, points,
-                   config: ToleranceConfig = DEFAULT_CONFIG) -> float:
+def verify_lemma31(G: MatrixSymbol, B: MatrixSymbol, points, N: int) -> float:
     """Max deviation between <G k_w u, G k_z v> and its H(B) closed form.
 
     points is an iterable of (w, u, z, v) with w, z in the disc.  The left
@@ -150,7 +150,6 @@ def verify_lemma31(G: MatrixSymbol, B: MatrixSymbol, points,
     uses the evaluated kernel (I - B(z)B(w)*)/(1 - conj(w) z) exactly, so
     the return value decreases to the truncation floor as N grows.
     """
-    N = config.trunc_degree
     m = G.cols
     eye = np.eye(m)
     worst = 0.0
@@ -248,7 +247,7 @@ def section_defect(G: MatrixSymbol, B: MatrixSymbol, n: int) -> float:
     return float(np.linalg.norm(diff[:, :B.rows * (n // 2 + 1)], 2))
 
 
-def divide_by_G(f: SubspaceBasis, G: MatrixSymbol, B: MatrixSymbol,
+def divide_by_G(f: SubspaceBasis, G: MatrixSymbol, B: MatrixSymbol, N: int,
                 config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
     """Division inside F = G K_U: the h with G h = f, computed as T_{I-B} T_{G*} f.
 
@@ -257,7 +256,6 @@ def divide_by_G(f: SubspaceBasis, G: MatrixSymbol, B: MatrixSymbol,
     reconstruction residual ||p_+(G h) - f|| shows f is outside the
     expected range at this truncation.
     """
-    N = config.trunc_degree
     step = apply_symbol(adjoint_flip(G), f, 2 * N)
     h = apply_symbol(MatrixSymbol.identity(B.rows) - B, step, N)
     back = apply_symbol(G, h, max(f.degree, N)).matrix
@@ -283,8 +281,7 @@ def counterexample_UBU(theta: MatrixSymbol, b1: MatrixSymbol, b2: MatrixSymbol,
     a = (one + theta).scale(0.5)
     b = (one - theta).scale(-0.5j)
     U = garcia_inner(theta, a, b, config)
-    B = MatrixSymbol.from_blocks([[b1, b2],
-                                  [b2.scale(-1.0), b1.scale(-1.0)]])
+    B = twisted_contraction(b1, b2)
     samples = sample_symbol(B, config.grid_size)
     top = float(np.max(_norm2(samples)))
     if top > 1.0 + 10 * config.residual_tol:

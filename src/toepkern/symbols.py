@@ -27,32 +27,28 @@ def _pow2_at_least(n: int) -> int:
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical policy shared by all operations.
+    """Numerical policy shared by all operations; the truncation degree N
+    is not part of it but an argument of every operation that truncates.
 
     Parameters
     ----------
-    trunc_degree : int
-        Working truncation degree N for analytic expansions.
     grid_size : int
-        Boundary sample count K; a power of two with K >= 4*(N+1) so products
-        of degree-N factors are alias-free.
+        Boundary sample count K, a power of two >= 8; products of degree-N
+        factors are alias-free when K >= 4*(N+1) (with_degree(N)).
     rank_tol : float
         Relative singular-value cutoff for numerical kernels.
     residual_tol : float
         Absolute tolerance for identity residuals.
     """
 
-    trunc_degree: int = 64
     grid_size: int = 512
     rank_tol: float = 1e-8
     residual_tol: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.trunc_degree < 1:
-            raise ValueError("trunc_degree must be positive")
         k = self.grid_size
-        if k & (k - 1) or k < 4 * (self.trunc_degree + 1):
-            raise ValueError("grid_size must be a power of two >= 4*(N+1)")
+        if k & (k - 1) or k < 8:
+            raise ValueError("grid_size must be a power of two >= 8")
         # an empty numerical kernel on both sides would pass vacuously
         if not 0 < self.rank_tol < 1:
             raise ValueError("rank_tol must lie strictly between 0 and 1")
@@ -60,9 +56,9 @@ class ToleranceConfig:
             raise ValueError("residual_tol must be positive")
 
     def with_degree(self, n: int) -> "ToleranceConfig":
-        """Config at truncation degree n with a compatible grid."""
+        """This policy on the smallest grid valid at truncation degree n."""
         k = max(_pow2_at_least(4 * (n + 1)), 8)
-        return ToleranceConfig(n, k, self.rank_tol, self.residual_tol)
+        return ToleranceConfig(k, self.rank_tol, self.residual_tol)
 
 
 DEFAULT_CONFIG = ToleranceConfig()

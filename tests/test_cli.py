@@ -426,6 +426,12 @@ def test_bad_grid_exits_2(capsys):
     assert "grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("degree", ["0", "-3"])
+def test_nonpositive_degree_exits_2(capsys, degree):
+    assert main(["verify", "lemma31", f"--degree={degree}"]) == 2
+    assert "--degree must be positive" in capsys.readouterr().err
+
+
 def test_grid_defaults_to_smallest_valid_for_degree(capsys):
     assert main(["verify", "pair-identity", "--degree", "128"]) == 0
     implicit = capsys.readouterr().out

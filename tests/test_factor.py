@@ -105,6 +105,15 @@ def test_is_inner_recomputes_for_a_new_tolerance_or_symbol():
     assert is_inner.cache_info().hits == 0
 
 
+def test_is_inner_shares_a_certificate_across_degrees_on_one_grid():
+    # the config carries no degree: degrees 16 and 20 both fit a 128-point grid
+    U = MatrixSymbol.monomial(1, 2)
+    is_inner.cache_clear()
+    cert = is_inner(U, CFG.with_degree(16))
+    assert is_inner(U, CFG.with_degree(20)) is cert
+    assert is_inner.cache_info().misses == 1
+
+
 # -- inner completion ------------------------------------------------------------
 
 def test_garcia_trivial_completion():

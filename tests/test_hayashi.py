@@ -4,6 +4,7 @@ Oracle values come from closed-form expansions: geometric series for the
 Poisson-kernel fixtures, exact rational algebra for the quotient pairs, and
 hand-computed images of the contracted isometry for the probe tests.
 """
+import dataclasses
 import tracemalloc
 from functools import lru_cache
 
@@ -122,19 +123,19 @@ def flagship_construction():
 
 class TestPairCompletion:
     def test_zero_contraction(self):
-        pair = pair_from_B(MatrixSymbol.zero(2, 2))
+        pair = pair_from_B(MatrixSymbol.zero(2, 2), N)
         assert (pair.A - MatrixSymbol.identity(2)).norm_l2() < 1e-12
         assert pair.special == "special"
         assert pair.mass_gap < 1e-12
 
     def test_scalar_quadratic(self):
-        pair = pair_from_B(MatrixSymbol.scalar([0, 0, 0.5]))
+        pair = pair_from_B(MatrixSymbol.scalar([0, 0, 0.5]), N)
         assert (pair.A - MatrixSymbol.constant(np.array([[ROOT3 / 2]]))).norm_l2() < 1e-10
         assert pair.special == "special"
         assert pair.mass_gap < 1e-10
 
     def test_constant_signature(self):
-        pair = pair_from_B(half_signature())
+        pair = pair_from_B(half_signature(), N)
         want = MatrixSymbol.constant(ROOT3 / 2 * np.eye(2))
         assert (pair.A - want).norm_l2() < 1e-12
         assert pair.special == "special"
@@ -142,7 +143,7 @@ class TestPairCompletion:
     def test_boundary_zero_density(self):
         # b = z/(2+z): the complement vanishes at -1; the outer factor is
         # sqrt(2)(1+z)/(2+z), not any reflected twin of the same modulus
-        pair = pair_from_B(sarason_B_closed_form(N))
+        pair = pair_from_B(sarason_B_closed_form(N), N)
         _, a_exact = quotient_pair()
         assert (pair.A - a_exact).norm_l2() < 1e-10
         assert shift_span(pair.A, CFG).verdict == "outer"
@@ -152,16 +153,16 @@ class TestPairCompletion:
     def test_twisted_matricial_identity(self):
         B = twisted_contraction(MatrixSymbol.scalar([0, 0.5]),
                                 MatrixSymbol.scalar([0, 0, 0.25]))
-        pair = pair_from_B(B)
+        pair = pair_from_B(B, N)
         assert pair_identity_defect(pair.B, pair.A, CFG) < 1e-10
 
     def test_expansive_rejected(self):
         with pytest.raises(PreconditionError):
-            pair_from_B(MatrixSymbol.constant(np.array([[1.5]])))
+            pair_from_B(MatrixSymbol.constant(np.array([[1.5]])), N)
 
     def test_inner_rejected(self):
         with pytest.raises(PreconditionError):
-            pair_from_B(MatrixSymbol.monomial(1))
+            pair_from_B(MatrixSymbol.monomial(1), N)
 
     @settings(deadline=None, max_examples=12)
     @given(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)),
@@ -731,7 +732,7 @@ class TestCrossCheck:
 class TestRebuiltPairs:
     def test_scalar_rebuild_stays_special(self):
         b0 = MatrixSymbol.scalar([0, 0.5])
-        rebuilt = pair_from_B(symbol_mul(MatrixSymbol.monomial(1), b0))
+        rebuilt = pair_from_B(symbol_mul(MatrixSymbol.monomial(1), b0), N)
         assert rebuilt.special == "special"
         assert rebuilt.mass_gap < 1e-7
         assert (rebuilt.A
@@ -749,7 +750,7 @@ class TestRebuiltPairs:
 
     def test_matrix_rebuild_stays_special(self):
         B = symbol_mul(matrix_recipe()[1], half_signature())
-        rebuilt = pair_from_B(B)
+        rebuilt = pair_from_B(B, N)
         assert rebuilt.special == "special"
         assert rebuilt.mass_gap < 1e-7
         gap, verdict = special_test(B,
@@ -758,16 +759,57 @@ class TestRebuiltPairs:
         assert verdict == "special" and gap < 1e-7
 
 
+def _assert_same(a, b):
+    """a and b carry the same verdicts, bitwise-equal floats and arrays."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            _assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif isinstance(a, tuple):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            _assert_same(x, y)
+    elif isinstance(a, (float, np.ndarray)):
+        assert np.array_equal(a, b, equal_nan=True)
+    else:
+        assert a == b
+
+
 @pytest.mark.parametrize("n", [200, 600])
 @pytest.mark.parametrize("run", [
-    lambda n: classify_kernel(g_poisson_double(n), MatrixSymbol.monomial(1), n),
-    lambda n: construct_kernel(g_poisson(n), MatrixSymbol.monomial(1), n),
-    lambda n: embed_rect(column_G(), MatrixSymbol.monomial(2), n),
+    lambda n, cfg: classify_kernel(g_poisson_double(n), MatrixSymbol.monomial(1),
+                                   n, cfg),
+    lambda n, cfg: construct_kernel(g_poisson(n), MatrixSymbol.monomial(1), n,
+                                    cfg),
+    lambda n, cfg: embed_rect(column_G(), MatrixSymbol.monomial(2), n, cfg),
 ], ids=["classify", "construct", "embed"])
-def test_grid_below_the_degree_rejected(run, n):
-    # the default grid (512) resolves degrees up to 127
-    with pytest.raises(ValueError, match=rf"with_degree\({n}\)"):
-        run(n)
+def test_pipelines_fit_the_grid_to_the_degree(run, n):
+    # the default grid (512) resolves degrees up to 127; past that the
+    # pipelines run on the smallest grid that resolves n
+    _assert_same(run(n, CFG), run(n, CFG.with_degree(n)))
+
+
+def _verdicts(rep):
+    return rep.final, rep.divisibility, rep.special, rep.rigidity
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_grid_sets_resolution_not_the_verdict(n):
+    # a grid finer than the smallest alias-free one changes the sampling,
+    # not the truncation, so every sub-verdict must stay where it was
+    K = CFG.with_degree(n).grid_size
+    grids = [ToleranceConfig(grid_size=k) for k in (K, 2 * K, 4 * K)]
+    ladder = (n // 4, n // 2, n)
+    recipe = construct_kernel(*matrix_recipe(), n, grids[0], ladder)
+    cases = [(g_poisson_double(n), MatrixSymbol.monomial(1)),
+             (lin_diag_G(), MatrixSymbol.monomial(1, 2)),
+             (recipe.G, matrix_recipe()[1])]
+    for G, U in cases:
+        seen = {_verdicts(classify_kernel(G, U, n, cfg, ladder)) for cfg in grids}
+        assert len(seen) == 1, seen
+    seen = {_verdicts(embed_rect(column_G(), MatrixSymbol.monomial(2), n, cfg,
+                                 ladder).classification) for cfg in grids}
+    assert len(seen) == 1, seen
 
 
 # -- rectangular embedding ----------------------------------------------------------

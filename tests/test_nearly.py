@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toepkern.symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
-                              ToleranceConfig, adjoint_flip, apply_symbol,
-                              herglotz_taylor, riesz_project, symbol_mul)
+                              adjoint_flip, apply_symbol, herglotz_taylor,
+                              riesz_project, symbol_mul)
 from toepkern.toeplitz import subspace_angle
 from toepkern import nearly
 from toepkern.factor import PreconditionError
@@ -283,23 +283,22 @@ class TestKernelIdentity:
                 rng.standard_normal(2)) for _ in range(8)]
         pts = [(w / max(1.0, 2 * abs(w)), u, z / max(1.0, 2 * abs(z)), v)
                for w, u, z, v in pts]
-        res = verify_lemma31(MatrixSymbol.identity(2), MatrixSymbol.zero(2, 2), pts)
+        res = verify_lemma31(MatrixSymbol.identity(2), MatrixSymbol.zero(2, 2), pts,
+                             64)
         assert res < 1e-12
 
     def test_one_plus_z_fixture(self):
         rng = np.random.default_rng(5)
         g = g_one_plus_z()
-        cfg64 = ToleranceConfig(trunc_degree=64)
-        B = sarason_B(g, 64, cfg64)
+        B = sarason_B(g, 64)
         pts = []
         for _ in range(16):
             w = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
             z = 0.3 * (rng.standard_normal() + 1j * rng.standard_normal())
             pts.append((w, [1.0], z, [1.0]))
-        res64 = verify_lemma31(g, B, pts, cfg64)
+        res64 = verify_lemma31(g, B, pts, 64)
         assert res64 <= 1e-8
-        cfg16 = ToleranceConfig(trunc_degree=16)
-        res16 = verify_lemma31(g, B, pts, cfg16)
+        res16 = verify_lemma31(g, B, pts, 16)
         assert res16 >= res64
 
     def test_matches_closed_form_oracle(self):
@@ -307,7 +306,7 @@ class TestKernelIdentity:
         B = sarason_B(g, 64)
         w, zz = 0.2 + 0.1j, -0.15 + 0.05j
         pts = [(w, [1.0], zz, [1.0])]
-        res = verify_lemma31(g, B, pts)
+        res = verify_lemma31(g, B, pts, 64)
         lhs_direct = szego_inner_oracle(w, [1.0], zz, [1.0],
                                         lambda p: B.eval_at(p))
         kw = apply_symbol(g, column(np.power(np.conj(w), np.arange(65))), 64)
@@ -394,7 +393,7 @@ class TestDivision:
         g = g_one_plus_z()
         B = sarason_B(g, 64)
         f = apply_symbol(g, column([1.0]), 64)
-        h = divide_by_G(f, g, B)
+        h = divide_by_G(f, g, B, 64)
         assert abs(h.matrix[0, 0] - 1.0) < 1e-12
         assert np.linalg.norm(h.matrix[h.dim:]) < 1e-12
         assert abs(np.linalg.norm(h.matrix) - np.linalg.norm(f.matrix)) < 1e-8
@@ -403,13 +402,14 @@ class TestDivision:
         G = normalized_columns(sqrt_diag_G(48))
         B = sarason_B(G, 64)
         f = apply_symbol(G, column([0.0, 1.0], dim=2), 64)
-        h = divide_by_G(f, G, B)
+        h = divide_by_G(f, G, B, 64)
         assert np.linalg.norm(h.matrix[:2, 0] - np.array([0.0, 1.0])) < 1e-10
         assert np.linalg.norm(h.matrix[2:]) < 1e-8
 
     def test_identity_is_identity_map(self):
         f = column([1.0, 2.0, 0.5, 0.0], dim=2)
-        h = divide_by_G(f, MatrixSymbol.identity(2), MatrixSymbol.zero(2, 2))
+        h = divide_by_G(f, MatrixSymbol.identity(2), MatrixSymbol.zero(2, 2),
+                        64)
         assert np.linalg.norm(window(h, 4) - window(f, 4)) < 1e-13
 
     def test_outside_range_raises(self):
@@ -417,7 +417,7 @@ class TestDivision:
         B = sarason_B(g, 64)
         bad = column([0.0, 0.0, 0.0, 1.0])
         with pytest.raises(ValueError):
-            divide_by_G(bad, g, B)
+            divide_by_G(bad, g, B, 64)
 
     def test_norm_preserved_on_model_combination(self):
         # |g|^2 = 1 + (z^2 + zbar^2)/2 gives B = z^2/(2 + z^2), divisible by
@@ -428,7 +428,7 @@ class TestDivision:
         assert rep.verdict == "holds"
         k = column([0.6, 0.8])
         f = apply_symbol(g, k, 64)
-        h = divide_by_G(f, g, B)
+        h = divide_by_G(f, g, B, 64)
         assert np.linalg.norm(window(h, 1) - window(k, 1)) < 1e-10
         assert abs(np.linalg.norm(h.matrix) - np.linalg.norm(f.matrix)) < 1e-8
 

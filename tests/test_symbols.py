@@ -561,8 +561,9 @@ def test_apply_symbol_truncates_analytic_part():
 # -- config ------------------------------------------------------------------------------
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ToleranceConfig(trunc_degree=64, grid_size=200)
+    for bad in (200, 4, 0, -8):
+        with pytest.raises(ValueError, match="grid_size"):
+            ToleranceConfig(grid_size=bad)
     for bad in (-1.0, 0.0, 1.0, float("nan")):
         with pytest.raises(ValueError, match="rank_tol"):
             ToleranceConfig(rank_tol=bad)
