@@ -46,9 +46,13 @@ COMMANDS = [
     ("examples-32", ["examples", "--degree", "32", "--ladder", "8,16,32"]),
     ("examples-64", ["examples", "--degree", "64"]),
     ("examples-128", ["examples", "--degree", "128"]),
+    # an explicit grid above the smallest valid one is kept as given
+    ("examples-64-grid-1024", ["examples", "--degree", "64", "--grid", "1024"]),
     *[(f"verify-{check}", ["verify", check])
       for check in ("lemma31", "thm34", "thm35", "pair-identity", "cor53",
                     "prop52", "kernel-identity")],
+    ("verify-pair-600", ["verify", "pair-identity", "--degree", "600",
+                         "--ladder", "150,300,600"]),
     ("classify-flagship", ["classify", *FLAGSHIP]),
     ("classify-flagship-out", ["classify", *FLAGSHIP, "--out", "flagship.report"]),
     ("classify-flagship-16", ["classify", "flagship-G16.json", "z.json",

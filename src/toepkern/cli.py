@@ -64,11 +64,11 @@ def _run_config(args) -> None:
     if args.degree < 1:
         raise ValueError("--degree must be positive")
     grid = args.grid
-    if grid is None:
-        grid = DEFAULT_CONFIG.with_degree(args.degree).grid_size
-    elif grid & (grid - 1) or grid < 4 * (args.degree + 1):
+    if grid is not None and (grid & (grid - 1) or grid < 4 * (args.degree + 1)):
         raise ValueError("grid_size must be a power of two >= 4*(N+1)")
-    args.tolerance = ToleranceConfig(grid, args.rank_tol, args.residual_tol)
+    # no --grid: 8, the smallest grid allowed, fitted to the degree
+    args.tolerance = ToleranceConfig(grid or 8, args.rank_tol,
+                                     args.residual_tol).with_degree(args.degree)
     args.ladder = _parse_ladder(args.ladder)
     if args.ladder[-1] > args.degree:
         raise ValueError("ladder top exceeds the working degree")

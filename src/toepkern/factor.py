@@ -29,8 +29,8 @@ from .symbols import (
     ToleranceConfig,
     _det,
     _eigvalsh,
-    _pow2_at_least,
     adjoint_flip,
+    grid_points,
     riesz_project,
     sample_symbol,
     symbol_from_samples,
@@ -78,8 +78,7 @@ def is_inner(U: MatrixSymbol,
     eff = U.compress(1e-300)
     if eff.min_deg < 0:
         raise ValueError("inner certification needs an analytic symbol")
-    K = max(config.grid_size, _pow2_at_least(4 * (U.coeffs.shape[0] + 1)))
-    vals = sample_symbol(U, K)
+    vals = sample_symbol(U, config.with_degree(U.coeffs.shape[0]).grid_size)
     P = np.matmul(np.conj(np.transpose(vals, (0, 2, 1))), vals)
     Q = np.matmul(vals, np.conj(np.transpose(vals, (0, 2, 1))))
     Pm, Qm = P.mean(axis=0), Q.mean(axis=0)
@@ -154,15 +153,14 @@ class OuterReport:
 
     theta0 isometrically identifies the constant coefficient subspace spanned
     by the columns; g_tilde is the reduced symbol with G = theta0 g_tilde.
-    eta values are Szego geometric-mean defects 1 - |det(0)| / gm(|det|) at
-    two grid resolutions.
+    eta_fine is the Szego geometric-mean defect 1 - |det(0)| / gm(|det|) on
+    the finer of the two grids shift_span reads.
     """
 
     verdict: str
     rank: int
     theta0: np.ndarray
     g_tilde: MatrixSymbol
-    eta_coarse: float
     eta_fine: float
 
 
@@ -194,10 +192,10 @@ def shift_span(G: MatrixSymbol,
     theta0 = orthonormal_basis(SubspaceBasis(m, 0, flat), config).matrix
     rank = theta0.shape[1]
     if rank == 0:
-        return OuterReport("indeterminate", 0, theta0, G, 1.0, 1.0)
+        return OuterReport("indeterminate", 0, theta0, G, 1.0)
     g_tilde = symbol_mul(MatrixSymbol.constant(np.conj(theta0.T)), G)
     if rank != r:
-        return OuterReport("indeterminate", rank, theta0, g_tilde, 1.0, 1.0)
+        return OuterReport("indeterminate", rank, theta0, g_tilde, 1.0)
     K = config.grid_size
     eta_c = _szego_eta(g_tilde, K)
     eta_f = _szego_eta(g_tilde, 2 * K)
@@ -209,7 +207,7 @@ def shift_span(G: MatrixSymbol,
         verdict = "not-outer"
     else:
         verdict = "indeterminate"
-    return OuterReport(verdict, rank, theta0, g_tilde, eta_c, eta_f)
+    return OuterReport(verdict, rank, theta0, g_tilde, eta_f)
 
 
 # -- spectral factorization ---------------------------------------------------------
@@ -292,8 +290,8 @@ def _fejer_riesz_scalar(entry: MatrixSymbol, N: int) -> np.ndarray | None:
     if len(take) != d:
         return None
     p = np.poly(take)[::-1]
-    K = 1 << max(10, (4 * (d + 1) - 1).bit_length())
-    xi = np.exp(2j * np.pi * (np.arange(K) + 0.5) / K)
+    K = ToleranceConfig(1024).with_degree(d).grid_size
+    xi = grid_points(K)
     pv = np.abs(np.polyval(p[::-1], xi)) ** 2
     phv = sample_symbol(band, K)[:, 0, 0].real
     if np.min(pv) <= 0 or np.min(phv) < -1e-12:
@@ -324,7 +322,7 @@ def outer_exp_log(phi: MatrixSymbol, N: int,
     # the log of a density with boundary zeros has a slowly decaying Fourier
     # tail; truncation error falls off like K^-2, so a large grid is cheap
     # insurance (scalar FFTs only)
-    K = max(config.grid_size, _pow2_at_least(4 * (N + 1)), 1 << 17)
+    K = max(config.with_degree(N).grid_size, 1 << 17)
     vals = sample_symbol(phi, K)
     out = np.zeros((N + 1, m, m), complex)
     for i in range(m):

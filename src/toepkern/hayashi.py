@@ -12,8 +12,9 @@ recipe that runs the argument backwards, and the rectangular embedding.
 Every step reads U through the public model_space_basis and gk_basis, which
 toeplitz.kernel_angle(phi, Q) compares with ker T_phi without building a
 section; the memoized is_inner certifies U once per pipeline call.  N is
-an argument of every step, and the three pipelines fit a grid below
-4(N+1) to N (config.with_degree(N)).
+an argument of every step; the three pipelines, pair_from_B and
+special_test run on config.with_degree(N), the config's own grid when it
+is valid at N.
 """
 
 from __future__ import annotations
@@ -69,6 +70,7 @@ def pair_from_B(B: MatrixSymbol, N: int,
     definite; the mass gap and special verdict are filled in by
     special_test when I - B(0) is invertible.
     """
+    config = config.with_degree(N)
     if B.rows != B.cols:
         raise ValueError("B must be square")
     m = B.rows
@@ -110,7 +112,8 @@ def special_test(B0: MatrixSymbol, A_prime: MatrixSymbol, N: int,
     at two truncation depths and drift between them yields "indeterminate"
     (divergence cannot be ruled out at this N).
     """
-    return _mass_gap(B0, A_prime, _g0_prime(B0, A_prime, N), N, config)
+    return _mass_gap(B0, A_prime, _g0_prime(B0, A_prime, N), N,
+                     config.with_degree(N))
 
 
 def _mass_gap(B0: MatrixSymbol, A_prime: MatrixSymbol, g0p: MatrixSymbol,
@@ -279,12 +282,6 @@ def gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
                              config)
 
 
-def _fit_grid(N: int, config: ToleranceConfig) -> ToleranceConfig:
-    """config when its grid is alias-free at degree N (grid_size >= 4(N+1)),
-    else the same policy on the smallest grid that is."""
-    return config if config.grid_size >= 4 * (N + 1) else config.with_degree(N)
-
-
 def _require_U_shape(name: str, G: MatrixSymbol, U: MatrixSymbol) -> None:
     """U acts on K_U in H2(C^r) with r = G.cols, so it must be r x r."""
     r = G.cols
@@ -318,7 +315,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     resolved by majority.  A specialness test whose precondition fails at
     this truncation reads as indeterminate.
     """
-    config = _fit_grid(N, config)
+    config = config.with_degree(N)
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
     _require_U_shape("G", G, U)
@@ -401,7 +398,7 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     the orthonormalized F = {p_+(G k)}, the symbol, and the bounds on the
     kernel agreement angles at N and 2N.
     """
-    config = _fit_grid(N, config)
+    config = config.with_degree(N)
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")
     _require_U_shape("G0'", G0p, U)
@@ -436,7 +433,6 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
 class EmbedResult:
     """Ambient m x m symbol for a flat r-dimensional shift span, r < m."""
 
-    theta: np.ndarray = field(repr=False)
     phi: MatrixSymbol
     classification: ClassificationReport
     ambient_angle: float
@@ -456,7 +452,7 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     and as the identity on its complement.  The kernel of the ambient
     symbol is cross-checked against G K_U directly.
     """
-    config = _fit_grid(N, config)
+    config = config.with_degree(N)
     m, r = G.rows, G.cols
     if r >= m:
         raise ValueError("square input: use classify_kernel")
@@ -483,4 +479,4 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
 
     worst = max(kernel_angle(phi, gk_basis(G, U, M, config), config)
                 for M in (N, 2 * N))
-    return EmbedResult(np.hstack([t0, comp]), phi, classification, worst)
+    return EmbedResult(phi, classification, worst)

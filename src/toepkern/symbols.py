@@ -8,21 +8,18 @@ MatrixSymbol.window(lo, hi) reads the coefficients on any degree range,
 zero-filled outside the band; apply_symbol acts on every column at once.
 Boundary sampling uses the offset grid xi_j = exp(2 pi i (j+1/2)/K) so that
 real-axis zeros of the standard fixtures (1 +- z) never coincide with a
-sample point.  The pointwise statements on the circle (the pair identity,
-the unit ball, positivity, invertibility) are read from the sample stack by
-the kernels _eigvalsh, _norm2, _det and _inv: a closed form over the whole
-stack for m <= 2 and the batched LAPACK call otherwise.
+sample point; ToleranceConfig.with_degree(N) is the one grid rule at degree N.
+The pointwise statements on the circle (the pair identity, the unit ball,
+positivity, invertibility) are read from the sample stack by the kernels
+_eigvalsh, _norm2, _det and _inv: a closed form over the whole stack for
+m <= 2 and the batched LAPACK call otherwise.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
-
-
-def _pow2_at_least(n: int) -> int:
-    return 1 << max(int(n) - 1, 0).bit_length() if n > 1 else 2
 
 
 @dataclass(frozen=True)
@@ -56,9 +53,11 @@ class ToleranceConfig:
             raise ValueError("residual_tol must be positive")
 
     def with_degree(self, n: int) -> "ToleranceConfig":
-        """This policy on the smallest grid valid at truncation degree n."""
-        k = max(_pow2_at_least(4 * (n + 1)), 8)
-        return ToleranceConfig(k, self.rank_tol, self.residual_tol)
+        """This policy if its grid has >= 4(n+1) points (valid at degree n),
+        else the same policy on the smallest power of two that has."""
+        if self.grid_size >= 4 * (n + 1):
+            return self
+        return replace(self, grid_size=1 << (4 * n + 3).bit_length())
 
 
 DEFAULT_CONFIG = ToleranceConfig()

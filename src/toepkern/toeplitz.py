@@ -154,10 +154,15 @@ def singular_values(phi: MatrixSymbol, N: int) -> np.ndarray:
     kernel_basis counts them.  A stack with no imaginary part gets a real
     SVD.
     """
+    return _piece_values(phi, N, _pieces(phi, N))
+
+
+def _piece_values(phi: MatrixSymbol, N: int, pieces: list) -> np.ndarray:
+    """singular_values on the section's pieces, already read by _pieces."""
     p, q = phi.rows, phi.cols
     section = _section(phi, N)
     values = []
-    for rows, cols in _pieces(phi, N):
+    for rows, cols in pieces:
         i, k = rows[:, :, None], cols[:, None, :]
         stack = section[i // p, i % p, k // q, k % q]
         if not stack.imag.any():
@@ -364,12 +369,13 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
     M = Q.degree
     width = max(phi.coeffs.shape[0] - 1, -(-64 // phi.cols))
     n, w = phi.cols * (M + 1), phi.cols * width
-    cubes = sum(cols.shape[0] * cols.shape[1] ** 3 for _, cols in _pieces(phi, M))
+    pieces = _pieces(phi, M)
+    cubes = sum(cols.shape[0] * cols.shape[1] ** 3 for _, cols in pieces)
     if Q.size and cubes > 4 * n * w * w:
         angle = _certified_angle(phi, Q, width, config)
         if angle is not None:
             return angle
-    s = singular_values(phi, M)
+    s = _piece_values(phi, M, pieces)
     cut = numerical_rank(s, config.rank_tol)
     if s.size - cut != Q.size:
         return float(np.pi / 2)

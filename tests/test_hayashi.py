@@ -39,7 +39,7 @@ from toepkern.fixtures import (
     twisted_contraction,
 )
 from toepkern import toeplitz
-from toepkern.cli import main
+from toepkern.cli import _pair_fixtures, main
 from toepkern.hayashi import (
     ANGLE_TOL,
     _g0_prime,
@@ -528,9 +528,14 @@ class TestRecipe:
     def test_noncommuting_recipe_classifies_back(self, uv, t, cv, radius):
         # U = z garcia_inner(z, p + q z, r + s z) with (p, r) = cos t u and
         # (q, s) = sin t u_perp, and the constant seed
-        # (I - C)^{-1} (I - C^H C)^{1/2} with ||C|| <= 0.7.  At N = 32 the
-        # symbol band of some draws reaches past the section, so the
-        # cross-check needs N = 64.
+        # (I - C)^{-1} (I - C^H C)^{1/2} with ||C|| <= 0.7.  The constructed
+        # symbol G* U* G^{-1} has a geometric tail, and its band above 1e-13
+        # grows with ||C||: from ||C|| = 0.6 on it passes degree 64.  With
+        # U = z I2 and C = 0.625 I the band reads 66 at N = 64, the degree-64
+        # section keeps a singular value of 5e-8 above the rank cut, and the
+        # cross-check reads pi/2; at N = 128 the same draw is a kernel with
+        # angle 3e-14, and 320 draws with ||C|| in [0.55, 0.7] all pass.
+        n = 128
         u = np.array([uv[0] + 1j * uv[1], uv[2] + 1j * uv[3]])
         assume(np.linalg.norm(u) > 0.1)
         u /= np.linalg.norm(u)
@@ -544,8 +549,8 @@ class TestRecipe:
         C *= radius / np.linalg.norm(C, 2)
         w, v = np.linalg.eigh(np.eye(2) - C.conj().T @ C)
         seed = np.linalg.solve(np.eye(2) - C, v @ np.diag(np.sqrt(w)) @ v.conj().T)
-        res = construct_kernel(MatrixSymbol.constant(seed), U, N, CFG)
-        assert classify_kernel(res.G, U, N, CFG).final == "is-kernel"
+        res = construct_kernel(MatrixSymbol.constant(seed), U, n, CFG)
+        assert classify_kernel(res.G, U, n, CFG).final == "is-kernel"
 
     def test_nonrigid_seed_rejected(self):
         with pytest.raises(PreconditionError):
@@ -640,6 +645,22 @@ class TestCrossCheck:
         assert main(["examples", "--degree", "64"]) == 0
         assert capsys.readouterr().out
         assert count_route == []
+
+    @pytest.mark.parametrize("M", [64, 1024])
+    def test_dense_route_reads_the_pieces_once(self, M, count_route, monkeypatch):
+        G, U = lin_diag_G(), MatrixSymbol.monomial(1, m=2)
+        phi = toeplitz_symbol(G, U, CFG)
+        Q = gk_basis(G, U, M, CFG)
+        calls = []
+        pieces = toeplitz._pieces
+
+        def spy(phi, n):
+            calls.append(n)
+            return pieces(phi, n)
+
+        monkeypatch.setattr(toeplitz, "_pieces", spy)
+        kernel_angle(phi, Q, CFG)
+        assert calls == [M] and count_route == []
 
     def test_count_route_fills_no_section(self):
         # flagship at M = 4096: the dense section is 134 MB, the Gram blocks
@@ -785,8 +806,20 @@ def _assert_same(a, b):
 ], ids=["classify", "construct", "embed"])
 def test_pipelines_fit_the_grid_to_the_degree(run, n):
     # the default grid (512) resolves degrees up to 127; past that the
-    # pipelines run on the smallest grid that resolves n
-    _assert_same(run(n, CFG), run(n, CFG.with_degree(n)))
+    # pipelines run on the smallest power of two >= 4(n+1)
+    K = {200: 1024, 600: 4096}[n]
+    _assert_same(run(n, CFG), run(n, ToleranceConfig(grid_size=K)))
+
+
+@pytest.mark.parametrize("name", [name for name, _ in _pair_fixtures()])
+def test_pair_steps_fit_the_grid_to_the_degree(name):
+    # A has degree 600, which the default grid (512) cannot sample
+    B = dict(_pair_fixtures())[name]
+    fitted = ToleranceConfig(grid_size=4096)
+    pair = pair_from_B(B, 600, CFG)
+    _assert_same(pair, pair_from_B(B, 600, fitted))
+    _assert_same(special_test(B, pair.A, 600, CFG),
+                 special_test(B, pair.A, 600, fitted))
 
 
 def _verdicts(rep):
@@ -797,7 +830,7 @@ def _verdicts(rep):
 def test_grid_sets_resolution_not_the_verdict(n):
     # a grid finer than the smallest alias-free one changes the sampling,
     # not the truncation, so every sub-verdict must stay where it was
-    K = CFG.with_degree(n).grid_size
+    K = ToleranceConfig(8).with_degree(n).grid_size
     grids = [ToleranceConfig(grid_size=k) for k in (K, 2 * K, 4 * K)]
     ladder = (n // 4, n // 2, n)
     recipe = construct_kernel(*matrix_recipe(), n, grids[0], ladder)
@@ -812,7 +845,42 @@ def test_grid_sets_resolution_not_the_verdict(n):
     assert len(seen) == 1, seen
 
 
+def _haar(rng, m):
+    """Haar-random m x m unitary: QR of a complex Gaussian, R's phases moved to Q."""
+    q, r = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_verdict_belongs_to_the_subspace(n):
+    # for a constant unitary V, (G, U) -> (G V, V^H U V) leaves F = G K_U
+    # as it is, since K_{V^H U V} = V^H K_U.  Rigidity is not compared: it
+    # reads the square (G0' V)* (G0' V)^{-1}, not a unitary conjugate of
+    # G0'* G0'^{-1}
+    rng = np.random.default_rng(0)
+    ladder = (n // 4, n // 2, n)
+    seed, U_recipe = matrix_recipe()
+    cases = [(lin_diag_G(), MatrixSymbol.monomial(1, 2)),
+             (g_poisson_double(n), MatrixSymbol.monomial(1)),
+             (construct_kernel(seed, U_recipe, n, CFG, ladder).G, U_recipe)]
+    for G, U in cases:
+        want = _verdicts(classify_kernel(G, U, n, CFG, ladder))[:3]
+        for _ in range(5):
+            V = _haar(rng, G.cols)
+            GV = symbol_mul(G, MatrixSymbol.constant(V))
+            UV = symbol_mul(MatrixSymbol.constant(V.conj().T),
+                            symbol_mul(U, MatrixSymbol.constant(V)))
+            assert _verdicts(classify_kernel(GV, UV, n, CFG, ladder))[:3] == want
+
+
 # -- rectangular embedding ----------------------------------------------------------
+
+
+def _off_span_defect(phi, theta0):
+    """How far phi is from the identity on the orthogonal complement of
+    theta0's range: phi P = P phi = P, with P the projector onto it."""
+    P = MatrixSymbol.constant(np.eye(theta0.shape[0]) - theta0 @ theta0.conj().T)
+    return max((symbol_mul(phi, P) - P).norm_l2(), (symbol_mul(P, phi) - P).norm_l2())
 
 
 class TestEmbedding:
@@ -820,8 +888,9 @@ class TestEmbedding:
         emb = embed_rect(column_G(), MatrixSymbol.monomial(2), N, CFG)
         assert emb.classification.final == "is-kernel"
         assert emb.ambient_angle < 1e-8
-        assert np.linalg.norm(emb.theta.conj().T @ emb.theta - np.eye(2)) < 1e-12
-        assert np.linalg.norm(emb.theta - np.eye(2)) < 1e-12
+        t0 = shift_span(column_G(), CFG).theta0
+        assert np.linalg.norm(t0 - np.eye(2)[:, :1]) < 1e-12
+        assert _off_span_defect(emb.phi, t0) < 1e-12
         want_arr = np.zeros((3, 2, 2), complex)
         want_arr[0, 0, 0] = 1.0
         want_arr[2, 1, 1] = 1.0
@@ -872,8 +941,11 @@ class TestEmbedding:
         emb = embed_rect(G, MatrixSymbol.monomial(1, m=r), 16, CFG)
         assert emb.classification.final == "is-kernel"
         assert emb.ambient_angle <= 1e-12
-        assert np.linalg.norm(emb.theta.conj().T @ emb.theta - np.eye(3)) < 1e-12
-        assert np.linalg.norm(emb.theta[:, r:].conj().T @ Q[:, :r]) < 1e-12
+        t0 = shift_span(G, CFG).theta0
+        assert np.linalg.norm(t0.conj().T @ t0 - np.eye(r)) < 1e-12
+        # Theta0 spans the columns of G, so its complement is orthogonal to them
+        assert np.linalg.norm(Q[:, :r] - t0 @ (t0.conj().T @ Q[:, :r])) < 1e-12
+        assert _off_span_defect(emb.phi, t0) < 1e-12
 
     def test_square_rejected(self):
         with pytest.raises(ValueError):

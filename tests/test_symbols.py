@@ -575,6 +575,16 @@ def test_config_validation():
     assert cfg.grid_size & (cfg.grid_size - 1) == 0
 
 
+def test_with_degree_keeps_a_valid_grid_and_raises_a_small_one():
+    cfg = ToleranceConfig(1024, rank_tol=1e-9, residual_tol=1e-7)
+    assert cfg.with_degree(64) is cfg
+    assert cfg.with_degree(255) is cfg  # 4 * 256 = 1024 points
+    assert cfg.with_degree(256) == ToleranceConfig(2048, 1e-9, 1e-7)
+    for n, k in ((0, 8), (1, 8), (2, 16), (16, 128), (127, 512), (128, 1024),
+                 (600, 4096)):
+        assert ToleranceConfig(8).with_degree(n).grid_size == k
+
+
 # -- package exports ---------------------------------------------------------------------
 
 def test_exports_resolve_once_in_order():
