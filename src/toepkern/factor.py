@@ -2,12 +2,13 @@
 
 Inner certificates are memoized; shift_span reduces G by an exact product.
 
-Outer factorization runs two routes. Diagonal symbols go through the scalar
-exp-of-Herglotz-of-log formula, which is pointwise exact on the sample grid
-and tolerates boundary zeros (the offset grid never lands on them). Genuinely
-matricial symbols go through Bauer's method: Cholesky of a large block
-Toeplitz moment matrix, reading the factor off the last block row. A density
-of degree d makes that matrix banded, so cut into panels of P >= d + 1
+Outer factorization runs two routes. Diagonal symbols are factored channel
+by channel: by Fejer-Riesz roots, or, for a channel whose roots fail, by the
+scalar exp-of-Herglotz-of-log formula, which is pointwise exact on the sample
+grid and tolerates boundary zeros (the offset grid never lands on them).
+Genuinely matricial symbols go through Bauer's method: Cholesky of a large
+block Toeplitz moment matrix, reading the factor off the last block row. A
+density of degree d makes that matrix banded, so cut into panels of P >= d + 1
 block rows it is block tridiagonal with one repeated diagonal block and one
 repeated coupling block, and its Cholesky factor is a Schur-complement
 recursion over the panels in numpy alone: O((Pm)^2) memory, and an exact
@@ -340,17 +341,19 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
                     moment_rows: int | None = None) -> MatrixSymbol:
     """Outer spectral factor A with A(xi)^H A(xi) = phi(xi), deg A <= N.
 
-    Diagonal densities use Fejer-Riesz roots, or the exp-log route when the
-    roots fail (exact, boundary-zero safe).  Matricial densities use Bauer's
-    method: Cholesky of the moment block Toeplitz matrix with M + 1 block
-    rows (M = moment_rows, default max(4N, 256), at least N), reading A off
-    the last block row, which converges geometrically for densities bounded
-    away from zero.  Block (j, k) of the moment matrix is phi_{j-k}
-    transposed, and it vanishes for j - k > d = deg phi.  Cut into panels of
-    P >= d + 1 block rows, each panel couples only to its neighbours, so the
-    Cholesky factor is a Schur-complement recursion over panels: every full
-    panel has the same diagonal block D and coupling block E, read from one
-    section of 2P block rows; the first panel takes the remaining
+    Diagonal densities are factored channel by channel: Fejer-Riesz roots,
+    or the exp-log route for a channel whose roots fail (exact,
+    boundary-zero safe), so one failing channel leaves the others exact.
+    Matricial densities use Bauer's method: Cholesky of the moment block
+    Toeplitz matrix with M + 1 block rows (M = moment_rows, default
+    max(4N, 256), at least N), reading A off the last block row, which
+    converges geometrically for densities bounded away from zero.  Block
+    (j, k) of the moment matrix is phi_{j-k} transposed, and it vanishes for
+    j - k > d = deg phi.  Cut into panels of P >= d + 1 block rows, each
+    panel couples only to its neighbours, so the Cholesky factor is a
+    Schur-complement recursion over panels: every full panel has the same
+    diagonal block D and coupling block E, read from one section of 2P
+    block rows; the first panel takes the remaining
     (M + 1) mod P rows.  The recursion stops early once a Schur complement
     repeats bitwise, since every later panel would repeat it exactly.  At
     most (M + 1) / P panel steps of O((Pm)^3) work, in O((Pm)^2) memory.
@@ -374,17 +377,13 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
         raise PreconditionError("density positive semidefinite", min_eig)
     if _is_diagonal(phi):
         out = np.zeros((N + 1, phi.rows, phi.rows), complex)
-        exact = True
         for i in range(phi.rows):
             entry = MatrixSymbol(1, 1, phi.min_deg, phi.coeffs[:, i:i + 1, i:i + 1])
             col = _fejer_riesz_scalar(entry, N)
             if col is None:
-                exact = False
-                break
+                col = outer_exp_log(entry, N, config).coeffs[:, 0, 0]
             out[:, i, i] = col
-        if exact:
-            return MatrixSymbol(phi.rows, phi.rows, 0, out)
-        return outer_exp_log(phi, N, config)
+        return MatrixSymbol(phi.rows, phi.rows, 0, out)
     if min_eig <= 0:
         raise PreconditionError("matricial density positive on the grid", min_eig)
     m = phi.rows

@@ -470,8 +470,7 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     if reduced is None:
         raise PreconditionError("reduced symbol from bounded G~ samples",
                                 float("nan"))
-    comp = kernel_basis(build_toeplitz(MatrixSymbol.constant(t0.conj().T), 0),
-                        config).matrix
+    comp = kernel_basis(SubspaceBasis(r, 0, t0.conj().T), config).matrix
     # Theta (phi~ (+) I) Theta^H = Theta0 phi~ Theta0^H + comp comp^H
     rotated = np.einsum("ij,kjl,ml->kim", t0, reduced.coeffs, t0.conj())
     phi = (MatrixSymbol(m, m, reduced.min_deg, rotated)

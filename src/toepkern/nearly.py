@@ -101,9 +101,8 @@ def extract_W(F: SubspaceBasis,
     if s[0] <= config.rank_tol:
         raise ValueError("every element of F vanishes at 0: W is trivial")
     r = numerical_rank(s, config.rank_tol)
-    w_cols = phase_gauge(q @ vh[:r].conj().T)
-    coeffs = w_cols.reshape(F.degree + 1, F.dim, r)
-    return MatrixSymbol(F.dim, r, 0, coeffs).compress(1e-14), r
+    W = SubspaceBasis(F.dim, F.degree, phase_gauge(q @ vh[:r].conj().T))
+    return W.as_symbol().compress(1e-14), r
 
 
 # -- the Sarason construction -------------------------------------------------------

@@ -398,9 +398,10 @@ class SubspaceBasis:
 
     matrix has shape (dim*(degree+1), size): entry (k*dim + i, j) is the
     degree-k coefficient of channel i of column j.  One column is one
-    element (a Szego kernel, an image T_a f, a rigidity witness); several
-    span a subspace.  The columns are orthonormal only where the producer
-    says so: orthonormal_basis, kernel_basis and model_space_basis.
+    element (a Szego kernel, an image T_a f, a rigidity witness, a column
+    p_{<=N}(phi z^k e_b) of a finite section); several span a subspace.
+    The columns are orthonormal only where the producer says so:
+    orthonormal_basis, kernel_basis and model_space_basis.
     """
 
     dim: int

@@ -5,9 +5,10 @@ a section), which every span and complement goes through, return a
 symbols.SubspaceBasis with orthonormal columns in one phase gauge
 (basis_from_matrix) under one rank cut (numerical_rank).
 
-Every section is read from one strided view of its symbol (_section).
-build_toeplitz fills the dense matrix when the section is built, and
-`kernel_basis` takes one dense SVD of it.  `singular_values(phi, N)` and
+A finite section is the SubspaceBasis of its column images: build_toeplitz
+returns SubspaceBasis(p, N, M) whose column k*q + b is p_{<=N}(phi z^k e_b),
+filled from one strided view of the symbol (_section), and `kernel_basis`
+takes one dense SVD of M.  `singular_values(phi, N)` and
 `kernel_angle(phi, Q)`, which need no vectors, build no section: the
 symbol's live degrees give the section's direct sum in closed form (_pieces:
 by channel for a diagonal symbol, by residue class of the block index modulo
@@ -23,8 +24,6 @@ is not factored again, and a count stops once it exceeds the kernel
 dimension; a count that certifies nothing falls back to the singular values.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,25 +45,14 @@ def _section(phi: MatrixSymbol, N: int) -> np.ndarray:
         writeable=False)
 
 
-@dataclass(frozen=True, eq=False)
-class BlockToeplitz:
-    """Finite section of T_phi = p_+(phi .) on degrees 0..N.
-
-    matrix, read-only, has shape (p(N+1), q(N+1)) with block (j, k) equal
-    to the symbol coefficient at degree j - k.
-    """
-
-    symbol: MatrixSymbol
-    domain_degree: int
-    matrix: np.ndarray = field(repr=False)
-
-
-def build_toeplitz(phi: MatrixSymbol, N: int) -> BlockToeplitz:
-    """Finite section of the block Toeplitz operator with symbol phi."""
+def build_toeplitz(phi: MatrixSymbol, N: int) -> SubspaceBasis:
+    """Finite section of T_phi = p_+(phi .) on degrees 0..N, as its column
+    images: column k*q + b is p_{<=N}(phi z^k e_b), so the read-only matrix
+    has shape (p(N+1), q(N+1)) with block (j, k) the coefficient at j - k."""
     mat = np.ascontiguousarray(_section(phi, N)).reshape(
         (N + 1) * phi.rows, (N + 1) * phi.cols)
     mat.setflags(write=False)
-    return BlockToeplitz(phi, N, mat)
+    return SubspaceBasis(phi.rows, N, mat)
 
 
 def phase_gauge(cols: np.ndarray) -> np.ndarray:
@@ -269,7 +257,12 @@ def _count_below(blocks: list, tau: float, tiny: float, stop: float) -> int | No
     return count
 
 
-def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
+def _image_norm(phi: MatrixSymbol, Q: SubspaceBasis) -> float:
+    """||T_phi Q||_2 at Q's degree, from one exact symbol product."""
+    return float(np.linalg.norm(apply_symbol(phi, Q, Q.degree).matrix, 2))
+
+
+def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, r: float, width: int,
                      config: ToleranceConfig) -> float | None:
     """kernel_angle's bound from inertia counts, or None when not certified.
 
@@ -285,7 +278,6 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
     M, k = Q.degree, Q.size
     blocks = _gram_blocks(phi, M, width)
     c_max = np.sqrt(max(diag.diagonal().real.max() for diag, _, _ in blocks))
-    r = float(np.linalg.norm(apply_symbol(phi, Q, M).matrix, 2))
     if r > config.rank_tol * c_max:
         return None
     beta = float(_norm2(phi.coeffs).sum())
@@ -302,18 +294,20 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
     return None
 
 
-def kernel_basis(T: BlockToeplitz,
+def kernel_basis(T: SubspaceBasis,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
-    """Orthonormal basis of the numerical null space of the section.
+    """Orthonormal basis of the numerical null space of the section T
+    (build_toeplitz), on the domain's T.size // (T.degree + 1) channels.
 
     One dense SVD with the full right factor; the basis is the right
     singular vectors past the rank cut (the values above rank_tol times the
     largest), so a section with more columns than rows keeps the null
-    vectors beyond its rank.
+    vectors beyond its rank.  A T whose size is not a whole number of
+    blocks raises ValueError.
     """
     _, s, vh = np.linalg.svd(T.matrix)
     cut = numerical_rank(s, config.rank_tol)
-    return basis_from_matrix(vh[cut:].conj().T, T.symbol.cols, T.domain_degree)
+    return basis_from_matrix(vh[cut:].conj().T, T.size // (T.degree + 1), T.degree)
 
 
 def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
@@ -352,18 +346,19 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
     s a lower bound on the smallest singular value above the rank cut: for a
     unit x in span Q, ||T x|| >= s times the part of x outside the numerical
     kernel, so the value is never below the principal angle, up to
-    roundoff.  T_phi Q is formed from the symbol, O(M * band * k).
+    roundoff.  T_phi Q is formed from the symbol, O(M * band * k), at most
+    once and only where read: the dense route reuses the count route's
+    after a count that certifies nothing, and a pi/2 reading forms none.
 
     A section whose pieces (_pieces) hold more than 4 n w^2 of cubic work,
     n its column count and w = q * max(L - 1, ceil(64 / q)) for a band of L
     degrees, is certified by inertia counts on its block tridiagonal Gram
     (_certified_angle: O(w^3) per distinct pivot, O(band) of them when the
-    pivots reach a bitwise fixed point, plus the O(M * band * k) product
-    T_phi Q): s is the count's tau, about 2.25x below the singular value it
-    stands for at worst.  Otherwise, or when the count
-    certifies nothing, the singular values of the section are taken (values
-    only, no vectors, split into pieces): pi/2 when the numerical kernel
-    (the values below the rank cut) does not have dimension k, 0 when
+    pivots reach a bitwise fixed point): s is the count's tau, about 2.25x
+    below the singular value it stands for at worst.  Otherwise, or when the
+    count certifies nothing, the singular values of the section are taken
+    (values only, no vectors, split into pieces): pi/2 when the numerical
+    kernel (the values below the rank cut) does not have dimension k, 0 when
     k = 0, and otherwise s is the last value above the cut.
     """
     M = Q.degree
@@ -371,8 +366,10 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
     n, w = phi.cols * (M + 1), phi.cols * width
     pieces = _pieces(phi, M)
     cubes = sum(cols.shape[0] * cols.shape[1] ** 3 for _, cols in pieces)
+    r = None
     if Q.size and cubes > 4 * n * w * w:
-        angle = _certified_angle(phi, Q, width, config)
+        r = _image_norm(phi, Q)
+        angle = _certified_angle(phi, Q, r, width, config)
         if angle is not None:
             return angle
     s = _piece_values(phi, M, pieces)
@@ -381,5 +378,5 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
         return float(np.pi / 2)
     if Q.size == 0:
         return 0.0
-    tq = apply_symbol(phi, Q, M).matrix
-    return float(np.arcsin(min(1.0, np.linalg.norm(tq, 2) / s[cut - 1])))
+    r = _image_norm(phi, Q) if r is None else r
+    return float(np.arcsin(min(1.0, r / s[cut - 1])))

@@ -38,19 +38,17 @@ from toepkern.factor import (
 )
 from toepkern.cli import _pair_fixtures
 from toepkern.fixtures import (
-    conjugation_inner,
     g_one_plus_z,
     g_poisson,
     lin_diag_G,
-    model_inner_det_z,
-    rank2_partial_isometry,
     sarason_B_closed_form,
     sqrt_binomial,
     sqrt_diag_G,
 )
 from toepkern.toeplitz import build_toeplitz
 
-from helpers import symbols_allclose
+from helpers import (conjugation_inner, model_inner_det_z, rank2_partial_isometry,
+                     symbols_allclose)
 
 CFG = ToleranceConfig()
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -301,9 +299,10 @@ def test_exp_log_refuses_nondiagonal():
 
 
 def test_diagonal_density_past_N_takes_exp_log(monkeypatch):
-    # a*a has degree 6 > N = 4, so the Fejer-Riesz roots are refused and
-    # bauer_factorize falls back to exp-log; the result is the degree-8
-    # Fejer-Riesz factor (a itself) truncated to degree 4
+    # a*a has degree 6 > N = 4 in both channels, so the Fejer-Riesz roots are
+    # refused and each channel falls back to exp-log on its own, bitwise as
+    # the whole-symbol exp-log; the result is the degree-8 Fejer-Riesz
+    # factor (a itself) truncated to degree 4
     a = np.zeros((7, 2, 2))
     a[0] = np.eye(2)
     a[1, 0, 0], a[6, 0, 0] = 0.5, 0.25
@@ -318,11 +317,26 @@ def test_diagonal_density_past_N_takes_exp_log(monkeypatch):
 
     monkeypatch.setattr(factor, "outer_exp_log", counted)
     fallback = bauer_factorize(density, 4, CFG)
-    assert routes == ["exp_log"]
+    assert routes == ["exp_log", "exp_log"]
     exact = bauer_factorize(density, 8, CFG)
-    assert routes == ["exp_log"]
+    assert routes == ["exp_log", "exp_log"]
+    assert np.array_equal(fallback.coeffs, outer_exp_log(density, 4, CFG).coeffs)
     assert np.max(np.abs(exact.coeffs[:7] - a.coeffs)) < 1e-14
     assert np.max(np.abs(fallback.coeffs - exact.truncate(0, 4).coeffs)) < 1e-14
+
+
+def test_diagonal_fallback_is_per_channel():
+    # diag(1 + cos t, |b|^2) at N = 2: channel 0 has degree 1 and its
+    # Fejer-Riesz factor (1+z)/sqrt2 is exact, while |b|^2 has degree 3 > N
+    # and goes through exp-log alone; exp-log on channel 0 would land about
+    # 4e-6 off, slowed by its boundary zero at -1
+    b = MatrixSymbol.scalar([1.0, 0.4, 0.0, 0.2])
+    d1 = symbol_mul(adjoint_flip(b), b)
+    phi = MatrixSymbol.diag(MatrixSymbol.scalar([0.5, 1.0, 0.5], min_deg=-1), d1)
+    A = bauer_factorize(phi, 2, CFG)
+    assert np.max(np.abs(A.coeffs[:, 0, 0] - np.array([1, 1, 0]) / np.sqrt(2))) < 1e-14
+    assert np.array_equal(A.coeffs[:, 1, 1], outer_exp_log(d1, 2, CFG).coeffs[:, 0, 0])
+    assert not A.coeffs[:, 0, 1].any() and not A.coeffs[:, 1, 0].any()
 
 
 def _noncommuting_density():

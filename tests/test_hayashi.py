@@ -34,7 +34,6 @@ from toepkern.fixtures import (
     half_signature,
     lin_diag_G,
     matrix_recipe,
-    phi_poisson_double,
     sarason_B_closed_form,
     twisted_contraction,
 )
@@ -58,7 +57,7 @@ from toepkern.toeplitz import (apply_symbol, build_toeplitz, kernel_angle,
                                kernel_basis, numerical_rank, singular_values,
                                subspace_angle)
 
-from helpers import component_pieces, section_pieces
+from helpers import component_pieces, phi_poisson_double, section_pieces
 
 CFG = ToleranceConfig()
 N = 64
@@ -604,6 +603,19 @@ def count_route(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def products(monkeypatch):
+    """The degree of each product T_phi Q that kernel_angle forms."""
+    seen = []
+
+    def spy(*args):
+        seen.append(args[2])
+        return apply_symbol(*args)
+
+    monkeypatch.setattr(toeplitz, "apply_symbol", spy)
+    return seen
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("name", ["flagship", "matrix-recipe"])
     @pytest.mark.parametrize("n", [32, 64, 128])
@@ -618,12 +630,13 @@ class TestCrossCheck:
         if angle > 1e-8:  # a resolved angle: the bound is tight on these
             assert bound <= angle * (1 + 1e-6)
 
-    def test_dimension_mismatch_reads_right_angle(self):
+    def test_dimension_mismatch_reads_right_angle(self, products):
         G, U = lin_diag_G(), MatrixSymbol.monomial(1, m=2)
         phi = toeplitz_symbol(G, U, config=CFG)
         for M in (N, 2 * N):
             assert kernel_angle(phi, gk_basis(G, U, M, CFG), CFG) == np.pi / 2
             assert oracle_angle(phi, G, U, M, CFG) == np.pi / 2
+        assert products == []  # the pi/2 reading never forms T_phi Q
 
     @pytest.mark.parametrize("name", ["flagship", "matrix-recipe"])
     @pytest.mark.parametrize("M", [512, 1024])
@@ -636,6 +649,17 @@ class TestCrossCheck:
         dense = dense_angle(phi, Q, config)
         assert 0 < dense < np.pi / 2
         assert dense <= angle <= 2.25 * dense
+
+    def test_declined_count_forms_the_product_once(self, count_route, products):
+        # e0 lies far from the flagship kernel at M = 1024, so the count
+        # certifies nothing and the dense route reads the same ||T_phi Q||
+        phi, _, _, config = cross_check_case("flagship", 512)
+        Q = SubspaceBasis(1, 1024, np.eye(1025, 1))
+        count_route.clear()
+        products.clear()  # the construction's own cross-checks
+        angle = kernel_angle(phi, Q, config)
+        assert count_route == [None] and products == [1024]
+        assert angle == dense_angle(phi, Q, config) > 0.1
 
     def test_small_and_split_sections_take_the_dense_route(self, count_route, capsys):
         classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, m=2), 512,

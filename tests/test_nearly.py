@@ -15,14 +15,16 @@ from toepkern.symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
 from toepkern.toeplitz import subspace_angle
 from toepkern import nearly
 from toepkern.factor import PreconditionError
-from toepkern.fixtures import (g_one_plus_z, g_poisson, model_inner_det_z,
-                               sarason_B_closed_form, sqrt_diag_G)
+from toepkern.fixtures import (g_one_plus_z, g_poisson, sarason_B_closed_form,
+                               sqrt_diag_G)
 from toepkern.nearly import (counterexample_UBU,
                              divide_by_G, extract_W,
                              is_nearly_invariant, isometry_defect,
                              model_space_basis, sarason_B,
                              sarason_equivalence, section_defect,
                              verify_lemma31)
+
+from helpers import model_inner_det_z
 
 
 # -- oracles -----------------------------------------------------------------------

@@ -124,6 +124,30 @@ def test_build_toeplitz_allocates_its_section_once():
     assert T.matrix is mat
 
 
+@pytest.mark.parametrize("p,q", [(1, 2), (2, 1)])
+def test_section_is_the_basis_of_its_column_images(p, q):
+    # column k*q + b of the section is p_{<=N}(phi z^k e_b), in H2(C^p)
+    N = 4
+    rng = np.random.default_rng(10 * p + q)
+    phi = MatrixSymbol(p, q, -2, rng.standard_normal((4, p, q)))
+    T = build_toeplitz(phi, N)
+    assert isinstance(T, SubspaceBasis)
+    assert (T.dim, T.degree, T.size) == (p, N, q * (N + 1))
+    assert not T.matrix.flags.writeable
+    units = SubspaceBasis(q, N, np.eye(q * (N + 1)))
+    assert np.array_equal(T.matrix, apply_symbol(phi, units, N).matrix)
+    ker = kernel_basis(T, CFG)
+    assert (ker.dim, ker.degree) == (q, N)
+    assert ker.size == max(q - p, 0) * (N + 1)
+    assert np.linalg.norm(T.matrix @ ker.matrix) < 1e-12
+
+
+def test_kernel_basis_needs_whole_blocks():
+    # five columns on degrees 0..1 are no whole number of two-degree blocks
+    with pytest.raises(ValueError):
+        kernel_basis(SubspaceBasis(1, 1, np.ones((2, 5))), CFG)
+
+
 @st.composite
 def analytic_symbol_and_poly(draw):
     p = draw(st.integers(1, 3))
