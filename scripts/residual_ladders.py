@@ -11,6 +11,7 @@ Usage: python3 scripts/residual_ladders.py [--ladder 8,16,32,64,128]
 import argparse
 
 from toepkern import MatrixSymbol
+from toepkern.cli import _parse_ladder
 from toepkern.fixtures import (g_one_plus_z, g_poisson, g_poisson_double,
                                sarason_B_closed_form)
 from toepkern.nearly import section_defect
@@ -20,8 +21,11 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--ladder", type=str, default="8,16,32,64,128")
     args = ap.parse_args()
-    ladder = [int(p) for p in args.ladder.split(",")]
-    top = max(ladder)
+    try:
+        ladder = _parse_ladder(args.ladder)
+    except ValueError as exc:
+        ap.error(str(exc))
+    top = ladder[-1]
 
     fixtures = [
         ("one-plus-z", g_one_plus_z(), sarason_B_closed_form(4 * top + 1).compress()),

@@ -11,6 +11,7 @@ Usage: python3 scripts/rigidity_scan.py [--steps 11] [--ladder 16,32,64]
 import argparse
 
 from toepkern import MatrixSymbol, ToleranceConfig
+from toepkern.cli import _parse_ladder
 from toepkern.hayashi import rigidity_test
 
 
@@ -19,7 +20,10 @@ def main():
     ap.add_argument("--steps", type=int, default=11)
     ap.add_argument("--ladder", type=str, default="16,32,64")
     args = ap.parse_args()
-    ladder = tuple(int(p) for p in args.ladder.split(","))
+    try:
+        ladder = _parse_ladder(args.ladder)
+    except ValueError as exc:
+        ap.error(str(exc))
     cfg = ToleranceConfig()
 
     head = "t".rjust(6) + "".join(f"sigma@{n}".rjust(13) for n in ladder)

@@ -216,8 +216,6 @@ def shift_span(G: MatrixSymbol,
 def _is_diagonal(phi: MatrixSymbol, tol: float = 1e-13) -> bool:
     if phi.rows != phi.cols:
         return False
-    if phi.rows == 1:
-        return True
     off = phi.coeffs.copy()
     for i in range(phi.rows):
         off[:, i, i] = 0.0
@@ -254,18 +252,9 @@ def _fejer_riesz_scalar(entry: MatrixSymbol, N: int) -> np.ndarray | None:
     """
     band = entry.compress(1e-300)
     d = max(band.max_deg, -band.min_deg)
-    if band.max_deg != -band.min_deg and d > 0:
+    if band.max_deg != -band.min_deg or d > N:
         return None
     c = band.window(-d, d)[:, 0, 0]
-    if d == 0:
-        val = c[0].real
-        if val <= 0:
-            return None
-        out = np.zeros(N + 1, complex)
-        out[0] = np.sqrt(val)
-        return out
-    if d > N:
-        return None
     roots = np.roots(c[::-1])
     # interior/exterior roots pair as (r, 1/conj(r)); boundary zeros have even
     # multiplicity and surface as tight clusters on the circle, split by the
@@ -290,16 +279,17 @@ def _fejer_riesz_scalar(entry: MatrixSymbol, N: int) -> np.ndarray | None:
         take.extend([centroid / abs(centroid)] * (len(cluster) // 2))
     if len(take) != d:
         return None
-    p = np.poly(take)[::-1]
+    p = np.atleast_1d(np.poly(take))[::-1]  # no roots (d = 0): p = [1]
     K = ToleranceConfig(1024).with_degree(d).grid_size
     xi = grid_points(K)
     pv = np.abs(np.polyval(p[::-1], xi)) ** 2
     phv = sample_symbol(band, K)[:, 0, 0].real
     if np.min(pv) <= 0 or np.min(phv) < -1e-12:
         return None
-    ratio = phv / pv
-    scale = float(np.sqrt(np.median(ratio)))
-    p = p * scale
+    med = float(np.median(phv / pv))
+    if med <= 0:
+        return None
+    p = p * np.sqrt(med)
     if np.max(np.abs(np.abs(np.polyval(p[::-1], xi)) ** 2 - phv)) \
             > 1e-8 * max(1.0, float(np.max(np.abs(phv)))):
         return None
@@ -357,7 +347,8 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     (M + 1) mod P rows.  The recursion stops early once a Schur complement
     repeats bitwise, since every later panel would repeat it exactly.  At
     most (M + 1) / P panel steps of O((Pm)^3) work, in O((Pm)^2) memory.
-    Gauge: A(0) is Hermitian positive definite.
+    Gauge: A(0) is Hermitian positive definite.  The positivity checks
+    sample phi on config.with_degree(d), d = its half-band.
     """
     if phi.rows != phi.cols:
         raise ValueError("density must be square")
@@ -370,7 +361,7 @@ def bauer_factorize(phi: MatrixSymbol, N: int,
     # trim coefficient dust so the effective band drives the factorization
     peak = float(np.max(np.linalg.norm(phi.coeffs, axis=(1, 2)))) if phi.coeffs.size else 0.0
     phi = phi.compress(1e-13 * max(peak, 1e-300))
-    vals = sample_symbol(phi, config.grid_size)
+    vals = sample_symbol(phi, config.with_degree(max(phi.max_deg, -phi.min_deg)).grid_size)
     eigs = _eigvalsh((vals + np.conj(np.transpose(vals, (0, 2, 1)))) / 2)
     min_eig = float(np.min(eigs))
     if min_eig < -1e-9 * max(1.0, float(np.max(np.abs(eigs)))):

@@ -12,9 +12,9 @@ recipe that runs the argument backwards, and the rectangular embedding.
 Every step reads U through the public model_space_basis and gk_basis, which
 toeplitz.kernel_angle(phi, Q) compares with ker T_phi without building a
 section; the memoized is_inner certifies U once per pipeline call.  N is
-an argument of every step; the three pipelines, pair_from_B and
-special_test run on config.with_degree(N), the config's own grid when it
-is valid at N.
+an argument of every step; pair_from_B and special_test run on
+config.with_degree(N), the three pipelines on config.with_degree(max(N,
+their inputs' degrees)), so an input above N is sampled alias-free.
 """
 
 from __future__ import annotations
@@ -315,7 +315,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     resolved by majority.  A specialness test whose precondition fails at
     this truncation reads as indeterminate.
     """
-    config = config.with_degree(N)
+    config = config.with_degree(max(N, G.max_deg, U.max_deg))
     if G.rows != G.cols:
         raise ValueError("rectangular G: use embed_rect")
     _require_U_shape("G", G, U)
@@ -398,14 +398,13 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
     the orthonormalized F = {p_+(G k)}, the symbol, and the bounds on the
     kernel agreement angles at N and 2N.
     """
-    config = config.with_degree(N)
+    config = config.with_degree(max(N, G0p.max_deg, U.max_deg))
     if G0p.rows != G0p.cols:
         raise ValueError("G0' must be square")
     _require_U_shape("G0'", G0p, U)
     rig = rigidity_test(G0p, ladder, config)
     if rig.verdict != "rigid":
-        raise PreconditionError("G0' square rigid", rig.sigma_ladder[-1]
-                                if rig.sigma_ladder else float("nan"))
+        raise PreconditionError("G0' square rigid", rig.sigma_ladder[-1])
     _require_inner_U(U, config)
 
     density = symbol_mul(adjoint_flip(G0p), G0p)
@@ -452,7 +451,7 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     and as the identity on its complement.  The kernel of the ambient
     symbol is cross-checked against G K_U directly.
     """
-    config = config.with_degree(N)
+    config = config.with_degree(max(N, G.max_deg, U.max_deg))
     m, r = G.rows, G.cols
     if r >= m:
         raise ValueError("square input: use classify_kernel")

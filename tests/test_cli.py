@@ -135,6 +135,18 @@ def test_classify_flagship(tmp_path, capsys):
     assert doc["special"]["mass_gap"] <= 1e-8
 
 
+@pytest.mark.parametrize("command,G", [("classify", g_poisson_double(600)),
+                                       ("construct", g_poisson(600))],
+                         ids=["classify", "construct"])
+def test_input_above_the_degree_is_not_refused(tmp_path, capsys, command, G):
+    # deg G = 600 at the default --degree 64: the pipeline samples G on a
+    # grid that holds it
+    g = dump(tmp_path, "g.json", G)
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    assert main([command, g, u]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_classify_compact_json_deterministic(tmp_path, capsys):
     g = dump(tmp_path, "g.json", g_poisson_double(64))
     u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))

@@ -241,10 +241,34 @@ def test_shifted_outer_loses_verdict(k):
 
 # -- spectral factorization -------------------------------------------------------------
 
-def test_constant_density_root():
-    A = bauer_factorize(MatrixSymbol.constant(0.75 * np.eye(2)), 8, CFG)
-    assert symbols_allclose(A.compress(1e-13),
-                            MatrixSymbol.constant(np.sqrt(3) / 2 * np.eye(2)), 1e-10)
+def test_constant_density_root(monkeypatch):
+    # a degree-0 channel has no roots: the root split's empty product times
+    # sqrt(c0) is the factor, bitwise, and exp-log is never asked
+    def refused(*args):
+        raise AssertionError("exp-log route taken")
+
+    monkeypatch.setattr(factor, "outer_exp_log", refused)
+    A = bauer_factorize(MatrixSymbol.constant(np.diag([0.75, 0.25])), 8, CFG)
+    want = np.zeros((9, 2, 2), complex)
+    want[0] = np.diag(np.sqrt([0.75, 0.25]))
+    assert A.min_deg == 0 and np.array_equal(A.coeffs, want)
+
+
+def test_zero_constant_channel_is_refused_by_exp_log():
+    with pytest.raises(PreconditionError, match="diagonal samples positive"):
+        bauer_factorize(MatrixSymbol.constant(np.diag([0.75, 0.0])), 8, CFG)
+
+
+def test_density_wider_than_the_grid_factors():
+    # half-band 40 needs 81 samples; the checks run on with_degree(40)'s
+    # 256 points whatever grid the config holds
+    k = np.arange(-40, 41)
+    phi = MatrixSymbol.scalar(np.where(k == 0, 1.0, 0.5 / (1 + np.abs(k)) ** 2),
+                              min_deg=-40)
+    A = bauer_factorize(phi, 48, ToleranceConfig(64))
+    assert np.array_equal(A.coeffs, bauer_factorize(phi, 48, ToleranceConfig(256)).coeffs)
+    av = sample_symbol(A, 256)[:, 0, 0]
+    assert np.max(np.abs(np.abs(av) ** 2 - sample_symbol(phi, 256)[:, 0, 0])) < 1e-10
 
 
 def test_one_plus_cos_factors_to_one_plus_z():

@@ -835,6 +835,18 @@ def test_pipelines_fit_the_grid_to_the_degree(run, n):
     _assert_same(run(n, CFG), run(n, ToleranceConfig(grid_size=K)))
 
 
+@pytest.mark.parametrize("run", [
+    lambda cfg: classify_kernel(g_poisson_double(600), MatrixSymbol.monomial(1),
+                                16, cfg, (4, 8, 16)),
+    lambda cfg: construct_kernel(g_poisson(600), MatrixSymbol.monomial(1), 16,
+                                 cfg, (4, 8, 16)),
+], ids=["classify", "construct"])
+def test_pipelines_fit_the_grid_to_an_input_above_N(run):
+    # a degree-600 input needs 4096 points at N = 16, where with_degree(16)
+    # alone would keep the default 512
+    _assert_same(run(CFG), run(ToleranceConfig(grid_size=4096)))
+
+
 @pytest.mark.parametrize("name", [name for name, _ in _pair_fixtures()])
 def test_pair_steps_fit_the_grid_to_the_degree(name):
     # A has degree 600, which the default grid (512) cannot sample

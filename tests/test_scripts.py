@@ -20,13 +20,21 @@ def run_script(name, *args):
 @pytest.mark.parametrize("name,args", [
     ("residual_ladders.py", ["--ladder", "8,16"]),
     ("rigidity_scan.py", ["--steps", "2"]),
-    ("run_examples.py", []),
-    ("run_examples.py", ["--degree", "32"]),
 ])
 def test_script_runs(name, args):
     res = run_script(name, *args)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip()
+
+
+@pytest.mark.parametrize("name,ladder", [
+    ("rigidity_scan.py", "64,32,16"),  # decreasing: the decay rule would read it backwards
+    ("residual_ladders.py", "8,x"),
+])
+def test_script_rejects_a_bad_ladder(name, ladder):
+    res = run_script(name, "--ladder", ladder)
+    assert res.returncode == 2
+    assert "error: ladder" in res.stderr and "Traceback" not in res.stderr
 
 
 def load_bench():
