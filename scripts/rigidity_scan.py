@@ -20,6 +20,8 @@ def main():
     ap.add_argument("--steps", type=int, default=11)
     ap.add_argument("--ladder", type=str, default="16,32,64")
     args = ap.parse_args()
+    if args.steps < 2:
+        ap.error("--steps must be at least 2: the family runs from t = 0 to t = 1")
     try:
         ladder = _parse_ladder(args.ladder)
     except ValueError as exc:

@@ -124,11 +124,7 @@ def garcia_inner(theta: MatrixSymbol, a: MatrixSymbol, b: MatrixSymbol,
             raise PreconditionError(f"{name} in model space of z*theta", mass)
 
     def theta_flip(s: MatrixSymbol) -> MatrixSymbol:
-        prod = symbol_mul(theta, adjoint_flip(s))
-        tail = riesz_project(prod, "minus").norm_l2()
-        if tail > 10 * config.residual_tol:
-            raise PreconditionError("theta * conj has analytic representative", tail)
-        return riesz_project(prod, "plus")
+        return riesz_project(symbol_mul(theta, adjoint_flip(s)), "plus")
 
     U = MatrixSymbol.from_blocks([[a, b.scale(-1)],
                                   [theta_flip(b), theta_flip(a)]])
@@ -274,8 +270,6 @@ def _fejer_riesz_scalar(entry: MatrixSymbol, N: int) -> np.ndarray | None:
         if len(cluster) % 2:
             return None
         centroid = np.sum(cluster)
-        if abs(centroid) == 0:
-            return None
         take.extend([centroid / abs(centroid)] * (len(cluster) // 2))
     if len(take) != d:
         return None
@@ -293,8 +287,7 @@ def _fejer_riesz_scalar(entry: MatrixSymbol, N: int) -> np.ndarray | None:
     if np.max(np.abs(np.abs(np.polyval(p[::-1], xi)) ** 2 - phv)) \
             > 1e-8 * max(1.0, float(np.max(np.abs(phv)))):
         return None
-    if abs(p[0]) > 0:
-        p = p * (np.conj(p[0]) / abs(p[0]))
+    p = p * (np.conj(p[0]) / abs(p[0]))
     out = np.zeros(N + 1, complex)
     out[:d + 1] = p
     return out

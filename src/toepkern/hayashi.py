@@ -459,8 +459,6 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     span = shift_span(G, config)
     if span.verdict != "outer":
         raise PreconditionError("G outer", span.eta_fine)
-    if span.rank != r:
-        raise PreconditionError("shift span dimension equals r", float(span.rank))
 
     t0 = span.theta0
     classification = classify_kernel(span.g_tilde.compress(1e-14), U, N, config,

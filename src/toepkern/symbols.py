@@ -204,9 +204,7 @@ class MatrixSymbol:
             raise ValueError("negative degrees present: evaluation needs |z| = 1")
         if abs(z) > 1.0 + 1e-9:
             raise ValueError("evaluation outside the closed disc")
-        powers = z ** np.arange(self.min_deg, self.max_deg + 1) if self.min_deg >= 0 \
-            else np.array([z ** k if k >= 0 else np.conj(z) ** (-k)
-                           for k in range(self.min_deg, self.max_deg + 1)])
+        powers = z ** np.arange(self.min_deg, self.max_deg + 1)
         return np.tensordot(powers, self.coeffs, axes=(0, 0))
 
     # -- JSON interchange ---------------------------------------------------

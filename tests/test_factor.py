@@ -169,6 +169,16 @@ def test_garcia_rejects_outside_model_space():
     assert "model space" in err.value.check or "|a|^2" in err.value.check
 
 
+def test_garcia_rejects_b_outside_the_model_space_of_z_theta():
+    # |a|^2 + |b|^2 = 1 holds, but b = z^2 / sqrt(2) is not in K_{z^2}; the
+    # model-space check also bounds the negative-degree tail of theta * conj(b)
+    a = MatrixSymbol.scalar([1 / np.sqrt(2)])
+    b = MatrixSymbol.scalar([0.0, 0.0, 1 / np.sqrt(2)])
+    with pytest.raises(PreconditionError) as err:
+        garcia_inner(MatrixSymbol.monomial(1), a, b, CFG)
+    assert err.value.check == "b in model space of z*theta"
+
+
 # -- outer detection ----------------------------------------------------------------
 
 @pytest.mark.parametrize("N", [64, 512])

@@ -993,6 +993,14 @@ class TestEmbedding:
                                              "U must be 1 x 1"):
             embed_rect(column_G(), MatrixSymbol.monomial(2, m=2), 16, CFG)
 
+    def test_rank_deficient_span_is_not_outer(self):
+        # both columns of G are e_1, so its shift span has rank 1 < r = 2 and
+        # shift_span reads indeterminate, which "G outer" already rejects
+        G = MatrixSymbol.constant(np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(PreconditionError) as info:
+            embed_rect(G, MatrixSymbol.monomial(1, m=2), 16, CFG, ladder=(4, 8, 16))
+        assert info.value.check == "G outer"
+
 
 # -- probes of the contracted isometry ----------------------------------------------
 

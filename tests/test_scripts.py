@@ -37,6 +37,15 @@ def test_script_rejects_a_bad_ladder(name, ladder):
     assert "error: ladder" in res.stderr and "Traceback" not in res.stderr
 
 
+@pytest.mark.parametrize("steps", ["1", "0"])
+def test_rigidity_scan_rejects_fewer_than_two_steps(steps):
+    # t = i / (steps - 1) needs both ends of the family
+    res = run_script("rigidity_scan.py", "--steps", steps)
+    assert res.returncode == 2
+    assert "error: --steps" in res.stderr and "Traceback" not in res.stderr
+    assert not res.stdout
+
+
 def load_bench():
     spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
     module = importlib.util.module_from_spec(spec)
