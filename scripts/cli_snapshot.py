@@ -31,6 +31,7 @@ def fixture_files() -> dict:
         "flagship-G.json": g_poisson_double(64),
         "flagship-G16.json": g_poisson_double(16),
         "flagship-seed.json": g_poisson(64),
+        "flagship-seed-512.json": g_poisson(512),
         "z.json": MatrixSymbol.monomial(1),
         "z2.json": MatrixSymbol.monomial(1, 2),
         "one-plus-z.json": g_one_plus_z(),
@@ -73,6 +74,14 @@ COMMANDS = [
                                 "--degree", "256"]),
     ("construct-recipe-256", ["construct", "recipe-seed.json", "recipe-U.json",
                               "--degree", "256"]),
+    # one kernel_angles call over the ladder: its top rung's per_N angle
+    # is certified by inertia counts, the lower ones read singular values
+    ("construct-flagship-512-ladder", ["construct", "flagship-seed-512.json",
+                                       "z.json", "--degree", "512",
+                                       "--ladder", "128,256,512"]),
+    ("construct-recipe-256-ladder", ["construct", "recipe-seed.json",
+                                     "recipe-U.json", "--degree", "256",
+                                     "--ladder", "64,128,256"]),
     # invalid input (exit 2) and truncations too coarse to decide
     ("err-non-inner-U", ["classify", "flagship-G.json", "one-plus-z.json"]),
     ("err-classify-shapes", ["classify", "flagship-G.json", "z2.json"]),

@@ -37,7 +37,7 @@ from .nearly import (counterexample_UBU, is_nearly_invariant,
                      sarason_equivalence, section_defect, verify_lemma31)
 from .symbols import (DEFAULT_CONFIG, MatrixSymbol, ToleranceConfig,
                       adjoint_flip, grid_points, symbol_mul)
-from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angle,
+from .toeplitz import (basis_from_matrix, build_toeplitz, kernel_angles,
                        kernel_basis, phase_gauge, subspace_angle)
 
 PIVOT_COND = 1e6
@@ -167,8 +167,8 @@ def cmd_construct(args) -> int:
     U = _load_symbol(args.U)
     tol = args.tolerance
     res = construct_kernel(G0p, U, args.degree, tol, args.ladder)
-    angles = {str(n): kernel_angle(res.phi, gk_basis(res.G, U, n, tol), tol)
-              for n in args.ladder}
+    angles = dict(zip(map(str, args.ladder), kernel_angles(
+        res.phi, [gk_basis(res.G, U, n, tol) for n in args.ladder], tol)))
     doc = {
         "dim_F": res.F.size,
         "cross_check_angle": {"per_N": angles, "refined": res.angle_2N},

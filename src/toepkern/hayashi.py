@@ -9,12 +9,13 @@ of G: B = U B0 (divide_inner divides on the left), A' = G (I - U B0) from
 Sarason's G = A' (I - B)^{-1}, and G0' = A' (I - B0)^{-1}.  This module
 implements the sub-tests, the classification pipeline, the constructive
 recipe that runs the argument backwards, and the rectangular embedding.
-Every step reads U through the public model_space_basis and gk_basis, which
-toeplitz.kernel_angle(phi, Q) compares with ker T_phi without building a
-section; the memoized is_inner certifies U once per pipeline call.  N is
-an argument of every step; pair_from_B and special_test run on
-config.with_degree(N), the three pipelines on config.with_degree(max(N,
-their inputs' degrees)), so an input above N is sampled alias-free.
+Every step reads U through the public model_space_basis and gk_basis, whose
+bases at N and 2N one toeplitz.kernel_angles(phi, bases) call compares with
+ker T_phi without building a section; the memoized is_inner certifies U
+once per pipeline call.  N is an argument of every step; pair_from_B and
+special_test run on config.with_degree(N), the three pipelines on
+config.with_degree(max(N, their inputs' degrees)), so an input above N is
+sampled alias-free.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .symbols import (DEFAULT_CONFIG, MatrixSymbol, SubspaceBasis,
                       ToleranceConfig, _eigvalsh, _inv, _norm2, adjoint_flip,
                       apply_symbol, cayley, herglotz_taylor, sample_symbol,
                       series_inverse, symbol_from_samples, symbol_mul)
-from .toeplitz import (build_toeplitz, kernel_angle, kernel_basis,
+from .toeplitz import (build_toeplitz, kernel_angles, kernel_basis,
                        numerical_rank, orthonormal_basis, singular_values)
 from .factor import (PreconditionError, bauer_factorize, divide_inner,
                      is_inner, shift_span)
@@ -277,7 +278,7 @@ class ClassificationReport:
 
 def gk_basis(G: MatrixSymbol, U: MatrixSymbol, M: int,
              config: ToleranceConfig = DEFAULT_CONFIG) -> SubspaceBasis:
-    """Orthonormal basis of G K_U at degree M, as kernel_angle reads it."""
+    """Orthonormal basis of G K_U at degree M, as kernel_angles reads it."""
     return orthonormal_basis(apply_symbol(G, model_space_basis(U, M, config), M),
                              config)
 
@@ -310,7 +311,7 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     Gram and read to degree N by the rigidity ladder (a singular I - B0(0),
     for which G0' does not exist, raises).  The constructed symbol and the
     bound on the subspace angle between its Toeplitz kernel and G K_U
-    (kernel_angle) are reported whenever the samples allow, whatever the
+    (kernel_angles, at N and 2N) are reported whenever the samples allow, whatever the
     verdicts.  Indeterminate sub-verdicts propagate; they are never
     resolved by majority.  A specialness test whose precondition fails at
     this truncation reads as indeterminate.
@@ -345,8 +346,8 @@ def classify_kernel(G: MatrixSymbol, U: MatrixSymbol, N: int,
     angle = float("nan")
     try:
         phi = toeplitz_symbol(G, U, config)
-        angle = max(kernel_angle(phi, gk_basis(G, U, M, config), config)
-                    for M in (N, 2 * N))
+        angle = max(kernel_angles(phi, [gk_basis(G, U, M, config)
+                                        for M in (N, 2 * N)], config))
     except PreconditionError:
         pass
 
@@ -421,8 +422,8 @@ def construct_kernel(G0p: MatrixSymbol, U: MatrixSymbol, N: int,
 
     phi = toeplitz_symbol(G, U, config)
     F = gk_basis(G, U, N, config)
-    angle_N = kernel_angle(phi, F, config)
-    angle_2N = kernel_angle(phi, gk_basis(G, U, 2 * N, config), config)
+    angle_N, angle_2N = kernel_angles(phi, (F, gk_basis(G, U, 2 * N, config)),
+                                      config)
     return ConstructionResult(G, F, phi, scale, pair, angle_N, angle_2N, rig)
 
 
@@ -473,6 +474,6 @@ def embed_rect(G: MatrixSymbol, U: MatrixSymbol, N: int,
     phi = (MatrixSymbol(m, m, reduced.min_deg, rotated)
            + MatrixSymbol.constant(comp @ comp.conj().T)).compress(1e-13)
 
-    worst = max(kernel_angle(phi, gk_basis(G, U, M, config), config)
-                for M in (N, 2 * N))
+    worst = max(kernel_angles(phi, [gk_basis(G, U, M, config) for M in (N, 2 * N)],
+                              config))
     return EmbedResult(phi, classification, worst)

@@ -9,12 +9,12 @@ A finite section is the SubspaceBasis of its column images: build_toeplitz
 returns SubspaceBasis(p, N, M) whose column k*q + b is p_{<=N}(phi z^k e_b),
 filled from one strided view of the symbol (_section), and `kernel_basis`
 takes one dense SVD of M.  `singular_values(phi, N)` and
-`kernel_angle(phi, Q)`, which need no vectors, build no section: the
+`kernel_angles(phi, bases)`, which need no vectors, build no section: the
 symbol's live degrees give the section's direct sum in closed form (_pieces:
 by channel for a diagonal symbol, by residue class of the block index modulo
 the gcd of the degree gaps for a lacunary one), and each piece, or the whole
 section, is gathered from the view and asked for its singular values only.
-When those pieces are large against the symbol's band, kernel_angle
+When those pieces are large against the symbol's band, kernel_angles
 certifies its bound by inertia counts instead: the Gram T^H T, cut into
 band-wide blocks read from the view, is block tridiagonal, and Sylvester's
 law of inertia counts the singular values below a threshold from its
@@ -22,6 +22,10 @@ Schur-complement pivots (spectrum slicing).  The equal blocks of the
 interior cuts are built once, a pivot that repeats its predecessor bitwise
 is not factored again, and a count stops once it exceeds the kernel
 dimension; a count that certifies nothing falls back to the singular values.
+The sections of one symbol at several degrees (a pipeline's N and 2N) share
+their leading blocks, so one kernel_angles call builds each distinct block
+once and factors each shared pivot prefix once per threshold;
+kernel_angle(phi, Q) is the call on one basis.
 """
 from __future__ import annotations
 
@@ -165,7 +169,8 @@ def _piece_values(phi: MatrixSymbol, N: int, pieces: list) -> np.ndarray:
     return np.sort(np.concatenate(values))[::-1]
 
 
-def _gram_blocks(phi: MatrixSymbol, N: int, width: int) -> list:
+def _gram_blocks(phi: MatrixSymbol, N: int, width: int,
+                 memo: dict | None = None) -> list:
     """The Gram T^H T of the degree-N section, cut every `width` block
     columns, one entry per run of equal consecutive cuts.
 
@@ -182,7 +187,13 @@ def _gram_blocks(phi: MatrixSymbol, N: int, width: int) -> list:
     previous cut exactly: it lengthens the run and nothing is rebuilt.
     Only the cuts where the section's edges clip the rows, and a partial
     last cut, start a new run.  A real symbol gets real blocks.
+
+    The same offsets give the same blocks at any degree N, so the sections
+    of one phi and width share them through memo, keyed by the offsets of
+    a cut and the previous cut's: each distinct block is built once, and
+    sections sharing it hold the same arrays.
     """
+    memo = {} if memo is None else memo
     section = _section(phi, N)
     p, q = phi.rows, phi.cols
     real = not phi.coeffs.imag.any()
@@ -200,30 +211,45 @@ def _gram_blocks(phi: MatrixSymbol, N: int, width: int) -> list:
         slab = section[j0:j1, :, k0:k1].reshape((j1 - j0) * p, (k1 - k0) * q)
         if real:
             slab = slab.real
-        coupling = None
-        if prev is not None:
-            pj0, pj1, pslab = prev
-            a = max(j0, pj0)
-            b = max(min(j1, pj1), a)
-            coupling = (pslab[(a - pj0) * p:(b - pj0) * p].conj().T
-                        @ slab[(a - j0) * p:(b - j0) * p])
-        blocks.append((slab.conj().T @ slab, coupling, 1))
+        key = tuple(offsets[-2:])
+        if key not in memo:
+            coupling = None
+            if prev is not None:
+                pj0, pj1, pslab = prev
+                a = max(j0, pj0)
+                b = max(min(j1, pj1), a)
+                coupling = (pslab[(a - pj0) * p:(b - pj0) * p].conj().T
+                            @ slab[(a - j0) * p:(b - j0) * p])
+            memo[key] = slab.conj().T @ slab, coupling
+        blocks.append((*memo[key], 1))
         prev = j0, j1, slab
     return blocks
 
 
-def _count_below(blocks: list, tau: float, tiny: float, stop: float) -> int | None:
+def _negatives(pivot: np.ndarray, tiny: float) -> int | None:
+    """Number of negative eigenvalues of a Hermitian pivot, or None when
+    one has modulus below tiny.  A Cholesky factorization of pivot - tiny I
+    screens first: when it succeeds every eigenvalue lies above tiny and
+    eigvalsh is not called."""
+    try:
+        np.linalg.cholesky(pivot - tiny * np.eye(pivot.shape[0]))
+        return 0
+    except np.linalg.LinAlgError:
+        lam = np.linalg.eigvalsh(pivot)
+    return None if np.abs(lam).min() < tiny else int(np.sum(lam < 0))
+
+
+def _count_below(blocks: list, tau: float, tiny: float, stop: float,
+                 memo: dict | None = None) -> int | None:
     """Number of singular values below tau of the section whose Gram
     blocks are given (_gram_blocks), or None when it cannot be read; any
     count above stop may be returned as soon as it is reached.
 
     Sylvester's law of inertia with the Haynsworth recursion: the count is
     the number of negative eigenvalues of T^H T - tau^2 I, summed over the
-    pivots S_i = D_i - tau^2 I - C_i^H S_{i-1}^{-1} C_i.  None when a pivot
-    has an eigenvalue of modulus below tiny, so no near-singular pivot is
-    ever solved with.  Each pivot is first screened by a Cholesky
-    factorization of S_i - tiny I: when it succeeds every eigenvalue lies
-    above tiny, the pivot adds nothing and eigvalsh is not called.
+    pivots S_i = D_i - tau^2 I - C_i^H S_{i-1}^{-1} C_i (_negatives).  None
+    when a pivot has an eigenvalue of modulus below tiny, so no
+    near-singular pivot is ever solved with.
 
     Within a run of equal blocks every pivot is the same map applied to the
     one before, so once a pivot equals its predecessor bitwise all the rest
@@ -232,28 +258,47 @@ def _count_below(blocks: list, tau: float, tiny: float, stop: float) -> int | No
     T^H T - tau^2 I, which by Cauchy interlacing has no more negative
     eigenvalues than the whole: once the running count exceeds stop it is
     returned, and the whole count exceeds stop too.
+
+    A run's pivots depend only on tau, the pivot it starts from and its
+    blocks, so memo keeps, per (tau, starting pivot, D, C), the furthest
+    state reached along the run: cuts walked, negatives added, the last
+    pivot with its count, and whether it is the fixed point.  A count over
+    blocks shared with an earlier count of the same memo (the sections of
+    one symbol at several degrees, _gram_blocks) resumes from there and
+    factors only the cuts beyond it, with the same arithmetic on the same
+    arrays; a run shorter than the walk stored restarts.  Keys name arrays
+    by identity, so memo is the dict that _gram_blocks filled with these
+    blocks: with the starting pivot stored in each entry, it holds every
+    array a key names, and no identity is reused while it lives.  A count
+    without one keeps only the last pivot of each run.
     """
+    memo = {} if memo is None else memo
     count, prev = 0, None
     for diag, coupling, run in blocks:
+        key = tau, id(prev), id(diag), id(coupling)
+        start = prev, 0, 0, prev, 0, False
+        _, walked, added, pivot, negative, fixed = memo.get(key, start)
+        if walked > run:
+            _, walked, added, pivot, negative, fixed = start
         shifted = diag - tau ** 2 * np.eye(diag.shape[0])
-        while run:
-            pivot = shifted
-            if prev is not None:
-                pivot = shifted - coupling.conj().T @ np.linalg.solve(prev, coupling)
-            try:
-                np.linalg.cholesky(pivot - tiny * np.eye(pivot.shape[0]))
-                negative = 0
-            except np.linalg.LinAlgError:
-                lam = np.linalg.eigvalsh(pivot)
-                if np.abs(lam).min() < tiny:
-                    return None
-                negative = int(np.sum(lam < 0))
-            repeats = run if prev is not None and np.array_equal(pivot, prev) else 1
-            count += negative * repeats
-            if count > stop:
-                return count
-            run -= repeats
-            prev = pivot
+        while True:
+            total = count + added + (negative * (run - walked) if fixed else 0)
+            if total > stop:
+                return total
+            if negative is None:
+                return None
+            if fixed or walked == run:
+                break
+            nxt = shifted
+            if pivot is not None:
+                nxt = shifted - coupling.conj().T @ np.linalg.solve(pivot, coupling)
+            negative = _negatives(nxt, tiny)
+            fixed = negative is not None and pivot is not None \
+                and np.array_equal(nxt, pivot)
+            walked, added, pivot = walked + 1, added + (negative or 0), nxt
+            if walked > memo.get(key, start)[1]:
+                memo[key] = prev, walked, added, pivot, negative, fixed
+        count, prev = total, pivot
     return count
 
 
@@ -263,8 +308,9 @@ def _image_norm(phi: MatrixSymbol, Q: SubspaceBasis) -> float:
 
 
 def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, r: float, width: int,
-                     config: ToleranceConfig) -> float | None:
-    """kernel_angle's bound from inertia counts, or None when not certified.
+                     config: ToleranceConfig, memo: dict) -> float | None:
+    """kernel_angles' bound on Q from inertia counts, or None when not
+    certified.
 
     r = ||T_phi Q||_2 bounds the k-th smallest singular value (minimax), so
     r <= rank_tol * c_max, with c_max the largest section column norm (at
@@ -273,10 +319,11 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, r: float, width: int,
     other there and bounds the next value below by tau, so
     arcsin(min(1, r / tau)) bounds Wedin's sin-theta.  tau starts at 0.45
     times the largest singular value of phi's grid samples and halves at
-    most three times while the count exceeds k.
+    most three times while the count exceeds k.  memo is shared with the
+    other degrees of one kernel_angles call (_gram_blocks, _count_below).
     """
     M, k = Q.degree, Q.size
-    blocks = _gram_blocks(phi, M, width)
+    blocks = _gram_blocks(phi, M, width, memo)
     c_max = np.sqrt(max(diag.diagonal().real.max() for diag, _, _ in blocks))
     if r > config.rank_tol * c_max:
         return None
@@ -285,7 +332,7 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, r: float, width: int,
     for _ in range(4):
         if tau < 1e-6 * beta or tau <= config.rank_tol * beta:
             return None
-        count = _count_below(blocks, tau, 1e-10 * beta ** 2, k)
+        count = _count_below(blocks, tau, 1e-10 * beta ** 2, k, memo)
         if count is None or count < k:
             return None
         if count == k:
@@ -339,9 +386,17 @@ def subspace_angle(A: SubspaceBasis, B: SubspaceBasis) -> float:
 
 def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
                  config: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Upper bound on the largest principal angle between ker T_phi and span Q.
+    """Upper bound on the largest principal angle between ker T_phi and span
+    Q: kernel_angles for the one basis."""
+    return kernel_angles(phi, (Q,), config)[0]
 
-    Q has orthonormal columns, k of them, at degree M = Q.degree.  Both
+
+def kernel_angles(phi: MatrixSymbol, bases,
+                  config: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, ...]:
+    """Upper bound on the largest principal angle between ker T_phi and the
+    span of each basis in bases, one angle per basis, in order.
+
+    Each Q has orthonormal columns, k of them, at degree M = Q.degree.  Both
     routes read Wedin's sin-theta bound arcsin(min(1, ||T_phi Q||_2 / s)),
     s a lower bound on the smallest singular value above the rank cut: for a
     unit x in span Q, ||T x|| >= s times the part of x outside the numerical
@@ -360,16 +415,32 @@ def kernel_angle(phi: MatrixSymbol, Q: SubspaceBasis,
     (values only, no vectors, split into pieces): pi/2 when the numerical
     kernel (the values below the rank cut) does not have dimension k, 0 when
     k = 0, and otherwise s is the last value above the cut.
+
+    Each basis takes its own route, rank check and tau ladder, so its angle
+    is the one a call on it alone returns, bitwise.  The counts share one
+    walk: the sections of one symbol are cut at the same block columns from
+    degree 0, so every Gram block of a shallower section but its clipped
+    bottom edge is one of a deeper section's, and at each tau the pivots
+    over those shared leading blocks are equal.  A memo local to the call
+    builds each distinct block once and factors each shared pivot prefix
+    once per tau; each degree continues from where its blocks part.
     """
-    M = Q.degree
     width = max(phi.coeffs.shape[0] - 1, -(-64 // phi.cols))
+    memo: dict = {}
+    return tuple(_angle(phi, Q, width, config, memo) for Q in bases)
+
+
+def _angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
+           config: ToleranceConfig, memo: dict) -> float:
+    """One basis's angle of kernel_angles."""
+    M = Q.degree
     n, w = phi.cols * (M + 1), phi.cols * width
     pieces = _pieces(phi, M)
     cubes = sum(cols.shape[0] * cols.shape[1] ** 3 for _, cols in pieces)
     r = None
     if Q.size and cubes > 4 * n * w * w:
         r = _image_norm(phi, Q)
-        angle = _certified_angle(phi, Q, r, width, config)
+        angle = _certified_angle(phi, Q, r, width, config, memo)
         if angle is not None:
             return angle
     s = _piece_values(phi, M, pieces)

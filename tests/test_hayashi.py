@@ -54,8 +54,8 @@ from toepkern.hayashi import (
 )
 from toepkern.nearly import counterexample_UBU, isometry_defect
 from toepkern.toeplitz import (apply_symbol, build_toeplitz, kernel_angle,
-                               kernel_basis, numerical_rank, singular_values,
-                               subspace_angle)
+                               kernel_angles, kernel_basis, numerical_rank,
+                               singular_values, subspace_angle)
 
 from helpers import component_pieces, phi_poisson_double, section_pieces
 
@@ -660,6 +660,53 @@ class TestCrossCheck:
         angle = kernel_angle(phi, Q, config)
         assert count_route == [None] and products == [1024]
         assert angle == dense_angle(phi, Q, config) > 0.1
+
+    @pytest.mark.parametrize("name, n, degrees, counted", [
+        ("flagship", 512, (512, 1024), 2),
+        ("matrix-recipe", 256, (256, 512), 2),
+        # the recipe's band spans 66 degrees, past the low rungs' sections:
+        # those take the dense route, the high rungs count
+        ("matrix-recipe", 256, (16, 32, 64, 128, 256, 512), 2),
+        # one-column pieces: every degree takes the dense route
+        ("lin-diag", 512, (512, 1024), 0),
+    ])
+    def test_joint_angles_are_the_single_calls(self, name, n, degrees, counted,
+                                               count_route):
+        if name == "lin-diag":
+            config = ToleranceConfig().with_degree(n)
+            G, U = lin_diag_G(), MatrixSymbol.monomial(1, m=2)
+            phi = toeplitz_symbol(G, U, config)
+        else:
+            phi, G, U, config = cross_check_case(name, n)
+        bases = [gk_basis(G, U, M, config) for M in degrees]
+        count_route.clear()  # the construction's own cross-checks
+        joint = kernel_angles(phi, bases, config)
+        assert len(count_route) == counted
+        single = [kernel_angles(phi, (Q,), config)[0] for Q in bases]
+        assert np.array(joint).tobytes() == np.array(single).tobytes()
+        # deepest first: a shallower section's runs are shorter than the
+        # walks its deeper neighbours left
+        backward = kernel_angles(phi, bases[::-1], config)
+        assert np.array(backward).tobytes() == np.array(single[::-1]).tobytes()
+
+    def test_joint_count_factors_shared_pivots_once(self, monkeypatch):
+        # the flagship's sections at 512 and 1024 share their leading Gram
+        # blocks, so the pivots over them are factored once for both
+        phi, G, U, config = cross_check_case("flagship", 512)
+        bases = [gk_basis(G, U, M, config) for M in (512, 1024)]
+        solves = []
+        solve = np.linalg.solve
+
+        def spy(a, b):
+            solves.append(a.shape)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        kernel_angles(phi, bases, config)
+        joint = len(solves)
+        for Q in bases:
+            kernel_angles(phi, (Q,), config)
+        assert 0 < joint < len(solves) - joint
 
     def test_small_and_split_sections_take_the_dense_route(self, count_route, capsys):
         classify_kernel(lin_diag_G(), MatrixSymbol.monomial(1, m=2), 512,
