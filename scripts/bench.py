@@ -32,7 +32,13 @@ A row is named `<call>:<fixture>:<degree>`:
   with the default moment rows.  One untimed call runs first, so the timed
   one pays no first-use import; the peak memory still includes it.  The
   row records `defect`, the largest entry of A^H A - phi on the configured
-  sample grid.
+  sample grid;
+- `examples:all:N`, `verify:pair-identity:N` and `verify:prop52:N` time one
+  in-process `cli.main` call of that command at `--degree N` with the
+  default ladder, stdout captured, after one untimed equal call that pays
+  the first-use costs, and record its `exit` code and the sha256 `digest`
+  of its stdout; examples run at N = 64, 128, 256 and 512, the two verify
+  checks at N = 64.
 
 The flagship is the seed g_poisson(N) with U = z, and its classify row reads
 g_poisson_double(N), the G that seed constructs; the recipe is the constant
@@ -84,6 +90,9 @@ ROWS = (
     "startup:flagship:64",
     "startup:recipe:64",
     "bauer:twisted:512",
+    *(f"examples:all:{n}" for n in (64, 128, 256, 512)),
+    "verify:pair-identity:64",
+    "verify:prop52:64",
 )
 ROW_TIMEOUT_S = 600.0  # every row takes about a second; this only stops a hung one
 FIXTURES = {"kernel_angle": ("flagship", "recipe"),
@@ -91,7 +100,9 @@ FIXTURES = {"kernel_angle": ("flagship", "recipe"),
             "classify": ("flagship", "lindiag", "recipe"),
             "singular_values": ("flagship", "lindiag"),
             "startup": ("flagship", "recipe"),
-            "bauer": ("twisted",)}
+            "bauer": ("twisted",),
+            "examples": ("all",),
+            "verify": ("pair-identity", "prop52")}
 
 
 def parse_row(name: str) -> tuple[str, str, int]:
@@ -144,6 +155,24 @@ def run_row(name: str) -> dict:
         av = sample_symbol(A, config.grid_size)
         rec = np.conj(np.transpose(av, (0, 2, 1))) @ av
         result = {"defect": float(np.max(np.abs(rec - sample_symbol(phi, config.grid_size))))}
+    elif call in ("examples", "verify"):
+        import contextlib
+        import io
+
+        from toepkern.cli import main
+
+        argv = [call, "--degree", str(degree)]
+        if call == "verify":
+            argv.insert(1, fixture)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            code = main(argv)
+        wall = time.perf_counter() - start
+        result = {"exit": code,
+                  "digest": hashlib.sha256(out.getvalue().encode()).hexdigest()}
     elif call == "construct":
         config = ToleranceConfig().with_degree(degree)
         seed, U = inputs(degree)
@@ -251,7 +280,8 @@ def validate(doc: dict) -> None:
             raise ValueError(f"{rec['row']} {rec['tree']}: no defect")
         if call == "classify" and not isinstance(rec["result"].get("final"), str):
             raise ValueError(f"{rec['row']} {rec['tree']}: no final verdict")
-        if call == "singular_values" and not isinstance(rec["result"].get("digest"), str):
+        if (call in ("singular_values", "examples", "verify")
+                and not isinstance(rec["result"].get("digest"), str)):
             raise ValueError(f"{rec['row']} {rec['tree']}: no digest")
         if rec["tree"] not in trees:
             raise ValueError(f"row {rec['row']} from unknown tree {rec['tree']!r}")

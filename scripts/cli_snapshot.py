@@ -54,6 +54,10 @@ COMMANDS = [
                     "prop52", "kernel-identity")],
     ("verify-pair-600", ["verify", "pair-identity", "--degree", "600",
                          "--ladder", "150,300,600"]),
+    # the two checks that read only the outer factor A, at a second degree
+    *[(f"verify-{check}-128", ["verify", check, "--degree", "128",
+                               "--ladder", "32,64,128"])
+      for check in ("prop52", "pair-identity")],
     ("classify-flagship", ["classify", *FLAGSHIP]),
     ("classify-flagship-out", ["classify", *FLAGSHIP, "--out", "flagship.report"]),
     ("classify-flagship-16", ["classify", "flagship-G16.json", "z.json",

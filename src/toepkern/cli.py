@@ -21,6 +21,7 @@ floats use a fixed format, so repeat runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -31,7 +32,7 @@ from .fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
                        half_signature, lin_diag_G, matrix_recipe,
                        sarason_B_closed_form, sqrt_diag_G, twisted_contraction)
 from .hayashi import (DEFAULT_LADDER, classify_kernel, construct_kernel,
-                      embed_rect, gk_basis, pair_from_B,
+                      embed_rect, gk_basis, outer_complement,
                       pair_identity_defect, special_test)
 from .nearly import (counterexample_UBU, is_nearly_invariant,
                      sarason_equivalence, section_defect, verify_lemma31)
@@ -167,8 +168,13 @@ def cmd_construct(args) -> int:
     U = _load_symbol(args.U)
     tol = args.tolerance
     res = construct_kernel(G0p, U, args.degree, tol, args.ladder)
-    angles = dict(zip(map(str, args.ladder), kernel_angles(
-        res.phi, [gk_basis(res.G, U, n, tol) for n in args.ladder], tol)))
+    # construct_kernel certified the working degree; a basis's angle is the
+    # same whichever kernel_angles call computes it
+    lower = [n for n in args.ladder if n != args.degree]
+    angles = dict(zip(lower, kernel_angles(
+        res.phi, [gk_basis(res.G, U, n, tol) for n in lower], tol)))
+    angles[args.degree] = res.angle_N
+    angles = {str(n): angles[n] for n in args.ladder}
     doc = {
         "dim_F": res.F.size,
         "cross_check_angle": {"per_N": angles, "refined": res.angle_2N},
@@ -275,9 +281,9 @@ def _check_pair_identity(args):
     rows = []
     for n in args.ladder:
         for name, B in _pair_fixtures():
-            pair = pair_from_B(B, n, args.tolerance)
-            rows.append((name, n, pair_identity_defect(pair.B, pair.A,
-                                                       args.tolerance), 1e-8))
+            A = outer_complement(B, n, args.tolerance)
+            rows.append((name, n, pair_identity_defect(B, A, args.tolerance),
+                         1e-8))
     return rows
 
 
@@ -306,17 +312,18 @@ def _check_outer_image(args):
     rows = []
     for name, B in fixtures:
         for n in args.ladder:
-            pair = pair_from_B(B(n), n, args.tolerance)
-            m = pair.A.rows
-            ta = build_toeplitz(adjoint_flip(pair.A), n).matrix
-            tb = build_toeplitz(adjoint_flip(pair.B), n).matrix
+            b = B(n)
+            A = outer_complement(b, n, args.tolerance)
+            m = A.rows
+            ta = build_toeplitz(adjoint_flip(A), n).matrix
+            tb = build_toeplitz(adjoint_flip(b), n).matrix
             rng = np.random.default_rng(5)
             # eight test polynomials of degree min(5, n), as the columns of
             # an m x 8 symbol
             c = np.stack([rng.standard_normal((6, m))
                           + 1j * rng.standard_normal((6, m)) for _ in range(8)],
                          axis=2)
-            h = symbol_mul(pair.A, MatrixSymbol(m, 8, 0, c[:n + 1])).window(0, n)
+            h = symbol_mul(A, MatrixSymbol(m, 8, 0, c[:n + 1])).window(0, n)
             rhs = tb @ h.reshape(-1, 8)
             sol = np.linalg.lstsq(ta, rhs, rcond=args.tolerance.rank_tol)[0]
             worst = float(np.max(np.linalg.norm(ta @ sol - rhs, axis=0)))
@@ -372,12 +379,11 @@ def _halfpower_containment(K: int) -> float:
     xi = grid_points(K)
     gbar = np.stack([np.conj(0.5 * np.sqrt(1.0 + xi)),
                      np.conj(0.5 * np.sqrt(1.0 - xi))])
+    modes = np.stack([xi ** (-m) for m in range(8)])
     worst = 0.0
     for e in ((1.0, 0.0), (0.0, 1.0), (1.0, 1.0)):
         img = np.conj(xi) * gbar * np.array(e)[:, None]
-        coef = np.stack([
-            np.array([np.mean(ch * xi ** (-m)) for m in range(8)])
-            for ch in img])
+        coef = np.mean(img[:, None, :] * modes[None], axis=2)
         worst = max(worst, float(np.linalg.norm(coef)))
     return worst
 
@@ -476,7 +482,10 @@ def cmd_examples(args) -> int:
 # entry point
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first main() call and reused:
+    argparse keeps no state between parse_args calls."""
     p = argparse.ArgumentParser(
         prog="toepkern",
         description="Toeplitz kernels, nearly invariant subspaces, and "

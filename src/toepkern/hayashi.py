@@ -12,10 +12,10 @@ recipe that runs the argument backwards, and the rectangular embedding.
 Every step reads U through the public model_space_basis and gk_basis, whose
 bases at N and 2N one toeplitz.kernel_angles(phi, bases) call compares with
 ker T_phi without building a section; the memoized is_inner certifies U
-once per pipeline call.  N is an argument of every step; pair_from_B and
-special_test run on config.with_degree(N), the three pipelines on
-config.with_degree(max(N, their inputs' degrees)), so an input above N is
-sampled alias-free.
+once per pipeline call.  N is an argument of every step; outer_complement,
+pair_from_B and special_test run on config.with_degree(N), the three
+pipelines on config.with_degree(max(N, their inputs' degrees)), so an input
+above N is sampled alias-free.
 """
 
 from __future__ import annotations
@@ -63,13 +63,12 @@ def pair_identity_defect(B: MatrixSymbol, A: MatrixSymbol,
     return _hermitian_norm(acc)
 
 
-def pair_from_B(B: MatrixSymbol, N: int,
-                config: ToleranceConfig = DEFAULT_CONFIG) -> Pair:
-    """Complete a unit-ball analytic B to a pair by factoring I - B*B.
+def outer_complement(B: MatrixSymbol, N: int,
+                     config: ToleranceConfig = DEFAULT_CONFIG) -> MatrixSymbol:
+    """The outer A with A*A + B*B = I for a unit-ball analytic B, to degree N.
 
-    A is the outer spectral factor normalized with A(0) Hermitian positive
-    definite; the mass gap and special verdict are filled in by
-    special_test when I - B(0) is invertible.
+    A is the outer spectral factor of I - B*B, normalized with A(0)
+    Hermitian positive definite.
     """
     config = config.with_degree(N)
     if B.rows != B.cols:
@@ -89,6 +88,17 @@ def pair_from_B(B: MatrixSymbol, N: int,
     a0 = np.linalg.eigvalsh((A.coeff(0) + A.coeff(0).conj().T) / 2)
     if a0.min() <= 0:
         raise PreconditionError("A(0) positive definite", float(a0.min()))
+    return A
+
+
+def pair_from_B(B: MatrixSymbol, N: int,
+                config: ToleranceConfig = DEFAULT_CONFIG) -> Pair:
+    """Complete a unit-ball analytic B to a pair (B, outer_complement(B)).
+
+    The mass gap and special verdict are filled in by special_test when
+    I - B(0) is invertible.
+    """
+    A = outer_complement(B, N, config)
     gap, verdict = _special_or_undecided(special_test, B, A, N, config)
     return Pair(B, A, gap, verdict)
 

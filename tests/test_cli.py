@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from toepkern import MatrixSymbol, ToleranceConfig
-from toepkern.cli import main
+from toepkern import MatrixSymbol, ToleranceConfig, toeplitz
+from toepkern.cli import _build_parser, main
 from toepkern.factor import is_inner
 from toepkern.fixtures import (column_G, g_one_plus_z, g_poisson, g_poisson_double,
                                lin_diag_G, matrix_recipe)
@@ -44,6 +44,30 @@ def test_verify_pair_identity_rows(capsys):
     assert len(rows) == 9
     assert all(ok for *_, ok in rows)
     assert all(res <= 1e-10 for _, _, res, _, _ in rows)
+
+
+@pytest.mark.parametrize("check", ["pair-identity", "prop52"])
+def test_outer_factor_checks_skip_the_specialness_test(capsys, monkeypatch,
+                                                        check):
+    def refuse(*args):
+        raise AssertionError("special_test called")
+
+    monkeypatch.setattr("toepkern.hayashi.special_test", refuse)
+    assert main(["verify", check]) == 0
+    assert all(ok for *_, ok in rows_of(capsys.readouterr().out))
+
+
+def test_parser_is_built_once(capsys):
+    _build_parser.cache_clear()
+    assert main(["verify"]) == 2
+    assert main(["--help"]) == 0
+    capsys.readouterr()
+    outs = []
+    for _ in range(2):
+        assert main(["verify", "thm34"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert _build_parser.cache_info().misses == 1
 
 
 def test_verify_alias_matches_token(capsys):
@@ -355,6 +379,26 @@ def test_construct_certifies_U_once(tmp_path, capsys):
     is_inner.cache_clear()
     assert main(["construct", seed, u, "--degree", "64"]) == 0
     assert is_inner.cache_info().misses == 1
+
+
+def test_construct_certifies_the_working_degree_once(tmp_path, capsys,
+                                                     monkeypatch):
+    # construct_kernel's angle at N is the per_N entry of the top rung
+    degrees = []
+    angle = toeplitz._angle
+
+    def spy(phi, Q, *args):
+        degrees.append(Q.degree)
+        return angle(phi, Q, *args)
+
+    monkeypatch.setattr(toeplitz, "_angle", spy)
+    seed = dump(tmp_path, "seed.json", g_poisson(64))
+    u = dump(tmp_path, "u.json", MatrixSymbol.monomial(1))
+    assert main(["construct", seed, u, "--degree", "64",
+                 "--ladder", "16,32,64"]) == 0
+    assert sorted(degrees) == [16, 32, 64, 128]
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc["cross_check_angle"]["per_N"]) == ["16", "32", "64"]
 
 
 def test_construct_stdout_without_out(tmp_path, capsys):

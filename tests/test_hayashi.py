@@ -46,6 +46,7 @@ from toepkern.hayashi import (
     construct_kernel,
     embed_rect,
     gk_basis,
+    outer_complement,
     pair_from_B,
     pair_identity_defect,
     rigidity_test,
@@ -154,6 +155,12 @@ class TestPairCompletion:
                                 MatrixSymbol.scalar([0, 0, 0.25]))
         pair = pair_from_B(B, N)
         assert pair_identity_defect(pair.B, pair.A, CFG) < 1e-10
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("name,B", _pair_fixtures())
+    def test_pair_outer_factor_is_the_outer_complement(self, name, B, n):
+        assert np.array_equal(pair_from_B(B, n, CFG).A.coeffs,
+                              outer_complement(B, n, CFG).coeffs)
 
     def test_expansive_rejected(self):
         with pytest.raises(PreconditionError):

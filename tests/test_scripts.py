@@ -137,6 +137,7 @@ def test_bench_validate_rejects_a_startup_row_without_scipy_flag():
     ("bauer:twisted:16", lambda r: 0 <= r["defect"] <= 1e-12),
     ("classify:flagship:64", lambda r: r["final"] == "is-kernel"
      and 0 <= r["cross_check_angle"] < 1e-5),
+    ("verify:prop52:64", lambda r: r["exit"] == 0 and len(r["digest"]) == 64),
 ])
 def test_bench_recipe_startup_and_bauer_rows_run(row, check):
     res = run_script("bench.py", "--row", row)
@@ -148,7 +149,8 @@ def test_bench_recipe_startup_and_bauer_rows_run(row, check):
 
 @pytest.mark.parametrize("prefix,key", [("startup:recipe:", "scipy_loaded"),
                                         ("bauer:twisted:", "defect"),
-                                        ("classify:flagship:", "final")])
+                                        ("classify:flagship:", "final"),
+                                        ("verify:prop52:", "digest")])
 def test_bench_validate_rejects_a_row_without_its_result_field(prefix, key):
     bench = load_bench()
     doc = json.loads(bench_paths()[-1].read_text())
