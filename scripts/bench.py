@@ -12,12 +12,15 @@ A row is named `<call>:<fixture>:<degree>`:
   degree N, cross-checks at N and 2N included, and record `dim_F` and both
   cross-check angles; they run at N = 64, 128, 256 and 512 and at one large
   N;
-- `classify:flagship:N`, `classify:lindiag:N` and `classify:recipe:N` time
-  classify_kernel at degree N and record its `final` verdict; flagship and
-  lindiag run at N = 64, 128, 256 and 512 and at one large N.  The recipe
-  row classifies the G that the construction at degree N returns; that
-  construction runs first, untimed, and leaves U's memoized is_inner
-  certificate in place;
+- `classify:flagship:N`, `classify:flagship-phase:N`, `classify:lindiag:N`
+  and `classify:recipe:N` time classify_kernel at degree N and record its
+  `final` verdict and `cross_check_angle`; flagship and lindiag run at
+  N = 64, 128, 256 and 512 and at one large N, flagship-phase at N = 512
+  and 2048.  Flagship-phase classifies the flagship's G times e^{i pi/3}, a
+  constant phase that leaves G K_U as it is and turns the symbol by a
+  unimodular constant.  The recipe row classifies the G that the
+  construction at degree N returns; that construction runs first, untimed,
+  and leaves U's memoized is_inner certificate in place;
 - `singular_values:flagship:N` and `singular_values:lindiag:N` time one
   singular_values call at degree N on the fixture's toeplitz_symbol, built
   first, untimed, and record the value count, the smallest value and a
@@ -83,6 +86,8 @@ ROWS = (
     "classify:recipe:512",
     *(f"classify:{fixture}:{n}" for fixture in ("flagship", "lindiag")
       for n in (64, 128, 256, 512)),
+    "classify:flagship-phase:512",
+    "classify:flagship-phase:2048",
     *(f"construct:{fixture}:{n}" for fixture in ("flagship", "recipe")
       for n in (64, 128, 256, 512)),
     *(f"singular_values:{fixture}:{n}" for fixture in ("flagship", "lindiag")
@@ -97,7 +102,7 @@ ROWS = (
 ROW_TIMEOUT_S = 600.0  # every row takes about a second; this only stops a hung one
 FIXTURES = {"kernel_angle": ("flagship", "recipe"),
             "construct": ("flagship", "recipe"),
-            "classify": ("flagship", "lindiag", "recipe"),
+            "classify": ("flagship", "flagship-phase", "lindiag", "recipe"),
             "singular_values": ("flagship", "lindiag"),
             "startup": ("flagship", "recipe"),
             "bauer": ("twisted",),
@@ -184,6 +189,9 @@ def run_row(name: str) -> dict:
         config = ToleranceConfig().with_degree(degree)
         if fixture == "flagship":
             G, U = g_poisson_double(degree), MatrixSymbol.monomial(1)
+        elif fixture == "flagship-phase":
+            G = g_poisson_double(degree).scale(np.exp(1j * np.pi / 3))
+            U = MatrixSymbol.monomial(1)
         elif fixture == "lindiag":
             G, U = lin_diag_G(), MatrixSymbol.monomial(1, 2)
         else:

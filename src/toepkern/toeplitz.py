@@ -22,10 +22,14 @@ Schur-complement pivots (spectrum slicing).  The equal blocks of the
 interior cuts are built once, a pivot that repeats its predecessor bitwise
 is not factored again, and a count stops once it exceeds the kernel
 dimension; a count that certifies nothing falls back to the singular values.
-The sections of one symbol at several degrees (a pipeline's N and 2N) share
-their leading blocks, so one kernel_angles call builds each distinct block
-once and factors each shared pivot prefix once per threshold;
-kernel_angle(phi, Q) is the call on one basis.
+A symbol that is real up to one unimodular constant c, phi = c psi up to
+imaginary dust below 1e-13 (_real_gauge), is counted on the real Gram of
+T_psi, which is that of T_{c psi}: ||T_phi - c T_psi|| < L sqrt(pq) 1e-13 for
+L live degrees, and only the counts read psi.  The sections of one symbol
+at several degrees (a pipeline's N and 2N) share their leading blocks, so
+one kernel_angles call builds each distinct block once and factors each
+shared pivot prefix once per threshold; kernel_angle(phi, Q) is the call on
+one basis.
 """
 from __future__ import annotations
 
@@ -186,7 +190,10 @@ def _gram_blocks(phi: MatrixSymbol, N: int, width: int,
     and the previous cut's, equal those of the cut before repeats the
     previous cut exactly: it lengthens the run and nothing is rebuilt.
     Only the cuts where the section's edges clip the rows, and a partial
-    last cut, start a new run.  A real symbol gets real blocks.
+    last cut, start a new run.  A symbol with no imaginary part (a real
+    one, or the real gauge of kernel_angles' count, _real_gauge) gets real
+    blocks, each slab copied once to a C-contiguous float64 array, since
+    matmul on the strided real view of a complex slab skips BLAS.
 
     The same offsets give the same blocks at any degree N, so the sections
     of one phi and width share them through memo, keyed by the offsets of
@@ -210,7 +217,7 @@ def _gram_blocks(phi: MatrixSymbol, N: int, width: int,
             continue
         slab = section[j0:j1, :, k0:k1].reshape((j1 - j0) * p, (k1 - k0) * q)
         if real:
-            slab = slab.real
+            slab = np.ascontiguousarray(slab.real)
         key = tuple(offsets[-2:])
         if key not in memo:
             coupling = None
@@ -224,6 +231,28 @@ def _gram_blocks(phi: MatrixSymbol, N: int, width: int,
         blocks.append((*memo[key], 1))
         prev = j0, j1, slab
     return blocks
+
+
+def _real_gauge(phi: MatrixSymbol) -> MatrixSymbol:
+    """The symbol whose Gram kernel_angles' inertia counts read.
+
+    With c the phase of phi's largest-modulus coefficient entry, returns
+    psi = Re(conj(c) phi) when every imaginary part of conj(c) phi has
+    modulus below 1e-13, the dust rule of hayashi.toeplitz_symbol, and phi
+    itself otherwise; a real phi is returned as it is.  T_{c psi} = c T_psi
+    has the Gram of T_psi, which _gram_blocks builds in real arithmetic,
+    and ||T_phi - c T_psi|| <= sum_d ||Im(conj(c) phi_d)||_2
+    < L sqrt(pq) 1e-13 for L live degrees, so no singular value moves by
+    more: the order of perturbation toeplitz_symbol already accepts.
+    """
+    coeffs = phi.coeffs
+    if not coeffs.imag.any():
+        return phi
+    peak = coeffs.flat[np.argmax(np.abs(coeffs))]
+    turned = coeffs * (np.conj(peak) / abs(peak))
+    if np.abs(turned.imag).max() >= 1e-13:
+        return phi
+    return MatrixSymbol(phi.rows, phi.cols, phi.min_deg, turned.real)
 
 
 def _negatives(pivot: np.ndarray, tiny: float) -> int | None:
@@ -307,10 +336,12 @@ def _image_norm(phi: MatrixSymbol, Q: SubspaceBasis) -> float:
     return float(np.linalg.norm(apply_symbol(phi, Q, Q.degree).matrix, 2))
 
 
-def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, r: float, width: int,
-                     config: ToleranceConfig, memo: dict) -> float | None:
+def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, psi: MatrixSymbol,
+                     r: float, width: int, config: ToleranceConfig,
+                     memo: dict) -> float | None:
     """kernel_angles' bound on Q from inertia counts, or None when not
-    certified.
+    certified.  The counts read the Gram blocks of psi = _real_gauge(phi);
+    r, beta and tau read phi.
 
     r = ||T_phi Q||_2 bounds the k-th smallest singular value (minimax), so
     r <= rank_tol * c_max, with c_max the largest section column norm (at
@@ -323,7 +354,7 @@ def _certified_angle(phi: MatrixSymbol, Q: SubspaceBasis, r: float, width: int,
     other degrees of one kernel_angles call (_gram_blocks, _count_below).
     """
     M, k = Q.degree, Q.size
-    blocks = _gram_blocks(phi, M, width, memo)
+    blocks = _gram_blocks(psi, M, width, memo)
     c_max = np.sqrt(max(diag.diagonal().real.max() for diag, _, _ in blocks))
     if r > config.rank_tol * c_max:
         return None
@@ -424,13 +455,20 @@ def kernel_angles(phi: MatrixSymbol, bases,
     over those shared leading blocks are equal.  A memo local to the call
     builds each distinct block once and factors each shared pivot prefix
     once per tau; each degree continues from where its blocks part.
+
+    Only the counts read the real gauge psi of phi (_real_gauge), computed
+    once per call: when phi is c psi up to imaginary dust below 1e-13, c a
+    unimodular constant, T_{c psi} has the real Gram of T_psi, and
+    ||T_phi - c T_psi|| < L sqrt(pq) 1e-13 for L live degrees.  The count is
+    an integer, and T_phi Q, beta, tau and the dense route read phi itself.
     """
     width = max(phi.coeffs.shape[0] - 1, -(-64 // phi.cols))
+    psi = _real_gauge(phi)
     memo: dict = {}
-    return tuple(_angle(phi, Q, width, config, memo) for Q in bases)
+    return tuple(_angle(phi, Q, psi, width, config, memo) for Q in bases)
 
 
-def _angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
+def _angle(phi: MatrixSymbol, Q: SubspaceBasis, psi: MatrixSymbol, width: int,
            config: ToleranceConfig, memo: dict) -> float:
     """One basis's angle of kernel_angles."""
     M = Q.degree
@@ -440,7 +478,7 @@ def _angle(phi: MatrixSymbol, Q: SubspaceBasis, width: int,
     r = None
     if Q.size and cubes > 4 * n * w * w:
         r = _image_norm(phi, Q)
-        angle = _certified_angle(phi, Q, r, width, config, memo)
+        angle = _certified_angle(phi, Q, psi, r, width, config, memo)
         if angle is not None:
             return angle
     s = _piece_values(phi, M, pieces)

@@ -137,6 +137,8 @@ def test_bench_validate_rejects_a_startup_row_without_scipy_flag():
     ("bauer:twisted:16", lambda r: 0 <= r["defect"] <= 1e-12),
     ("classify:flagship:64", lambda r: r["final"] == "is-kernel"
      and 0 <= r["cross_check_angle"] < 1e-5),
+    ("classify:flagship-phase:64", lambda r: r["final"] == "is-kernel"
+     and 0 <= r["cross_check_angle"] < 1e-5),
     ("verify:prop52:64", lambda r: r["exit"] == 0 and len(r["digest"]) == 64),
 ])
 def test_bench_recipe_startup_and_bauer_rows_run(row, check):

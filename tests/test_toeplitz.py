@@ -8,16 +8,18 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toepkern import (MatrixSymbol, SubspaceBasis, ToleranceConfig, adjoint_flip,
-                      apply_symbol)
-from toepkern.fixtures import g_poisson, lin_diag_G
-from toepkern.hayashi import toeplitz_symbol
+                      apply_symbol, construct_kernel, symbol_mul, toeplitz)
+from toepkern.fixtures import g_poisson, g_poisson_double, lin_diag_G, matrix_recipe
+from toepkern.hayashi import gk_basis, toeplitz_symbol
 from toepkern.nearly import model_space_basis
 from toepkern.toeplitz import (
     _count_below,
     _gram_blocks,
+    _real_gauge,
     _section,
     basis_from_matrix,
     build_toeplitz,
+    kernel_angles,
     kernel_basis,
     numerical_rank,
     orthonormal_basis,
@@ -614,6 +616,69 @@ def test_pivot_just_above_zero_declines():
     tau = np.sqrt(1 - tiny / 2)
     assert _count_below(_gram_blocks(MatrixSymbol.identity(1), 8, 4), tau, tiny,
                         np.inf) is None
+
+
+@pytest.fixture(scope="module", params=["flagship", "recipe"])
+def counted_case(request):
+    """A real symbol whose cross-check at N and 2N takes the count route,
+    with its bases and config: the flagship at N = 512, the recipe at 256."""
+    if request.param == "flagship":
+        N, G, U = 512, g_poisson_double(512), MatrixSymbol.monomial(1)
+        config = ToleranceConfig().with_degree(N)
+        phi = toeplitz_symbol(G, U, config)
+    else:
+        N, (seed, U) = 256, matrix_recipe()
+        config = ToleranceConfig().with_degree(N)
+        res = construct_kernel(seed, U, N, config)
+        phi, G = res.phi, res.G
+    return phi, [gk_basis(G, U, M, config) for M in (N, 2 * N)], config
+
+
+def count_spy(monkeypatch):
+    """The diagonal blocks of every _count_below call, in a list."""
+    seen, count = [], toeplitz._count_below
+
+    def spy(blocks, *args):
+        seen.extend(diag for diag, _, _ in blocks)
+        return count(blocks, *args)
+
+    monkeypatch.setattr(toeplitz, "_count_below", spy)
+    return seen
+
+
+@pytest.mark.parametrize("c", [np.exp(1j * np.pi / 7), 1j, -1, np.exp(5j * np.pi / 3)])
+def test_rotated_real_symbol_counts_in_real_arithmetic(counted_case, c, monkeypatch):
+    # T_{c phi} has the Gram of T_phi, so the count reads real contiguous
+    # blocks, and the angle, from r, tau and an integer count, is bitwise
+    # the one the complex count gives
+    phi, bases, config = counted_case
+    assert _real_gauge(phi) is phi
+    rotated = phi.scale(c)
+    seen = count_spy(monkeypatch)
+    gauged = kernel_angles(rotated, bases, config)
+    assert seen and all(d.dtype == np.float64 and d.flags.c_contiguous for d in seen)
+    seen.clear()
+    monkeypatch.setattr(toeplitz, "_real_gauge", lambda phi: phi)
+    plain = kernel_angles(rotated, bases, config)
+    assert seen and all(d.dtype == (np.float64 if c == -1 else np.complex128)
+                        for d in seen)
+    assert [a.hex() for a in gauged] == [a.hex() for a in plain]
+
+
+def test_symbol_not_real_up_to_one_phase_keeps_complex_blocks(counted_case,
+                                                              monkeypatch):
+    # an imaginary part of 1e-9 is not dust, and two channel phases admit
+    # no single constant
+    phi, bases, config = counted_case
+    bumped = phi + MatrixSymbol.monomial(3, phi.rows).scale(1e-9j)
+    seen = count_spy(monkeypatch)
+    kernel_angles(bumped, bases, config)
+    assert seen and all(d.dtype == np.complex128 for d in seen)
+    lin = toeplitz_symbol(lin_diag_G(), MatrixSymbol.monomial(1, 2), CFG)
+    phases = MatrixSymbol.constant(np.diag([1, np.exp(1j * np.pi / 5)]))
+    for sym in (bumped, symbol_mul(phases, lin)):
+        assert _real_gauge(sym) is sym
+        assert all(np.iscomplexobj(d) for d, _, _ in _gram_blocks(sym, 64, 8))
 
 
 # -- principal angles ---------------------------------------------------------------
